@@ -27,7 +27,13 @@ import click
 import numpy as np
 
 from . import __version__
-from .errors import CdtubeError, ConvergenceError, EvaluationError
+from .errors import (
+    CdtubeError,
+    ConvergenceError,
+    DomainError,
+    EvaluationError,
+    require_finite_non_negative,
+)
 from .fluid import PowerLawFluid, apparent_viscosity
 from .flow import METHOD_FALLBACK, flow_rate as solve_flow_rate
 from .flow import pressure_drop as solve_pressure_drop
@@ -94,6 +100,13 @@ def _emit(fmt: str, output, config: dict, columns, rows) -> None:
     else:
         with open(output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+
+
+def _require_finite_non_negative(option: str, value: float) -> None:
+    try:
+        require_finite_non_negative(option, value)
+    except DomainError as exc:
+        raise click.UsageError(str(exc)) from exc
 
 
 def _build_inputs(shape, n, consistency, rmin, rmax, length):
@@ -209,10 +222,10 @@ def solve(shape, rmin, rmax, length, n, consistency, flow_rate, pressure,
         raise click.UsageError(
             "exactly one of --flow-rate or --pressure is required"
         )
-    if flow_rate is not None and flow_rate < 0:
-        raise click.UsageError("--flow-rate must be non-negative")
-    if pressure is not None and pressure < 0:
-        raise click.UsageError("--pressure must be non-negative")
+    if flow_rate is not None:
+        _require_finite_non_negative("--flow-rate", flow_rate)
+    if pressure is not None:
+        _require_finite_non_negative("--pressure", pressure)
     config = {
         "subcommand": "solve", "shape": shape, "n": n,
         "consistency": consistency, "r_min": rmin, "r_max": rmax,
@@ -251,12 +264,12 @@ def solve(shape, rmin, rmax, length, n, consistency, flow_rate, pressure,
 def sweep(shape, rmin, rmax, length, n, consistency, quantity, start, stop,
           count, spacing, periods, validate, rel_tol, jobs, fmt, output):
     """Sweep flow rate or pressure over a range."""
+    _require_finite_non_negative("--start", start)
+    _require_finite_non_negative("--stop", stop)
     if not start < stop:
         raise click.UsageError("--start must be less than --stop")
     if spacing == "log" and start <= 0:
         raise click.UsageError("log spacing requires --start > 0")
-    if start < 0:
-        raise click.UsageError("swept values must be non-negative")
     if spacing == "linear":
         values = np.linspace(start, stop, count)
     else:

@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+import math
+
 
 class CdtubeError(Exception):
     """Base class for all package errors."""
@@ -7,6 +9,12 @@ class CdtubeError(Exception):
 
 class DomainError(CdtubeError, ValueError):
     """An argument violates a documented precondition."""
+
+
+def require_finite_non_negative(name: str, value: float) -> None:
+    """Raise :class:`DomainError` for a negative, NaN or infinite ``value``."""
+    if not (value >= 0.0 and math.isfinite(value)):
+        raise DomainError(f"{name} must be finite and non-negative, got {value}")
 
 
 class DegenerateParameterError(CdtubeError, ValueError):

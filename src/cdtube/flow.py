@@ -11,7 +11,13 @@ import math
 from dataclasses import dataclass
 
 from . import special
-from .errors import ConvergenceError, DegenerateParameterError, DomainError, EvaluationError
+from .errors import (
+    ConvergenceError,
+    DegenerateParameterError,
+    DomainError,
+    EvaluationError,
+    require_finite_non_negative,
+)
 from .fluid import PowerLawFluid, straight_tube_conductance
 from .geometry import TubeShape, TubeSpec
 from .quadrature import (
@@ -193,8 +199,7 @@ def pressure_drop(fluid: PowerLawFluid, spec: TubeSpec, flow_rate: float,
     With ``validate=True`` the quadrature oracle is co-evaluated and the
     relative deviation embedded in the result.
     """
-    if flow_rate < 0.0:
-        raise DomainError(f"flow_rate must be non-negative, got {flow_rate}")
+    require_finite_non_negative("flow_rate", flow_rate)
     cond = _conductance(fluid, spec, max_panels=max_panels)
     value = cond.value * flow_rate**fluid.index
     oracle_value = None
@@ -215,10 +220,7 @@ def flow_rate(fluid: PowerLawFluid, spec: TubeSpec, pressure_drop: float,
               max_panels: int = MAX_PANELS) -> FlowResult:
     """Flow rate in m^3/s produced by ``pressure_drop``; exact inversion
     of ``P = K * Q^n``."""
-    if pressure_drop < 0.0:
-        raise DomainError(
-            f"pressure_drop must be non-negative, got {pressure_drop}"
-        )
+    require_finite_non_negative("pressure_drop", pressure_drop)
     cond = _conductance(fluid, spec, max_panels=max_panels)
     value = (pressure_drop / cond.value) ** (1.0 / fluid.index)
     oracle_value = None

@@ -9,7 +9,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, require_finite_non_negative
 
 __all__ = [
     "PowerLawFluid",
@@ -85,8 +85,7 @@ def straight_tube_pressure_drop(fluid: PowerLawFluid, radius: float,
 
     Zero flow returns exactly zero pressure drop.
     """
-    if flow_rate < 0.0:
-        raise DomainError(f"flow_rate must be non-negative, got {flow_rate}")
+    require_finite_non_negative("flow_rate", flow_rate)
     return straight_tube_conductance(fluid, radius, length) * flow_rate**fluid.index
 
 
@@ -94,9 +93,6 @@ def straight_tube_flow_rate(fluid: PowerLawFluid, radius: float,
                             length: float, pressure_drop: float) -> float:
     """Flow rate in m^3/s through a straight capillary; exact inverse of
     :func:`straight_tube_pressure_drop`."""
-    if pressure_drop < 0.0:
-        raise DomainError(
-            f"pressure_drop must be non-negative, got {pressure_drop}"
-        )
+    require_finite_non_negative("pressure_drop", pressure_drop)
     k = straight_tube_conductance(fluid, radius, length)
     return (pressure_drop / k) ** (1.0 / fluid.index)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels, geometry
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, require_finite_non_negative
 from .fluid import PowerLawFluid
 from .geometry import TubeSpec
 
@@ -193,8 +193,7 @@ def pressure_drop_numeric(fluid: PowerLawFluid, spec: TubeSpec,
                           rel_tol: float = DEFAULT_REL_TOL,
                           *, max_panels: int = MAX_PANELS) -> QuadratureResult:
     """Pressure drop by direct numerical integration of the master integral."""
-    if flow_rate < 0.0:
-        raise DomainError(f"flow_rate must be non-negative, got {flow_rate}")
+    require_finite_non_negative("flow_rate", flow_rate)
     if flow_rate == 0.0:
         return QuadratureResult(0.0, 0.0, 0, True)
     exponent = 3.0 * fluid.index + 1.0

@@ -2,8 +2,12 @@
 
 The closed-form pressure relations need three evaluation regimes:
 
-* ``gauss_2f1`` for real argument ``z < 1`` (direct series, the Pfaff map
-  for ``z < 0``, and the ``1 - z`` connection near the upper endpoint);
+* ``gauss_2f1`` for real argument ``z < 1``, through a route map (DLMF
+  15.8): the direct series on ``(0, 0.9]``, the ``1 - z`` connection
+  above it (15.8.4), and for ``z < 0`` the Pfaff map on ``[-1, 0)``
+  (15.8.1) and the ``1/(1-z)`` connection below -1 (15.8.3), so that
+  negative arguments sum a polynomial or a series in a variable of
+  magnitude at most 1/2;
 * ``gauss_2f1_continued`` for ``z > 1``, where the function is complex and
   the two limits onto the branch cut are conjugates of each other;
 * ``appell_f1`` for the two-variable series, including the classical
@@ -38,8 +42,19 @@ INTEGER_WINDOW = 1e-9
 # Direct-series cutoff; above it the 1-z connection converges much faster.
 _NEAR_ONE = 0.9
 
+# Largest (|first half| + |second half|) / |sum| accepted from the 1/(1-z)
+# connection: about one digit lost to cancellation.  Parabolic and
+# hyperbolic arguments stay below 3 over n in [0.2, 2].
+_CANCELLATION_LIMIT = 16.0
+
 BRANCH_ABOVE = "above"
 BRANCH_BELOW = "below"
+
+# Route names recorded in EvaluationReport.route.
+ROUTE_SERIES = "series"
+ROUTE_PFAFF = "pfaff"
+ROUTE_INV_ONE_MINUS_Z = "inv_one_minus_z"
+ROUTE_ONE_MINUS_Z = "one_minus_z"
 
 
 @dataclass(frozen=True)
@@ -58,12 +73,17 @@ class ComplexValue:
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    """Diagnostics attached to a kernel evaluation."""
+    """Diagnostics attached to a kernel evaluation.
+
+    ``route`` names the transformation :func:`gauss_2f1` summed (one of
+    the ``ROUTE_*`` names); it is empty where no route is recorded.
+    """
 
     value: ComplexValue
     terms_used: int
     converged: bool
     degenerate_parameters: bool = False
+    route: str = ""
 
     def summary(self) -> str:
         state = "converged" if self.converged else "failed"
@@ -89,6 +109,12 @@ def _rgamma(x: float) -> float:
 
 def _is_exact_nonpos_int(x: float) -> bool:
     return x <= 0.0 and x == round(x)
+
+
+def _near_pole(x: float) -> bool:
+    """Within INTEGER_WINDOW of a gamma pole but not on it, where the zero
+    :func:`_rgamma` returns is only approximate."""
+    return _is_nonpos_int(x) and not _is_exact_nonpos_int(x)
 
 
 def _terminates(a: float, b: float, c: float) -> bool:
@@ -133,12 +159,79 @@ def arccosh(t: float) -> float:
     return math.acosh(t)
 
 
+def _negative_argument(a, b, c, z):
+    """Route map for ``z < 0``; returns ``(value, terms, route)``."""
+    spent = 0
+    if (z < -1.0 and not _is_int(b - a)
+            and not any(map(_near_pole, (a, b, c - a, c - b)))):
+        # 1/(1-z) connection (DLMF 15.8.3); the variable lies in (0, 1/2).
+        w = 1.0 / (1.0 - z)
+        try:
+            v1, t1 = _inv_one_minus_z_term(a, b, c, w)
+            v2, t2 = _inv_one_minus_z_term(b, a, c, w)
+        except (OverflowError, ConvergenceError):
+            # A gamma factor or an inner series past the float range (as
+            # for c above ~171); the Pfaff map has no gamma factors.
+            v1 = v2 = math.nan
+            t1 = t2 = 0
+        value = v1 + v2
+        # Near-integer b - a gives two large halves of opposite sign unless
+        # the poles cancel inside each half (as for c = a + 1); past this
+        # cancellation the Pfaff series is the accurate route.
+        if (math.isfinite(value)
+                and abs(v1) + abs(v2) <= _CANCELLATION_LIMIT * abs(value)):
+            return value, t1 + t2, ROUTE_INV_ONE_MINUS_Z
+        spent = t1 + t2
+    # Pfaff on the larger upper parameter: w = z/(z-1) lies in (0, 1/2]
+    # for z >= -1 and in (1/2, 1) below it.  With c = a + 1, as in the
+    # parabolic and hyperbolic relations, an integer b - a > 0 makes
+    # c - b a non-positive integer and the Pfaff series a polynomial.
+    w = z / (z - 1.0)
+    if b > a:
+        inner, terms = _series_checked(a, c - b, c, w, "gauss_2f1 (Pfaff)")
+        value = (1.0 - z) ** (-a) * inner
+    else:
+        inner, terms = _series_checked(c - a, b, c, w, "gauss_2f1 (Pfaff)")
+        value = (1.0 - z) ** (-b) * inner
+    return value, spent + terms, ROUTE_PFAFF
+
+
+def _inv_one_minus_z_term(a, b, c, w):
+    """The ``(1-z)^-a`` half of the 1/(1-z) connection, ``w = 1/(1-z)``.
+
+    The other half is the same expression with ``a`` and ``b`` swapped,
+    which keeps the sum symmetric in the upper parameters bit for bit.
+    """
+    coef = math.gamma(c) * math.gamma(b - a) * _rgamma(b) * _rgamma(c - a)
+    inner, terms = _series_checked(a, c - b, a - b + 1.0, w,
+                                   "gauss_2f1 (1/(1-z))")
+    return coef * w**a * inner, terms
+
+
 def gauss_2f1(a: float, b: float, c: float, z: float, full_output: bool = False):
     """Gauss hypergeometric function for real argument ``z < 1``.
 
-    Negative arguments are mapped into (0, 1) by the Pfaff transformation
-    applied to the larger upper parameter; arguments above 0.9 use the
-    ``1 - z`` linear connection when ``c - a - b`` is not an integer.
+    For ``z < 0`` each route sums a polynomial or a series in a variable
+    of magnitude at most 1/2, apart from the Pfaff exceptions named below:
+
+    * ``series``: the defining series on ``0 < z <= 0.9``, or anywhere
+      when ``a`` or ``b`` is an exact non-positive integer;
+    * ``inv_one_minus_z``: for ``z < -1`` when ``b - a`` is not an
+      integer, the connection in powers of ``1/(1-z)`` (DLMF 15.8.3);
+    * ``pfaff``: for ``-1 <= z < 0`` the Pfaff map to ``z/(z-1)`` on the
+      larger upper parameter (DLMF 15.8.1).  It also serves ``z < -1``
+      when ``b - a`` is within ``INTEGER_WINDOW`` of an integer, when
+      ``a``, ``b``, ``c - a`` or ``c - b`` is that close to a
+      non-positive integer without being one, or when
+      the two halves of the ``1/(1-z)`` connection cancel to more than
+      ``_CANCELLATION_LIMIT`` times their sum (near-integer ``b - a``
+      with ``c`` not ``a + 1`` or ``b + 1``) or overflow.  There the variable
+      exceeds 1/2 and the series may reach the term cap;
+    * ``one_minus_z``: for ``0.9 < z < 1`` when ``c - a - b`` is not an
+      integer, the connection in powers of ``1 - z`` (DLMF 15.8.4);
+      otherwise the defining series.
+
+    With ``full_output`` the :class:`EvaluationReport` names the route.
 
     Raises
     ------
@@ -159,18 +252,13 @@ def gauss_2f1(a: float, b: float, c: float, z: float, full_output: bool = False)
             f"gauss_2f1 is undefined for non-positive integer c={c}", report
         )
 
+    route = ROUTE_SERIES
     if z == 0.0:
         value, terms = 1.0, 0
     elif terminating or 0.0 < z <= _NEAR_ONE:
         value, terms = _series_checked(a, b, c, z, "gauss_2f1")
     elif z < 0.0:
-        w = z / (z - 1.0)
-        if b > a:
-            inner, terms = _series_checked(a, c - b, c, w, "gauss_2f1 (Pfaff)")
-            value = (1.0 - z) ** (-a) * inner
-        else:
-            inner, terms = _series_checked(c - a, b, c, w, "gauss_2f1 (Pfaff)")
-            value = (1.0 - z) ** (-b) * inner
+        value, terms, route = _negative_argument(a, b, c, z)
     else:
         # 0.9 < z < 1
         s = c - a - b
@@ -185,9 +273,11 @@ def gauss_2f1(a: float, b: float, c: float, z: float, full_output: bool = False)
             v2, t2 = _series_checked(c - a, c - b, 1.0 + s, w, "gauss_2f1 (1-z)")
             value = coef1 * v1 + coef2 * w**s * v2
             terms = t1 + t2
+            route = ROUTE_ONE_MINUS_Z
     value = _finite_or_raise(value, "gauss_2f1")
     if full_output:
-        return value, EvaluationReport(ComplexValue(value), terms, True)
+        return value, EvaluationReport(ComplexValue(value), terms, True,
+                                       route=route)
     return value
 
 

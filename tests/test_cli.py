@@ -157,6 +157,17 @@ def test_numerical_failure_exits_3(runner):
     assert result.exit_code == 3
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("option", ["--flow-rate", "--pressure"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_solve_non_finite_input_exits_2(runner, option, value, fmt):
+    result = runner.invoke(main, SOLVE_CONIC[:-2] + [
+        f"{option}={value}", "--format", fmt,
+    ])
+    assert result.exit_code == 2
+    assert "finite and non-negative" in result.output
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -216,6 +227,22 @@ def test_sweep_bad_range_exits_2(runner):
         "--start", "0", "--stop", "1", "--count", "3", "--spacing", "log",
     ])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("start,stop", [
+    ("nan", "1"), ("0.1", "nan"), ("0.1", "inf"), ("-inf", "1"),
+    ("inf", "inf"),
+])
+@pytest.mark.parametrize("quantity", ["flow-rate", "pressure"])
+def test_sweep_non_finite_range_exits_2(runner, start, stop, quantity):
+    result = runner.invoke(main, [
+        "sweep", "--shape", "conic", "--n", "1", "--consistency", "1",
+        "--rmin", "0.5", "--rmax", "1", "--length", "1",
+        "--quantity", quantity, f"--start={start}", f"--stop={stop}",
+        "--count", "3", "--format", "json",
+    ])
+    assert result.exit_code == 2
+    assert "finite and non-negative" in result.output
 
 
 # ---------------------------------------------------------------------------

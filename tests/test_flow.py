@@ -153,6 +153,21 @@ def test_sinusoid_newtonian_fallback_against_residue_closed_form():
     assert res.pressure_drop == pytest.approx(expected, rel=1e-8)
 
 
+@pytest.mark.parametrize("shape", [TubeShape.PARABOLIC, TubeShape.HYPERBOLIC])
+@pytest.mark.parametrize("n", [0.2, 0.5, 2.0 / 3.0, 0.9, 7.0 / 6.0, 4.0 / 3.0,
+                               1.7, 2.0])
+@pytest.mark.parametrize("ratio", [50.0, 1e3, 1e6])
+def test_high_contrast_stays_analytic(shape, n, ratio):
+    # 2F1 arguments far below -1; n = 0.5, 7/6 (parabolic) and 2/3, 4/3, 2
+    # (hyperbolic) have integer b - a.
+    fluid = fluid_of(n)
+    spec = TubeSpec(shape, 1.0, ratio, 1.0)
+    res = pressure_drop(fluid, spec, 1.0)
+    assert res.method == METHOD_ANALYTIC
+    oracle = pressure_drop_numeric(fluid, spec, 1.0, rel_tol=1e-12)
+    assert res.pressure_drop == pytest.approx(oracle.value, rel=1e-8)
+
+
 @pytest.mark.parametrize("shape", ALL_SHAPES)
 def test_oracle_equivalence_smoke(shape):
     fluid = fluid_of(0.8)
@@ -318,10 +333,11 @@ def test_flow_rate_validation_mode():
 def test_negative_inputs_rejected():
     fluid = fluid_of(1.0)
     spec = TubeSpec(TubeShape.CONIC, 1.0, 2.0, 1.0)
-    with pytest.raises(DomainError):
-        pressure_drop(fluid, spec, -1.0)
-    with pytest.raises(DomainError):
-        flow_rate(fluid, spec, -1.0)
+    for bad in (-1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            pressure_drop(fluid, spec, bad)
+        with pytest.raises(DomainError):
+            flow_rate(fluid, spec, bad)
 
 
 def test_evaluation_error_when_both_routes_fail():

@@ -75,6 +75,15 @@ def test_zero_flow_zero_pressure():
     assert straight_tube_flow_rate(fluid, 0.3, 2.0, 0.0) == 0.0
 
 
+def test_straight_tube_rejects_negative_and_non_finite_inputs():
+    fluid = PowerLawFluid(consistency=1.0, index=0.8)
+    for bad in (-1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            straight_tube_pressure_drop(fluid, 0.3, 2.0, bad)
+        with pytest.raises(DomainError):
+            straight_tube_flow_rate(fluid, 0.3, 2.0, bad)
+
+
 def test_straight_tube_derived_value_and_quadrature_cross_check():
     # Independent evaluation of the closed form ...
     fluid = PowerLawFluid(consistency=1.0, index=0.5)

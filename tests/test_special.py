@@ -167,6 +167,102 @@ def test_full_output_report():
     assert report.terms_used > 0
     assert report.value.re == value
     assert report.value.im == 0.0
+    assert report.route == "series"
+    _, report = gauss_2f1(0.3, 0.4, 1.45, 0.97, full_output=True)
+    assert report.route == "one_minus_z"
+
+
+# Parabolic 2F1(1/2, 3n+1; 3/2; 1-ratio) and hyperbolic
+# 2F1(1/2, (3n+1)/2; 3/2; 1-ratio^2), with the parameters built as
+# cdtube.flow builds them.
+def _parabolic(n, ratio):
+    three_n = 3.0 * n
+    return 0.5, three_n + 1.0, 1.5, 1.0 - ratio
+
+
+def _hyperbolic(n, ratio):
+    three_n = 3.0 * n
+    return 0.5, (three_n + 1.0) / 2.0, 1.5, 1.0 - ratio**2
+
+
+# Integer b - a: c - b is an exact non-positive integer at these n, so the
+# Pfaff series is a polynomial.
+INTEGER_INDICES = {
+    "parabolic": (0.5, 5.0 / 6.0, 7.0 / 6.0, 1.5, 11.0 / 6.0),
+    "hyperbolic": (2.0 / 3.0, 4.0 / 3.0, 2.0),
+}
+# b - a = 3n + 1/2 (parabolic) or 3n/2 (hyperbolic) just off an integer,
+# outside INTEGER_WINDOW.
+NEAR_INTEGER_INDICES = {
+    "parabolic": tuple((m - 0.5 + d) / 3.0 for m in range(2, 7)
+                       for d in (1e-6, -1e-6, 1e-8, -1e-8)),
+    "hyperbolic": tuple(n for m in range(1, 4)
+                        for d in (1e-6, -1e-6, 1e-8, -1e-8)
+                        for n in [2.0 * (m + d) / 3.0] if n <= 2.0),
+}
+GENERIC_INDICES = (0.2, 0.27, 0.41, 0.63, 0.77, 1.0, 1.09, 1.42, 1.61, 1.96)
+ENVELOPE_RATIOS = (1.0 + 1e-4, 1.01, 1.2, 1.4142, 1.5, 2.0, 2.3, 10.0, 97.0,
+                   1e3, 3.1e4, 1e6)
+
+
+@pytest.mark.parametrize("family", ["parabolic", "hyperbolic"])
+@pytest.mark.parametrize("kind", ["generic", "integer", "near_integer"])
+def test_shape_arguments_against_mpmath(family, kind):
+    build = _parabolic if family == "parabolic" else _hyperbolic
+    indices = {"generic": GENERIC_INDICES, "integer": INTEGER_INDICES[family],
+               "near_integer": NEAR_INTEGER_INDICES[family]}[kind]
+    misses = []
+    for n in indices:
+        for ratio in ENVELOPE_RATIOS:
+            a, b, c, z = build(n, ratio)
+            if kind != "integer" and z < -1.0:
+                expected_route = "inv_one_minus_z"
+            else:
+                expected_route = "pfaff"
+            value, report = gauss_2f1(a, b, c, z, full_output=True)
+            with mpmath.workdps(40):
+                ref = mpmath.hyp2f1(a, b, c, z)
+                rel_err = float(abs((value - ref) / ref))
+            if (report.route != expected_route or rel_err > 1e-13
+                    or report.terms_used > 128):
+                misses.append((n, ratio, report.route, rel_err,
+                               report.terms_used))
+    assert not misses
+
+
+def test_near_integer_b_minus_a_without_pole_cancellation_takes_pfaff():
+    # c is neither a + 1 nor b + 1, so near-integer b - a makes the two
+    # halves of the 1/(1-z) connection cancel; Pfaff keeps full accuracy.
+    for d, z, route in [(1e-6, -1.5, "pfaff"), (1e-8, -50.0, "pfaff"),
+                        (1e-1, -50.0, "inv_one_minus_z")]:
+        a, b, c = 0.3, 1.3 + d, 2.2
+        value, report = gauss_2f1(a, b, c, z, full_output=True)
+        assert report.route == route
+        assert value == pytest.approx(float(mpmath.hyp2f1(a, b, c, z)),
+                                      rel=1e-13)
+
+
+@pytest.mark.parametrize("a,b,c", [(0.5, 180.3, 200.7), (0.4, 0.9, 175.0)])
+def test_connection_gamma_overflow_takes_pfaff(a, b, c):
+    # Gamma(c) overflows a float; the Pfaff map has no gamma factors.
+    value, report = gauss_2f1(a, b, c, -5.0, full_output=True)
+    assert report.route == "pfaff"
+    assert value == pytest.approx(float(mpmath.hyp2f1(a, b, c, -5.0)),
+                                  rel=1e-13)
+
+
+@pytest.mark.parametrize("a,b,c", [
+    (0.5, 2.5 + 1e-12, 1.5),   # b - a within INTEGER_WINDOW of 2
+    (0.3, 1.6 + 1e-10, 0.6),   # c - b within INTEGER_WINDOW of -1
+])
+def test_integer_window_keeps_pfaff(a, b, c):
+    # Inside the window a connection coefficient is taken to sit on a gamma
+    # pole, which is only approximately true; the Pfaff map is used instead.
+    for z in (-3.0, -20.0):
+        value, report = gauss_2f1(a, b, c, z, full_output=True)
+        assert report.route == "pfaff"
+        assert value == pytest.approx(float(mpmath.hyp2f1(a, b, c, z)),
+                                      rel=1e-13)
 
 
 @pytest.mark.parametrize(

@@ -1,14 +1,11 @@
-"""Hot numeric kernels: Gauss series summation and profile evaluation.
+"""Profile evaluation on arrays of axial positions.
 
-Written in the numba-compatible subset of numpy so the same source runs
-under both backends (see :mod:`cdtube.backend`).  Everything here is pure
-float math with no exception raising; wrappers in :mod:`cdtube.special`
-and :mod:`cdtube.geometry` own validation and error reporting.
+These are the only profile formulas the quadrature oracle uses.  numpy is
+imported on the first call, not with the package: the closed-form solve
+path never evaluates a profile on an array.  Everything here is pure
+float math with no exception raising; wrappers in :mod:`cdtube.geometry`
+own validation and error reporting.
 """
-
-import numpy as np
-
-from .backend import jit
 
 # Integer codes for the five profiles plus the straight-tube degenerate.
 STRAIGHT = 0
@@ -18,42 +15,17 @@ HYPERBOLIC = 3
 COSH = 4
 SINUSOIDAL = 5
 
-MAX_TERMS = 10000
-STAGNATION_RTOL = 1e-16
-STAGNATION_RUN = 3
-
-
-def gauss_series(a: float, b: float, c: float, z: float):
-    """Sum the Gauss hypergeometric series at ``z``.
-
-    Terms follow the ratio recurrence; summation stops once the absolute
-    term stays below ``STAGNATION_RTOL`` times the partial sum for
-    ``STAGNATION_RUN`` consecutive terms, or at ``MAX_TERMS``.
-
-    Returns ``(value, terms_used, converged)``.
-    """
-    term = 1.0
-    total = 1.0
-    consec = 0
-    k = 0
-    while k < MAX_TERMS:
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
-        total += term
-        floor = STAGNATION_RTOL * abs(total)
-        if floor < 1e-300:
-            floor = 1e-300
-        if abs(term) <= floor:
-            consec += 1
-            if consec >= STAGNATION_RUN:
-                return total, k + 1, True
-        else:
-            consec = 0
-        k += 1
-    return total, MAX_TERMS, False
+# numpy, bound by the first profile evaluation.  A function-level import
+# statement would cost about 0.1 us on each quadrature panel.
+np = None
 
 
 def profile_radius(code: int, a: float, b: float, k: float, x):
     """Radius of profile ``code`` at axial positions ``x`` (array)."""
+    global np
+    if np is None:
+        import numpy as np
+
     if code == CONIC:
         return a + b * np.abs(x)
     elif code == PARABOLIC:
@@ -72,8 +44,3 @@ def inverse_radius_power(code: int, a: float, b: float, k: float,
     """Integrand of the master pressure integral: ``r(x) ** -exponent``."""
     r = profile_radius(code, a, b, k, x)
     return r ** (-exponent)
-
-
-gauss_series = jit(gauss_series)
-profile_radius = jit(profile_radius)
-inverse_radius_power = jit(inverse_radius_power)

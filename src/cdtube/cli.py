@@ -3,7 +3,7 @@
 Subcommands
 -----------
 solve     one operating point (flow rate -> pressure drop, or the inverse)
-sweep     a range of operating points, optionally in parallel
+sweep     a range of operating points, through one conductance K
 validate  analytic-vs-quadrature report over a parameter grid
 profile   (x, r) samples of a tube profile
 rheology  viscosity/stress samples of the fluid model on a log grid
@@ -20,13 +20,12 @@ failure (neither the analytic route nor the quadrature oracle converged).
 import csv
 import io
 import json
+import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import click
-import numpy as np
 
-from . import __version__
+from . import __version__, flow
 from .errors import (
     CdtubeError,
     ConvergenceError,
@@ -38,7 +37,7 @@ from .fluid import PowerLawFluid, apparent_viscosity
 from .flow import METHOD_FALLBACK, flow_rate as solve_flow_rate
 from .flow import pressure_drop as solve_pressure_drop
 from .geometry import TubeShape, TubeSpec, sample_profile
-from .quadrature import DEFAULT_REL_TOL, MAX_PANELS
+from .quadrature import DEFAULT_REL_TOL, MAX_PANELS, pressure_drop_oracle
 
 SCHEMA_VERSION = 1
 
@@ -119,37 +118,35 @@ def _build_inputs(shape, n, consistency, rmin, rmax, length):
     return fluid, spec
 
 
-def _solve_row(shape, n, consistency, rmin, rmax, length, periods,
-               given_flow, given_pressure, validate, rel_tol,
-               max_panels=MAX_PANELS):
-    """One solve; returns a row dict in SOLVE_COLUMNS order."""
-    fluid, spec = _build_inputs(shape, n, consistency, rmin, rmax, length)
+def _solve_row(fluid, spec, periods, given_flow, given_pressure, solve_unit):
+    """One row in SOLVE_COLUMNS order.
+
+    ``solve_unit(value, pressure_given)`` solves one corrugation unit at
+    that Q, or at that P when ``pressure_given``.
+    """
     if given_flow is not None:
-        result = solve_pressure_drop(fluid, spec, given_flow,
-                                     validate=validate, oracle_rel_tol=rel_tol,
-                                     max_panels=max_panels)
+        result = solve_unit(given_flow, False)
         q_val = given_flow
         p_val = periods * result.pressure_drop
     else:
-        unit_pressure = given_pressure / periods
-        result = solve_flow_rate(fluid, spec, unit_pressure,
-                                 validate=validate, oracle_rel_tol=rel_tol,
-                                 max_panels=max_panels)
+        result = solve_unit(given_pressure / periods, True)
         q_val = result.flow_rate
         p_val = given_pressure
     oracle = (None if result.oracle_value is None
               else periods * result.oracle_value)
+    if not math.isfinite(p_val) or (oracle is not None
+                                    and not math.isfinite(oracle)):
+        raise DomainError(
+            f"pressure drop over {periods} periods overflows the float range"
+        )
     return {
-        "shape": shape, "n": n, "C": consistency, "r_min": rmin,
-        "r_max": rmax, "length": length, "periods": periods,
+        "shape": spec.shape.value, "n": fluid.index, "C": fluid.consistency,
+        "r_min": spec.r_min, "r_max": spec.r_max, "length": spec.length,
+        "periods": periods,
         "Q": q_val, "P": p_val, "method": result.method,
         "branch": result.branch, "note": result.diagnostics,
         "oracle": oracle, "rel_err": result.rel_error,
     }
-
-
-def _sweep_worker(args):
-    return _solve_row(*args)
 
 
 @click.group()
@@ -233,10 +230,16 @@ def solve(shape, rmin, rmax, length, n, consistency, flow_rate, pressure,
         "pressure": pressure, "validate": validate, "rel_tol": rel_tol,
         "max_subdivisions": max_subdivisions, "format": fmt,
     }
+    fluid, spec = _build_inputs(shape, n, consistency, rmin, rmax, length)
+
+    def solve_unit(value, pressure_given):
+        solver = solve_flow_rate if pressure_given else solve_pressure_drop
+        return solver(fluid, spec, value, validate=validate,
+                      oracle_rel_tol=rel_tol, max_panels=max_subdivisions)
+
     with _numeric_failures_exit_3():
-        row = _solve_row(shape, n, consistency, rmin, rmax, length, periods,
-                         flow_rate, pressure, validate, rel_tol,
-                         max_subdivisions)
+        row = _solve_row(fluid, spec, periods, flow_rate, pressure,
+                         solve_unit)
     _emit(fmt, output, config, SOLVE_COLUMNS, [row])
 
 
@@ -258,8 +261,8 @@ def solve(shape, rmin, rmax, length, n, consistency, flow_rate, pressure,
               show_default=True)
 @click.option("--jobs", type=click.IntRange(min=1), default=1,
               show_default=True,
-              help="Worker processes; rows are emitted in input order "
-                   "regardless of completion order.")
+              help="Accepted for compatibility and ignored: every row "
+                   "reuses one K, so there is no work to share out.")
 @_output_options
 def sweep(shape, rmin, rmax, length, n, consistency, quantity, start, stop,
           count, spacing, periods, validate, rel_tol, jobs, fmt, output):
@@ -270,6 +273,8 @@ def sweep(shape, rmin, rmax, length, n, consistency, quantity, start, stop,
         raise click.UsageError("--start must be less than --stop")
     if spacing == "log" and start <= 0:
         raise click.UsageError("log spacing requires --start > 0")
+    import numpy as np
+
     if spacing == "linear":
         values = np.linspace(start, stop, count)
     else:
@@ -281,19 +286,24 @@ def sweep(shape, rmin, rmax, length, n, consistency, quantity, start, stop,
         "start": start, "stop": stop, "count": count, "spacing": spacing,
         "validate": validate, "rel_tol": rel_tol, "format": fmt,
     }
-    points = [
-        (shape, n, consistency, rmin, rmax, length, periods,
-         float(v) if quantity == "flow-rate" else None,
-         float(v) if quantity == "pressure" else None,
-         validate, rel_tol)
-        for v in values
-    ]
+    fluid, spec = _build_inputs(shape, n, consistency, rmin, rmax, length)
     with _numeric_failures_exit_3():
-        if jobs == 1:
-            rows = [_sweep_worker(p) for p in points]
-        else:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                rows = list(pool.map(_sweep_worker, points))
+        # Only Q or P varies along the sweep: K, and the oracle's
+        # integral, are computed once.
+        cond = flow._conductance(fluid, spec)
+        oracle = pressure_drop_oracle(fluid, spec, rel_tol) if validate else None
+
+        def solve_unit(value, pressure_given):
+            return flow._operating_point(fluid, cond, value, pressure_given,
+                                         oracle)
+
+        rows = [
+            _solve_row(fluid, spec, periods,
+                       float(v) if quantity == "flow-rate" else None,
+                       float(v) if quantity == "pressure" else None,
+                       solve_unit)
+            for v in values
+        ]
     _emit(fmt, output, config, SOLVE_COLUMNS, rows)
 
 
@@ -402,6 +412,8 @@ def rheology(n, consistency, gamma_min, gamma_max, samples, fmt, output):
     config = {"subcommand": "rheology", "n": n, "consistency": consistency,
               "gamma_min": gamma_min, "gamma_max": gamma_max,
               "samples": samples, "format": fmt}
+    import numpy as np
+
     rows = []
     for rate in np.geomspace(gamma_min, gamma_max, samples):
         rate = float(rate)

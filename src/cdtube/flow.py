@@ -7,6 +7,7 @@ first; degenerate hypergeometric parameters or non-convergence trigger a
 silent fallback to the quadrature oracle, recorded in the result.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -156,14 +157,19 @@ def _geometric_integral(spec: TubeSpec, n: float):
 def _conductance(fluid: PowerLawFluid, spec: TubeSpec,
                  fallback_rel_tol: float = FALLBACK_REL_TOL,
                  max_panels: int = MAX_PANELS) -> _Conductance:
-    if spec.is_straight:
-        k = straight_tube_conductance(fluid, spec.r_min, spec.length)
-        return _Conductance(k, METHOD_ANALYTIC, None,
-                            "degenerate: straight tube")
-
     n = fluid.index
     try:
+        if spec.is_straight:
+            k = straight_tube_conductance(fluid, spec.r_min, spec.length)
+            return _Conductance(k, METHOD_ANALYTIC, None,
+                                "degenerate: straight tube")
         geom, branch, diag = _geometric_integral(spec, n)
+    except (OverflowError, ZeroDivisionError) as exc:
+        # A power of r_min past the float range, or one underflowing to 0.
+        raise DomainError(
+            "conductance K is outside the float range "
+            f"(r_min={spec.r_min!r}, n={n!r})"
+        ) from exc
     except (DegenerateParameterError, ConvergenceError) as exc:
         try:
             base = integrate_inverse_radius_power(
@@ -190,6 +196,46 @@ def conductance_coefficient(fluid: PowerLawFluid, spec: TubeSpec) -> float:
     return _conductance(fluid, spec).value
 
 
+def _operating_point(fluid: PowerLawFluid, cond: _Conductance, given: float,
+                     pressure_given: bool, oracle=None) -> FlowResult:
+    """Apply ``P = K * Q^n`` at one operating point.
+
+    ``given`` is Q, or P when ``pressure_given``.  ``oracle`` maps Q to the
+    quadrature oracle's :class:`QuadratureResult`; with it the result
+    carries the oracle's P and the relative deviation of P from it.
+    :func:`pressure_drop`, :func:`flow_rate` and the CLI sweep, which
+    computes K once for all its rows, share this step.
+
+    Raises :class:`DomainError` if K is not a positive finite float, or if
+    the result or the oracle's P overflows.
+    """
+    k = cond.value
+    if not 0.0 < k < math.inf:
+        raise DomainError(f"conductance K={k!r} is outside the float range")
+    try:
+        if pressure_given:
+            p, q = given, (given / k) ** (1.0 / fluid.index)
+        else:
+            p, q = k * given**fluid.index, given
+        oracle_value = None if oracle is None else oracle(q).value
+        in_range = (math.isfinite(p) and math.isfinite(q)
+                    and (oracle is None or math.isfinite(oracle_value)))
+    except OverflowError:
+        in_range = False
+    if not in_range:
+        solved = "flow rate" if pressure_given else "pressure drop"
+        raise DomainError(f"{solved} at {given!r} overflows the float range "
+                          f"(K={k!r})")
+    rel_error = None
+    if oracle is not None:
+        rel_error = (abs(p - oracle_value) / abs(oracle_value)
+                     if oracle_value != 0.0 else 0.0)
+    return FlowResult(None if pressure_given else p,
+                      q if pressure_given else None,
+                      cond.method, cond.branch, cond.diagnostics,
+                      oracle_value, rel_error)
+
+
 def pressure_drop(fluid: PowerLawFluid, spec: TubeSpec, flow_rate: float,
                   validate: bool = False,
                   oracle_rel_tol: float = DEFAULT_REL_TOL,
@@ -197,21 +243,15 @@ def pressure_drop(fluid: PowerLawFluid, spec: TubeSpec, flow_rate: float,
     """Pressure drop in Pa driving ``flow_rate`` through the tube.
 
     With ``validate=True`` the quadrature oracle is co-evaluated and the
-    relative deviation embedded in the result.
+    relative deviation embedded in the result.  A pressure drop beyond the
+    float range raises :class:`DomainError`.
     """
     require_finite_non_negative("flow_rate", flow_rate)
     cond = _conductance(fluid, spec, max_panels=max_panels)
-    value = cond.value * flow_rate**fluid.index
-    oracle_value = None
-    rel_error = None
-    if validate:
-        oracle = pressure_drop_numeric(fluid, spec, flow_rate, oracle_rel_tol,
-                                       max_panels=max_panels)
-        oracle_value = oracle.value
-        rel_error = (abs(value - oracle.value) / abs(oracle.value)
-                     if oracle.value != 0.0 else 0.0)
-    return FlowResult(value, None, cond.method, cond.branch, cond.diagnostics,
-                      oracle_value, rel_error)
+    oracle = (functools.partial(pressure_drop_numeric, fluid, spec,
+                                rel_tol=oracle_rel_tol, max_panels=max_panels)
+              if validate else None)
+    return _operating_point(fluid, cond, flow_rate, False, oracle)
 
 
 def flow_rate(fluid: PowerLawFluid, spec: TubeSpec, pressure_drop: float,
@@ -219,17 +259,11 @@ def flow_rate(fluid: PowerLawFluid, spec: TubeSpec, pressure_drop: float,
               oracle_rel_tol: float = DEFAULT_REL_TOL,
               max_panels: int = MAX_PANELS) -> FlowResult:
     """Flow rate in m^3/s produced by ``pressure_drop``; exact inversion
-    of ``P = K * Q^n``."""
+    of ``P = K * Q^n``.  A flow rate beyond the float range raises
+    :class:`DomainError`."""
     require_finite_non_negative("pressure_drop", pressure_drop)
     cond = _conductance(fluid, spec, max_panels=max_panels)
-    value = (pressure_drop / cond.value) ** (1.0 / fluid.index)
-    oracle_value = None
-    rel_error = None
-    if validate:
-        oracle = pressure_drop_numeric(fluid, spec, value, oracle_rel_tol,
-                                       max_panels=max_panels)
-        oracle_value = oracle.value
-        rel_error = (abs(pressure_drop - oracle.value) / abs(oracle.value)
-                     if oracle.value != 0.0 else 0.0)
-    return FlowResult(None, value, cond.method, cond.branch, cond.diagnostics,
-                      oracle_value, rel_error)
+    oracle = (functools.partial(pressure_drop_numeric, fluid, spec,
+                                rel_tol=oracle_rel_tol, max_panels=max_panels)
+              if validate else None)
+    return _operating_point(fluid, cond, pressure_drop, True, oracle)

@@ -5,14 +5,13 @@ throat (minimum radius) at ``x = 0`` and the maximum radius at both ends.
 :func:`coefficients` maps ``(r_min, r_max, length)`` to each profile's
 internal parameters; :func:`radius_at` and :func:`radius_profile` evaluate
 the radius itself and are the only profile knowledge the quadrature oracle
-is allowed to use.
+is allowed to use.  They, and :func:`sample_profile`, import numpy on
+first use.
 """
 
 import math
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from . import _kernels
 from .errors import DomainError
@@ -142,6 +141,8 @@ def _kernel_args(spec: TubeSpec):
 
 def radius_at(spec: TubeSpec, x: float) -> float:
     """Tube radius at axial position ``x`` (m), ``|x| <= length/2``."""
+    import numpy as np
+
     half = 0.5 * spec.length
     if abs(x) > half * (1.0 + _EDGE_SLACK):
         raise DomainError(
@@ -152,8 +153,10 @@ def radius_at(spec: TubeSpec, x: float) -> float:
     return float(_kernels.profile_radius(code, a, b, k, np.float64(x)))
 
 
-def radius_profile(spec: TubeSpec, x: np.ndarray) -> np.ndarray:
+def radius_profile(spec: TubeSpec, x):
     """Vectorized :func:`radius_at` over an array of axial positions."""
+    import numpy as np
+
     half = 0.5 * spec.length
     x = np.asarray(x, dtype=np.float64)
     if np.any(np.abs(x) > half * (1.0 + _EDGE_SLACK)):
@@ -167,5 +170,7 @@ def sample_profile(spec: TubeSpec, samples: int):
     """Evenly spaced ``(x, r)`` samples spanning the full tube length."""
     if samples < 2:
         raise DomainError(f"samples must be >= 2, got {samples}")
+    import numpy as np
+
     x = np.linspace(-0.5 * spec.length, 0.5 * spec.length, samples)
     return x, radius_profile(spec, x)

@@ -9,14 +9,14 @@ The scheme is adaptive bisection with a nested Clenshaw-Curtis pair
 (17-point high rule, embedded 9-point low rule) per panel; the panel
 error is the difference of the two estimates and the worst panel is
 always split next.  Summation order is fixed, so identical inputs give
-bit-identical results within one build.
+bit-identical results within one build.  numpy is imported, and the rule
+built, by the first integration.
 """
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import _kernels, geometry
 from .errors import ConvergenceError, DomainError, require_finite_non_negative
@@ -43,6 +43,8 @@ def _chebyshev_rule(npts: int):
     Weights solve the Chebyshev moment system sum_j w_j T_k(x_j) = m_k,
     where m_k = 2/(1-k^2) for even k and 0 for odd k.
     """
+    import numpy as np
+
     order = npts - 1
     angles = np.arange(npts) * np.pi / order
     nodes = np.cos(angles)
@@ -54,10 +56,16 @@ def _chebyshev_rule(npts: int):
     return nodes, weights
 
 
-_NODES_HI, _WEIGHTS_HI = _chebyshev_rule(17)
-_NODES_LO, _WEIGHTS_LO = _chebyshev_rule(9)
-# The 9-point nodes are the even-index subset of the 17-point nodes, so
-# one batch of function values feeds both rules.
+@functools.cache
+def _rules():
+    """17-point nodes with the 17- and 9-point weights.
+
+    The 9-point nodes are the even-index subset of the 17-point nodes, so
+    one batch of function values feeds both rules.
+    """
+    nodes_hi, weights_hi = _chebyshev_rule(17)
+    _, weights_lo = _chebyshev_rule(9)
+    return nodes_hi, weights_hi, weights_lo
 
 
 @dataclass(frozen=True)
@@ -73,6 +81,7 @@ class QuadratureResult:
 def _integrate_adaptive(f, lo: float, hi: float, rel_tol: float,
                         max_panels: int, seed_split: float | None):
     """Adaptive bisection driver; ``f`` maps node arrays to value arrays."""
+    nodes_hi, weights_hi, weights_lo = _rules()
     heap = []
     panels = {}
     seq = 0
@@ -81,11 +90,12 @@ def _integrate_adaptive(f, lo: float, hi: float, rel_tol: float,
         nonlocal seq
         mid = 0.5 * (a + b)
         halfwidth = 0.5 * (b - a)
-        nodes = mid + halfwidth * _NODES_HI
-        np.clip(nodes, a, b, out=nodes)
+        nodes = mid + halfwidth * nodes_hi
+        # The method np.clip dispatches to, without its Python wrapper.
+        nodes.clip(a, b, out=nodes)
         values = f(nodes)
-        est_hi = halfwidth * float(_WEIGHTS_HI @ values)
-        est_lo = halfwidth * float(_WEIGHTS_LO @ values[::2])
+        est_hi = halfwidth * float(weights_hi @ values)
+        est_lo = halfwidth * float(weights_lo @ values[::2])
         err = max(abs(est_hi - est_lo), 2e-16 * abs(est_hi))
         panels[seq] = (a, b, est_hi, err)
         heapq.heappush(heap, (-err, seq))
@@ -188,6 +198,18 @@ def master_prefactor(fluid: PowerLawFluid, flow_rate: float) -> float:
             / (math.pi**n * n**n))
 
 
+def _scaled(fluid: PowerLawFluid, flow_rate: float,
+            base: QuadratureResult) -> QuadratureResult:
+    """Pressure drop at ``flow_rate`` from the master integral ``base``."""
+    scale = master_prefactor(fluid, flow_rate)
+    return QuadratureResult(
+        scale * base.value,
+        scale * base.error_estimate,
+        base.subdivisions,
+        base.converged,
+    )
+
+
 def pressure_drop_numeric(fluid: PowerLawFluid, spec: TubeSpec,
                           flow_rate: float,
                           rel_tol: float = DEFAULT_REL_TOL,
@@ -200,10 +222,29 @@ def pressure_drop_numeric(fluid: PowerLawFluid, spec: TubeSpec,
     base = integrate_inverse_radius_power(
         spec, exponent, rel_tol, max_panels=max_panels
     )
-    scale = master_prefactor(fluid, flow_rate)
-    return QuadratureResult(
-        scale * base.value,
-        scale * base.error_estimate,
-        base.subdivisions,
-        base.converged,
-    )
+    return _scaled(fluid, flow_rate, base)
+
+
+def pressure_drop_oracle(fluid: PowerLawFluid, spec: TubeSpec,
+                         rel_tol: float = DEFAULT_REL_TOL,
+                         *, max_panels: int = MAX_PANELS):
+    """:func:`pressure_drop_numeric` of one fluid and tube as a function of
+    the flow rate.
+
+    The integral does not depend on the flow rate, so it runs once, at the
+    first non-zero flow rate, and every call scales it.
+    """
+    base = None
+
+    def at(flow_rate: float) -> QuadratureResult:
+        nonlocal base
+        require_finite_non_negative("flow_rate", flow_rate)
+        if flow_rate == 0.0:
+            return QuadratureResult(0.0, 0.0, 0, True)
+        if base is None:
+            base = integrate_inverse_radius_power(
+                spec, 3.0 * fluid.index + 1.0, rel_tol, max_panels=max_panels
+            )
+        return _scaled(fluid, flow_rate, base)
+
+    return at

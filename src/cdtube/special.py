@@ -22,7 +22,6 @@ solvers can fall back to quadrature.
 import math
 from dataclasses import dataclass
 
-from ._kernels import MAX_TERMS, gauss_series
 from .errors import ConvergenceError, DegenerateParameterError, DomainError
 
 __all__ = [
@@ -46,6 +45,10 @@ _NEAR_ONE = 0.9
 # connection: about one digit lost to cancellation.  Parabolic and
 # hyperbolic arguments stay below 3 over n in [0.2, 2].
 _CANCELLATION_LIMIT = 16.0
+
+MAX_TERMS = 10000
+STAGNATION_RTOL = 1e-16
+STAGNATION_RUN = 3
 
 BRANCH_ABOVE = "above"
 BRANCH_BELOW = "below"
@@ -92,6 +95,35 @@ class EvaluationReport:
         return f"{state} after {self.terms_used} series terms"
 
 
+def gauss_series(a: float, b: float, c: float, z: float):
+    """Sum the Gauss hypergeometric series at ``z``.
+
+    Terms follow the ratio recurrence; summation stops once the absolute
+    term stays below ``STAGNATION_RTOL`` times the partial sum for
+    ``STAGNATION_RUN`` consecutive terms, or at ``MAX_TERMS``.
+
+    Returns ``(value, terms_used, converged)``.
+    """
+    term = 1.0
+    total = 1.0
+    consec = 0
+    k = 0
+    while k < MAX_TERMS:
+        term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
+        total += term
+        floor = STAGNATION_RTOL * abs(total)
+        if floor < 1e-300:
+            floor = 1e-300
+        if abs(term) <= floor:
+            consec += 1
+            if consec >= STAGNATION_RUN:
+                return total, k + 1, True
+        else:
+            consec = 0
+        k += 1
+    return total, MAX_TERMS, False
+
+
 def _is_int(x: float) -> bool:
     return abs(x - round(x)) <= INTEGER_WINDOW
 
@@ -101,8 +133,12 @@ def _is_nonpos_int(x: float) -> bool:
 
 
 def _rgamma(x: float) -> float:
-    """1/Gamma(x); exactly zero at the poles."""
-    if _is_nonpos_int(x):
+    """1/Gamma(x); exactly zero at the poles.
+
+    Within INTEGER_WINDOW of a pole ``math.gamma`` keeps full relative
+    accuracy, so the small term this weights is kept, not dropped.
+    """
+    if _is_exact_nonpos_int(x):
         return 0.0
     return 1.0 / math.gamma(x)
 
@@ -112,8 +148,7 @@ def _is_exact_nonpos_int(x: float) -> bool:
 
 
 def _near_pole(x: float) -> bool:
-    """Within INTEGER_WINDOW of a gamma pole but not on it, where the zero
-    :func:`_rgamma` returns is only approximate."""
+    """Within INTEGER_WINDOW of a gamma pole but not on it."""
     return _is_nonpos_int(x) and not _is_exact_nonpos_int(x)
 
 

@@ -6,6 +6,13 @@ import math
 import pytest
 from click.testing import CliRunner
 
+from cdtube import (
+    PowerLawFluid,
+    TubeShape,
+    TubeSpec,
+    flow_rate,
+    pressure_drop,
+)
 from cdtube.cli import main
 
 VALIDATE_HEADER = "shape,n,C,r_min,r_max,length,Q,P_analytic,P_numeric,rel_err,method,branch"
@@ -168,6 +175,42 @@ def test_solve_non_finite_input_exits_2(runner, option, value, fmt):
     assert "finite and non-negative" in result.output
 
 
+@pytest.mark.parametrize("args", [
+    # P = K * Q^2 overflows in the power
+    ["--n", "2", "--consistency", "1", "--rmin", "0.5", "--rmax", "1",
+     "--length", "1", "--flow-rate", "1e200"],
+    # K overflows, so P would print as Infinity
+    ["--n", "1", "--consistency", "1e300", "--rmin", "1e-9", "--rmax", "1",
+     "--length", "1", "--flow-rate", "1e10"],
+    # Q = (P / K)^2 overflows
+    ["--n", "0.5", "--consistency", "1", "--rmin", "0.5", "--rmax", "1",
+     "--length", "1", "--pressure", "1e300"],
+    # P of one unit is finite, of three periods it is not
+    ["--n", "1", "--consistency", "1", "--rmin", "0.5", "--rmax", "1",
+     "--length", "1", "--flow-rate", "1e307", "--periods", "3"],
+])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_solve_overflow_exits_2(runner, args, fmt):
+    result = runner.invoke(main, ["solve", "--shape", "conic", *args,
+                                  "--format", fmt])
+    assert result.exit_code == 2
+    assert "float range" in result.output
+    assert "Infinity" not in result.output
+
+
+@pytest.mark.parametrize("quantity,n,stop", [("flow-rate", "2", "1e200"),
+                                             ("pressure", "0.5", "1e300")])
+def test_sweep_overflow_exits_2(runner, quantity, n, stop):
+    result = runner.invoke(main, [
+        "sweep", "--shape", "conic", "--n", n, "--consistency", "1",
+        "--rmin", "0.5", "--rmax", "1", "--length", "1",
+        "--quantity", quantity, "--start", "0", "--stop", stop,
+        "--count", "3", "--format", "json",
+    ])
+    assert result.exit_code == 2
+    assert "overflows the float range" in result.output
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -209,9 +252,54 @@ def test_sweep_pressure_quantity(runner):
 
 
 def test_sweep_parallel_matches_serial(runner):
+    # --jobs is accepted and ignored; it must not change the output.
     serial = run(runner, SWEEP_BASE + ["--format", "csv", "--jobs", "1"])
     parallel = run(runner, SWEEP_BASE + ["--format", "csv", "--jobs", "2"])
     assert serial.output == parallel.output
+
+
+def _cell(value):
+    return "" if value is None else repr(value) if isinstance(value, float) \
+        else str(value)
+
+
+@pytest.mark.parametrize("shape,n", [
+    ("conic", 0.7), ("parabolic", 0.7), ("hyperbolic", 1.3),
+    ("cosh", 1.0),  # 3n = 3: quadrature fallback
+    ("sinusoidal", 0.7),
+])
+@pytest.mark.parametrize("quantity", ["flow-rate", "pressure"])
+def test_sweep_rows_match_library_solves(runner, shape, n, quantity):
+    # A sweep computes K once; each row must still equal the library solve
+    # of that point, digit for digit, oracle and the Q = 0 row included.
+    periods = 3
+    result = run(runner, [
+        "sweep", "--shape", shape, "--n", repr(n), "--consistency", "2",
+        "--rmin", "1", "--rmax", "3", "--length", "2",
+        "--quantity", quantity, "--start", "0", "--stop", "5",
+        "--count", "6", "--periods", str(periods), "--validate",
+        "--format", "csv",
+    ])
+    assert result.exit_code == 0
+    rows = parse_csv(result.output)
+    fluid = PowerLawFluid(consistency=2.0, index=n)
+    spec = TubeSpec(TubeShape(shape), 1.0, 3.0, 2.0)
+    values = [5.0 * k / 5 for k in range(6)]  # linear spacing from 0
+    assert [float(row["Q" if quantity == "flow-rate" else "P"])
+            for row in rows] == values
+    for row, value in zip(rows, values):
+        if quantity == "flow-rate":
+            res = pressure_drop(fluid, spec, value, validate=True)
+            q, p = value, periods * res.pressure_drop
+        else:
+            res = flow_rate(fluid, spec, value / periods, validate=True)
+            q, p = res.flow_rate, value
+        expected = {"periods": periods, "Q": q, "P": p, "method": res.method,
+                    "branch": res.branch, "note": res.diagnostics,
+                    "oracle": periods * res.oracle_value,
+                    "rel_err": res.rel_error}
+        assert {key: row[key] for key in expected} == {
+            key: _cell(v) for key, v in expected.items()}
 
 
 def test_sweep_bad_range_exits_2(runner):

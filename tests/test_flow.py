@@ -340,6 +340,28 @@ def test_negative_inputs_rejected():
             flow_rate(fluid, spec, bad)
 
 
+def test_overflowing_result_rejected():
+    # Finite inputs whose K, P or Q leave the float range.
+    spec = TubeSpec(TubeShape.CONIC, 0.5, 1.0, 1.0)
+    with pytest.raises(DomainError, match="float range"):
+        pressure_drop(fluid_of(2.0), spec, 1e200)  # Q^n overflows
+    with pytest.raises(DomainError, match="float range"):
+        flow_rate(fluid_of(0.5), spec, 1e300)  # (P/K)^(1/n) overflows
+    with pytest.raises(DomainError, match="float range"):
+        pressure_drop(fluid_of(2.0), spec, 1e154)  # K * Q^n
+    huge_k = (fluid_of(1.0, 1e300), TubeSpec(TubeShape.CONIC, 1e-9, 1.0, 1.0))
+    with pytest.raises(DomainError, match="float range"):
+        pressure_drop(*huge_k, 1e10)
+    with pytest.raises(DomainError, match="float range"):
+        flow_rate(*huge_k, 1e10)
+    for shape in ALL_SHAPES:
+        # r_min^-(3n+1) past the float range, straight tubes included
+        for r_max in (1e-199, 1e-200):
+            tiny = TubeSpec(shape, 1e-200, r_max, 1.0)
+            with pytest.raises(DomainError, match="float range"):
+                pressure_drop(fluid_of(1.3), tiny, 1.0)
+
+
 def test_evaluation_error_when_both_routes_fail():
     # degenerate index forces the fallback; a one-panel cap starves it
     fluid = fluid_of(1.0)

@@ -1,0 +1,87 @@
+"""A closed-form solve runs on scalar ``math``: it must not load numpy.
+
+Each probe runs in a fresh interpreter, because a module once imported
+stays in ``sys.modules`` for the life of the process.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+PROBE_HEADER = r"""
+import json
+import runpy
+import sys
+
+HEAVY = ("numpy", "numba", "multiprocessing")
+loaded = {}
+
+
+def record(step):
+    loaded[step] = [name for name in HEAVY if name in sys.modules]
+"""
+
+CLOSED_FORM_PROBE = PROBE_HEADER + r"""
+import cdtube.cli
+record("import cdtube.cli")
+
+import cdtube
+fluid = cdtube.PowerLawFluid(1.3, 0.8)  # 3n = 2.4: no shape degenerates
+for shape in cdtube.TubeShape:
+    spec = cdtube.TubeSpec(shape, 1e-5, 4e-5, 3e-4)
+    result = cdtube.pressure_drop(fluid, spec, 2.5e-10)
+    assert result.method == "analytic", (shape, result.method)
+    record(f"pressure_drop {shape.value}")
+
+sys.argv = ["cdtube", "solve", "--shape", "sinusoidal", "--n", "0.8",
+            "--consistency", "1.3", "--rmin", "1e-5", "--rmax", "4e-5",
+            "--length", "3e-4", "--flow-rate", "2.5e-10"]
+try:
+    runpy.run_module("cdtube", run_name="__main__")
+except SystemExit as exc:
+    assert not exc.code, exc.code
+record("python -m cdtube solve")
+print(json.dumps(loaded))
+"""
+
+ARRAY_PROBE = PROBE_HEADER + r"""
+import cdtube
+fluid = cdtube.PowerLawFluid(1.0, %r)
+spec = cdtube.TubeSpec(cdtube.TubeShape(%r), 1.0, 4.0, 1.0)
+result = cdtube.pressure_drop(fluid, spec, 1.0, validate=%r)
+record("solve")
+print(json.dumps({"loaded": loaded, "method": result.method}))
+"""
+
+
+def _probe(code):
+    env = {**os.environ,
+           "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_closed_form_solves_do_not_load_numpy():
+    loaded = _probe(CLOSED_FORM_PROBE)
+    assert list(loaded) == ["import cdtube.cli",
+                            *(f"pressure_drop {shape}" for shape in
+                              ("conic", "parabolic", "hyperbolic", "cosh",
+                               "sinusoidal")),
+                            "python -m cdtube solve"]
+    assert loaded == dict.fromkeys(loaded, [])
+
+
+def test_quadrature_loads_numpy():
+    validated = _probe(ARRAY_PROBE % (0.8, "parabolic", True))
+    assert validated["method"] == "analytic"
+    assert "numpy" in validated["loaded"]["solve"]
+    # 3n = 3 makes the cosh closed form degenerate: quadrature fallback.
+    fallback = _probe(ARRAY_PROBE % (1.0, "cosh", False))
+    assert fallback["method"] == "quadrature_fallback"
+    assert "numpy" in fallback["loaded"]["solve"]

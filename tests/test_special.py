@@ -14,7 +14,7 @@ from cdtube import (
     gauss_2f1,
     gauss_2f1_continued,
 )
-from cdtube._kernels import gauss_series
+from cdtube.special import gauss_series
 
 mpmath.mp.dps = 30
 
@@ -263,6 +263,35 @@ def test_integer_window_keeps_pfaff(a, b, c):
         assert report.route == "pfaff"
         assert value == pytest.approx(float(mpmath.hyp2f1(a, b, c, z)),
                                       rel=1e-13)
+
+
+# (a, b, c) with one of a, b, c - a, c - b at pole + offset; c - a - b is
+# not an integer, so 0.9 < z < 1 takes the 1 - z connection.
+NEAR_POLE_PARAMETERS = {
+    "a": lambda d: (-1.0 + d, 0.4, 0.6),
+    "b": lambda d: (0.4, -2.0 + d, 0.7),
+    "c-a": lambda d: (1.6 + d, 0.4, 0.6),
+    "c-b": lambda d: (0.3, 1.6 + d, 0.6),
+}
+
+
+@pytest.mark.parametrize("which", sorted(NEAR_POLE_PARAMETERS))
+def test_one_minus_z_near_gamma_pole_against_mpmath(which):
+    # Within INTEGER_WINDOW of a pole, 1/Gamma is small but not zero; the
+    # term it weights must be kept.
+    misses = []
+    for offset in (1e-10, -1e-10, 1e-12, -1e-12):
+        a, b, c = NEAR_POLE_PARAMETERS[which](offset)
+        for z in (0.95, 0.99, 0.999):
+            value, report = gauss_2f1(a, b, c, z, full_output=True)
+            with mpmath.workdps(40):
+                ref = mpmath.hyp2f1(a, b, c, z)
+                rel_err = float(abs((value - ref) / ref))
+            if (report.route != "one_minus_z" or rel_err > 1e-13
+                    or report.terms_used > 128):
+                misses.append((offset, z, report.route, rel_err,
+                               report.terms_used))
+    assert not misses
 
 
 @pytest.mark.parametrize(

@@ -2,9 +2,11 @@
 
 Every relation factors as ``P = K * Q^n`` with a geometry- and
 fluid-dependent conductance coefficient K, so the inverse problem
-``Q(P)`` is a single root-free power.  The analytic route is tried
-first; degenerate hypergeometric parameters or non-convergence trigger a
-silent fallback to the quadrature oracle, recorded in the result.
+``Q(P)`` is a single root-free power.  K is elementary for the conic
+profile and one :func:`~cdtube.special.gauss_2f1` of a real argument
+below 1 for the other four, at every flow index.  Should a closed form
+raise :class:`DegenerateParameterError` or :class:`ConvergenceError`,
+the quadrature oracle takes over and the result records the fallback.
 """
 
 import functools
@@ -47,10 +49,10 @@ class FlowResult:
 
     Exactly one of ``pressure_drop`` / ``flow_rate`` is set, matching the
     direction of the solve.  ``method`` records whether the closed form or
-    the quadrature fallback produced the value, ``branch`` which side of
-    the branch cut the continued hypergeometric was taken on (None when no
-    continuation was involved), and ``oracle_value`` / ``rel_error`` are
-    filled when validation was requested.
+    the quadrature fallback produced the value, and ``oracle_value`` /
+    ``rel_error`` are filled when validation was requested.  ``branch`` is
+    always None: no closed form continues a function past its branch cut,
+    and the field stays for the output schema.
     """
 
     pressure_drop: float | None
@@ -66,90 +68,79 @@ class FlowResult:
 class _Conductance:
     value: float
     method: str
-    branch: str | None
     diagnostics: str
 
 
-def _degenerate_index(shape: TubeShape, n: float) -> str | None:
-    """Reason string when the closed form cannot be evaluated at this n."""
-    three_n = 3.0 * n
-    if shape is TubeShape.COSH and special._is_int(three_n):
-        return f"cosh closed form degenerates at integer 3n (3n={three_n})"
-    if shape is TubeShape.SINUSOIDAL:
-        if special._is_int(three_n):
-            return f"sinusoid closed form degenerates at integer 3n (3n={three_n})"
-        if special._is_int(three_n + 0.5):
-            return ("sinusoid boundary reduction degenerates at half-odd 3n "
-                    f"(3n={three_n})")
-    return None
-
-
-def _signed_imaginary(value: special.ComplexValue) -> tuple[float, str]:
-    """Positive imaginary magnitude and the branch that produces it.
-
-    The evaluation is done on the 'above' side; conjugate symmetry makes
-    the other side's value free, and positivity of the physical pressure
-    drop picks between them.
-    """
-    if value.im > 0.0:
-        return value.im, special.BRANCH_ABOVE
-    if value.im < 0.0:
-        return -value.im, special.BRANCH_BELOW
-    raise ConvergenceError(
-        "continued hypergeometric evaluation returned a vanishing "
-        "imaginary part; no physical branch"
-    )
-
-
 def _geometric_integral(spec: TubeSpec, n: float):
-    """Closed form of ``integral r(x)^-(3n+1) dx`` divided into the master
-    prefactor; returns ``(value, branch, diagnostics)``."""
+    """Closed form of ``integral r(x)^-(3n+1) dx`` over the tube; returns
+    ``(value, diagnostics)``.
+
+    Every form takes a real argument in the domain of :func:`gauss_2f1`,
+    so no branch of a continuation is chosen.  The contrast
+    ``d = r_max/r_min - 1`` is formed from the radius difference: a
+    small contrast keeps its digits.
+    """
     length = spec.length
     r_min, r_max = spec.r_min, spec.r_max
     ratio = r_max / r_min
     three_n = 3.0 * n
-
-    reason = _degenerate_index(spec.shape, n)
-    if reason is not None:
-        raise DegenerateParameterError(reason)
+    m = three_n + 1.0
+    d = (r_max - r_min) / r_min
 
     if spec.shape is TubeShape.CONIC:
-        value = (length * (r_min**-three_n - r_max**-three_n)
-                 / (3.0 * n * (r_max - r_min)))
-        return value, None, "conic closed form"
+        # 1 - ratio^-3n without cancellation at small contrast
+        value = (length * -math.expm1(-three_n * math.log1p(d))
+                 * r_min**-three_n / (three_n * (r_max - r_min)))
+        return value, "conic closed form"
 
     if spec.shape is TubeShape.PARABOLIC:
         h, rep = special.gauss_2f1(0.5, three_n + 1.0, 1.5, 1.0 - ratio,
                                    full_output=True)
         value = length * h / r_min ** (three_n + 1.0)
-        return value, None, f"parabolic closed form: 2F1 {rep.summary()}"
+        return value, f"parabolic closed form: 2F1 {rep.summary()}"
 
     if spec.shape is TubeShape.HYPERBOLIC:
         h, rep = special.gauss_2f1(0.5, (three_n + 1.0) / 2.0, 1.5,
                                    1.0 - ratio**2, full_output=True)
         value = length * h / r_min ** (three_n + 1.0)
-        return value, None, f"hyperbolic closed form: 2F1 {rep.summary()}"
+        return value, f"hyperbolic closed form: 2F1 {rep.summary()}"
 
     if spec.shape is TubeShape.COSH:
-        h, rep = special.gauss_2f1_continued(
-            0.5, -three_n / 2.0, (2.0 - three_n) / 2.0, ratio**2,
-            special.BRANCH_ABOVE, full_output=True,
-        )
-        magnitude, branch = _signed_imaginary(h)
-        value = (length * magnitude
-                 / (3.0 * n * r_min * r_max**three_n * math.acosh(ratio)))
-        return value, branch, f"cosh closed form: Im 2F1 {rep.summary()}"
+        # r = r_min cosh(2 eta x / L): the integral is L / (eta r_min^m)
+        # times int_0^eta sech^m t dt, an incomplete beta function (DLMF
+        # 8.17.7).  In u = tanh t it is a 2F1 of tanh^2 eta; past
+        # tanh^2 eta = 1/2 it is the complete integral less the tail in
+        # sech^2 eta = 1/ratio^2, which stays accurate as tanh eta -> 1.
+        sinh2 = d * (d + 2.0)  # ratio^2 - 1 = sinh^2 eta
+        eta = math.log1p(d + math.sqrt(sinh2))  # acosh(ratio)
+        if sinh2 <= 1.0:  # tanh^2 eta = sinh^2 eta / ratio^2 <= 1/2
+            t2 = sinh2 / ratio**2
+            h, rep = special.gauss_2f1(0.5, 1.0 - m / 2.0, 1.5, t2,
+                                       full_output=True)
+            partial = math.sqrt(t2) * h
+        else:
+            w = ratio**-2
+            h, rep = special.gauss_2f1(m / 2.0, 0.5, m / 2.0 + 1.0, w,
+                                       full_output=True)
+            complete = (0.5 * math.sqrt(math.pi) * math.gamma(m / 2.0)
+                        / math.gamma(m / 2.0 + 0.5))
+            partial = complete - w ** (m / 2.0) / m * h
+        value = length * partial / (eta * r_min**m)
+        return value, f"cosh closed form: 2F1 {rep.summary()}"
 
     if spec.shape is TubeShape.SINUSOIDAL:
-        h, rep = special.appell_f1(
-            -three_n, 0.5, 0.5, 1.0 - three_n, 1.0, ratio,
-            special.BRANCH_ABOVE, full_output=True,
-        )
-        magnitude, branch = _signed_imaginary(h)
-        value = (length * magnitude
-                 / (3.0 * math.pi * n * r_max**three_n
-                    * math.sqrt(r_max * r_min)))
-        return value, branch, f"sinusoid closed form: Im F1 {rep.summary()}"
+        # r = A - B cos(2 pi x / L) with A^2 - B^2 = r_min r_max: Laplace's
+        # integral for the Legendre function (DLMF 14.12, with
+        # P_nu = P_{-nu-1}) gives L (r_min r_max)^(-m/2) P_{3n}(z),
+        # z = A / sqrt(r_min r_max), and P_{3n}(z) = 2F1(-3n, 3n + 1; 1;
+        # (1 - z)/2) (DLMF 14.3).
+        root_min, root_max = math.sqrt(r_min), math.sqrt(r_max)
+        mean = root_min * root_max
+        # (1 - z)/2 = -(sqrt(r_max) - sqrt(r_min))^2 / (4 sqrt(r_min r_max))
+        x = -((r_max - r_min) / (root_max + root_min)) ** 2 / (4.0 * mean)
+        h, rep = special.gauss_2f1(-three_n, m, 1.0, x, full_output=True)
+        value = length * h * mean**-m
+        return value, f"sinusoid closed form: Legendre 2F1 {rep.summary()}"
 
     raise DomainError(f"unknown shape {spec.shape!r}")
 
@@ -161,9 +152,8 @@ def _conductance(fluid: PowerLawFluid, spec: TubeSpec,
     try:
         if spec.is_straight:
             k = straight_tube_conductance(fluid, spec.r_min, spec.length)
-            return _Conductance(k, METHOD_ANALYTIC, None,
-                                "degenerate: straight tube")
-        geom, branch, diag = _geometric_integral(spec, n)
+            return _Conductance(k, METHOD_ANALYTIC, "degenerate: straight tube")
+        geom, diag = _geometric_integral(spec, n)
     except (OverflowError, ZeroDivisionError) as exc:
         # A power of r_min past the float range, or one underflowing to 0.
         raise DomainError(
@@ -183,12 +173,12 @@ def _conductance(fluid: PowerLawFluid, spec: TubeSpec,
         geom = base.value
         k = master_prefactor(fluid, 1.0) * geom
         return _Conductance(
-            k, METHOD_FALLBACK, None,
+            k, METHOD_FALLBACK,
             f"fallback to quadrature ({base.subdivisions} panels, "
             f"rel_tol={fallback_rel_tol}): {exc}",
         )
     k = master_prefactor(fluid, 1.0) * geom
-    return _Conductance(k, METHOD_ANALYTIC, branch, diag)
+    return _Conductance(k, METHOD_ANALYTIC, diag)
 
 
 def conductance_coefficient(fluid: PowerLawFluid, spec: TubeSpec) -> float:
@@ -232,7 +222,7 @@ def _operating_point(fluid: PowerLawFluid, cond: _Conductance, given: float,
                      if oracle_value != 0.0 else 0.0)
     return FlowResult(None if pressure_given else p,
                       q if pressure_given else None,
-                      cond.method, cond.branch, cond.diagnostics,
+                      cond.method, None, cond.diagnostics,
                       oracle_value, rel_error)
 
 

@@ -100,7 +100,10 @@ def gauss_series(a: float, b: float, c: float, z: float):
 
     Terms follow the ratio recurrence; summation stops once the absolute
     term stays below ``STAGNATION_RTOL`` times the partial sum for
-    ``STAGNATION_RUN`` consecutive terms, or at ``MAX_TERMS``.
+    ``STAGNATION_RUN`` consecutive terms, or at ``MAX_TERMS``.  Terms count
+    towards the stop only once ``c + k`` is positive: a negative ``c``
+    near an integer divides a later term by ``c + k`` near zero, and a
+    numerator parameter near an integer can make the terms before it tiny.
 
     Returns ``(value, terms_used, converged)``.
     """
@@ -114,7 +117,7 @@ def gauss_series(a: float, b: float, c: float, z: float):
         floor = STAGNATION_RTOL * abs(total)
         if floor < 1e-300:
             floor = 1e-300
-        if abs(term) <= floor:
+        if abs(term) <= floor and k > -c:
             consec += 1
             if consec >= STAGNATION_RUN:
                 return total, k + 1, True
@@ -197,8 +200,7 @@ def arccosh(t: float) -> float:
 def _negative_argument(a, b, c, z):
     """Route map for ``z < 0``; returns ``(value, terms, route)``."""
     spent = 0
-    if (z < -1.0 and not _is_int(b - a)
-            and not any(map(_near_pole, (a, b, c - a, c - b)))):
+    if z < -1.0 and not _is_int(b - a):
         # 1/(1-z) connection (DLMF 15.8.3); the variable lies in (0, 1/2).
         w = 1.0 / (1.0 - z)
         try:
@@ -255,9 +257,7 @@ def gauss_2f1(a: float, b: float, c: float, z: float, full_output: bool = False)
       integer, the connection in powers of ``1/(1-z)`` (DLMF 15.8.3);
     * ``pfaff``: for ``-1 <= z < 0`` the Pfaff map to ``z/(z-1)`` on the
       larger upper parameter (DLMF 15.8.1).  It also serves ``z < -1``
-      when ``b - a`` is within ``INTEGER_WINDOW`` of an integer, when
-      ``a``, ``b``, ``c - a`` or ``c - b`` is that close to a
-      non-positive integer without being one, or when
+      when ``b - a`` is within ``INTEGER_WINDOW`` of an integer, or when
       the two halves of the ``1/(1-z)`` connection cancel to more than
       ``_CANCELLATION_LIMIT`` times their sum (near-integer ``b - a``
       with ``c`` not ``a + 1`` or ``b + 1``) or overflow.  There the variable
@@ -368,7 +368,10 @@ def gauss_2f1_continued(a: float, b: float, c: float, z: float,
     uses the linear connection in ``1 - 1/z`` when ``c - a - b`` is not an
     integer and the ``1/z`` connection when ``b - a`` is not; if both
     differences are integers the parameters are degenerate here and the
-    caller must integrate numerically.
+    caller must integrate numerically.  So they are when ``a``, ``b``,
+    ``c - a`` or ``c - b`` lies within ``INTEGER_WINDOW`` of a
+    non-positive integer without being one, since both connections then
+    lose digits.
     """
     sign = _branch_sign(branch)
     if z <= 1.0:
@@ -383,6 +386,18 @@ def gauss_2f1_continued(a: float, b: float, c: float, z: float,
         report = EvaluationReport(ComplexValue(math.nan), 0, False, True)
         raise DegenerateParameterError(
             f"gauss_2f1_continued is undefined for non-positive integer c={c}",
+            report,
+        )
+
+    if any(map(_near_pole, (a, b, c - a, c - b))):
+        # Both connections weight a half by 1/Gamma of these parameters.
+        # Near such a pole the function can come close to a zero while the
+        # halves stay of order one: at (1.6 + 1e-12, 0.4, 0.6, 3) their
+        # sum keeps four digits.
+        report = EvaluationReport(ComplexValue(math.nan), 0, False, True)
+        raise DegenerateParameterError(
+            "continuation parameters within INTEGER_WINDOW of a gamma pole "
+            f"(a={a}, b={b}, c-a={c - a}, c-b={c - b})",
             report,
         )
 

@@ -154,12 +154,11 @@ def test_invalid_geometry_exits_2(runner):
 
 
 def test_numerical_failure_exits_3(runner):
-    # degenerate index forces the quadrature fallback, and a one-panel
-    # cap starves it
+    # a one-panel cap starves the quadrature oracle
     result = runner.invoke(main, [
         "solve", "--shape", "sinusoidal", "--n", "1", "--consistency", "1",
         "--rmin", "1", "--rmax", "10", "--length", "1", "--flow-rate", "1",
-        "--max-subdivisions", "1",
+        "--validate", "--max-subdivisions", "1",
     ])
     assert result.exit_code == 3
 
@@ -265,7 +264,7 @@ def _cell(value):
 
 @pytest.mark.parametrize("shape,n", [
     ("conic", 0.7), ("parabolic", 0.7), ("hyperbolic", 1.3),
-    ("cosh", 1.0),  # 3n = 3: quadrature fallback
+    ("cosh", 1.0),  # 3n = 3, where the paper's continued form degenerates
     ("sinusoidal", 0.7),
 ])
 @pytest.mark.parametrize("quantity", ["flow-rate", "pressure"])

@@ -1,8 +1,11 @@
 import math
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from cdtube import (
+    ConvergenceError,
+    DegenerateParameterError,
     DomainError,
     EvaluationError,
     PowerLawFluid,
@@ -17,12 +20,13 @@ from cdtube import (
     straight_tube_conductance,
     straight_tube_pressure_drop,
 )
+from cdtube import flow as flow_module
 from cdtube.flow import METHOD_ANALYTIC, METHOD_FALLBACK
 
 ALL_SHAPES = list(TubeShape)
 
-# Indices clear of every degenerate family (3n and 3n + 1/2 both
-# non-integer) for law-suite grids.
+# Indices clear of every degenerate family of the paper's forms (3n and
+# 3n + 1/2 both non-integer) for law-suite grids.
 SAFE_INDICES = (0.4, 0.9, 1.3)
 
 
@@ -112,10 +116,12 @@ def test_newtonian_conic_reduction():
 @pytest.mark.parametrize("shape", [TubeShape.COSH, TubeShape.SINUSOIDAL])
 @pytest.mark.parametrize("n", [1.0, 2.0 / 3.0])
 def test_degenerate_indices_take_fallback_and_match_oracle(shape, n):
+    # Integer 3n degenerates the paper's continued forms; the real-argument
+    # forms stay analytic there.
     fluid = fluid_of(n)
     spec = TubeSpec(shape, 1.0, 4.0, 1.0)
     res = pressure_drop(fluid, spec, 1.0)
-    assert res.method == METHOD_FALLBACK
+    assert res.method == METHOD_ANALYTIC
     oracle = pressure_drop_numeric(fluid, spec, 1.0, rel_tol=1e-12)
     assert res.pressure_drop == pytest.approx(oracle.value, rel=1e-8)
 
@@ -149,8 +155,8 @@ def test_sinusoid_newtonian_fallback_against_residue_closed_form():
     spec = TubeSpec(TubeShape.SINUSOIDAL, 1.0, 4.0, length)
     expected = master_prefactor(fluid, 1.0) * geometric
     res = pressure_drop(fluid, spec, 1.0)
-    assert res.method == METHOD_FALLBACK
-    assert res.pressure_drop == pytest.approx(expected, rel=1e-8)
+    assert res.method == METHOD_ANALYTIC
+    assert res.pressure_drop == pytest.approx(expected, rel=1e-13)
 
 
 @pytest.mark.parametrize("shape", [TubeShape.PARABOLIC, TubeShape.HYPERBOLIC])
@@ -180,8 +186,9 @@ def test_oracle_equivalence_smoke(shape):
 
 @pytest.mark.parametrize("shape", [TubeShape.COSH, TubeShape.SINUSOIDAL])
 def test_branch_selection_recorded(shape):
+    # The real-argument forms continue no function past a cut: no branch.
     res = pressure_drop(fluid_of(0.8), TubeSpec(shape, 1.0, 2.0, 1.0), 1.0)
-    assert res.branch == "below"
+    assert res.branch is None
     assert res.pressure_drop > 0.0
 
 
@@ -202,12 +209,21 @@ def test_homogeneity(shape, n, alpha):
     assert p2 == pytest.approx(alpha**n * p1, rel=1e-12)
 
 
-def test_homogeneity_holds_on_fallback_path():
+def _no_closed_form(error):
+    def geometric_integral(spec, n):
+        raise error("closed form stubbed out")
+    return geometric_integral
+
+
+def test_homogeneity_holds_on_fallback_path(monkeypatch):
+    monkeypatch.setattr(flow_module, "_geometric_integral",
+                        _no_closed_form(ConvergenceError))
     fluid = fluid_of(1.0)
     spec = TubeSpec(TubeShape.SINUSOIDAL, 1.0, 3.0, 1.0)
-    p1 = pressure_drop(fluid, spec, 0.7).pressure_drop
+    r1 = pressure_drop(fluid, spec, 0.7)
     p2 = pressure_drop(fluid, spec, 1.4).pressure_drop
-    assert p2 == pytest.approx(2.0 * p1, rel=1e-12)
+    assert r1.method == METHOD_FALLBACK
+    assert p2 == pytest.approx(2.0 * r1.pressure_drop, rel=1e-12)
 
 
 @pytest.mark.parametrize("shape", ALL_SHAPES)
@@ -362,9 +378,60 @@ def test_overflowing_result_rejected():
                 pressure_drop(fluid_of(1.3), tiny, 1.0)
 
 
-def test_evaluation_error_when_both_routes_fail():
-    # degenerate index forces the fallback; a one-panel cap starves it
+def test_evaluation_error_when_both_routes_fail(monkeypatch):
+    # a stubbed degenerate closed form forces the fallback; a one-panel cap
+    # starves it
+    monkeypatch.setattr(flow_module, "_geometric_integral",
+                        _no_closed_form(DegenerateParameterError))
     fluid = fluid_of(1.0)
     spec = TubeSpec(TubeShape.SINUSOIDAL, 1.0, 10.0, 1.0)
     with pytest.raises(EvaluationError):
         pressure_drop(fluid, spec, 1.0, max_panels=1)
+
+
+# ---------------------------------------------------------------------------
+# properties over the supported envelope: n in [0.2, 2], radius ratio from
+# 1 + 1e-4 to 1e6, throat radius from 1e-9 to 1e-5 m
+# ---------------------------------------------------------------------------
+
+ENVELOPE_N = st.floats(min_value=0.2, max_value=2.0)
+ENVELOPE_LOG_RATIO = st.floats(min_value=math.log10(1.0 + 1e-4),
+                               max_value=6.0)
+
+
+@given(
+    shape=st.sampled_from(ALL_SHAPES),
+    n=ENVELOPE_N,
+    log_ratio=ENVELOPE_LOG_RATIO,
+    log_r_min=st.floats(min_value=-9.0, max_value=-5.0),
+    length_over_r_min=st.floats(min_value=1.0, max_value=1e3),
+    log_q=st.floats(min_value=-18.0, max_value=-9.0),
+)
+def test_envelope_is_analytic_and_round_trips(shape, n, log_ratio, log_r_min,
+                                              length_over_r_min, log_q):
+    r_min = 10.0**log_r_min
+    fluid = fluid_of(n, 0.3)
+    spec = TubeSpec(shape, r_min, r_min * 10.0**log_ratio,
+                    r_min * length_over_r_min)
+    q = 10.0**log_q
+    forward = pressure_drop(fluid, spec, q)
+    back = flow_rate(fluid, spec, forward.pressure_drop)
+    assert forward.method == back.method == METHOD_ANALYTIC
+    assert back.flow_rate == pytest.approx(q, rel=1e-12)
+
+
+@given(
+    shape=st.sampled_from(ALL_SHAPES),
+    n=ENVELOPE_N,
+    log_ratio=ENVELOPE_LOG_RATIO,
+    log_step=st.floats(min_value=1e-6, max_value=1.0),
+)
+def test_conductance_decreases_with_ratio(shape, n, log_ratio, log_step):
+    # A wider tube at the same throat conducts more: K falls as r_max grows.
+    assume(log_ratio + log_step <= 6.0)
+    fluid = fluid_of(n)
+    narrow = conductance_coefficient(
+        fluid, TubeSpec(shape, 1.0, 10.0**log_ratio, 1.0))
+    wide = conductance_coefficient(
+        fluid, TubeSpec(shape, 1.0, 10.0 ** (log_ratio + log_step), 1.0))
+    assert wide < narrow

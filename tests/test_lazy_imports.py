@@ -50,6 +50,14 @@ print(json.dumps(loaded))
 
 ARRAY_PROBE = PROBE_HEADER + r"""
 import cdtube
+import cdtube.flow
+
+if %r:
+    # A closed form that does not converge sends the solve to quadrature.
+    def no_closed_form(spec, n):
+        raise cdtube.ConvergenceError("closed form stubbed out")
+    cdtube.flow._geometric_integral = no_closed_form
+
 fluid = cdtube.PowerLawFluid(1.0, %r)
 spec = cdtube.TubeSpec(cdtube.TubeShape(%r), 1.0, 4.0, 1.0)
 result = cdtube.pressure_drop(fluid, spec, 1.0, validate=%r)
@@ -77,11 +85,18 @@ def test_closed_form_solves_do_not_load_numpy():
     assert loaded == dict.fromkeys(loaded, [])
 
 
+def test_newtonian_cosh_and_sinusoid_do_not_load_numpy():
+    # 3n = 3, where the paper's continued forms degenerate.
+    for shape in ("cosh", "sinusoidal"):
+        solved = _probe(ARRAY_PROBE % (False, 1.0, shape, False))
+        assert solved["method"] == "analytic"
+        assert solved["loaded"]["solve"] == []
+
+
 def test_quadrature_loads_numpy():
-    validated = _probe(ARRAY_PROBE % (0.8, "parabolic", True))
+    validated = _probe(ARRAY_PROBE % (False, 0.8, "parabolic", True))
     assert validated["method"] == "analytic"
     assert "numpy" in validated["loaded"]["solve"]
-    # 3n = 3 makes the cosh closed form degenerate: quadrature fallback.
-    fallback = _probe(ARRAY_PROBE % (1.0, "cosh", False))
+    fallback = _probe(ARRAY_PROBE % (True, 1.0, "cosh", False))
     assert fallback["method"] == "quadrature_fallback"
     assert "numpy" in fallback["loaded"]["solve"]

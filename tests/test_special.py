@@ -9,10 +9,15 @@ from cdtube import (
     ConvergenceError,
     DegenerateParameterError,
     DomainError,
+    PowerLawFluid,
+    TubeShape,
+    TubeSpec,
     appell_f1,
     arccosh,
+    conductance_coefficient,
     gauss_2f1,
     gauss_2f1_continued,
+    master_prefactor,
 )
 from cdtube.special import gauss_series
 
@@ -251,18 +256,39 @@ def test_connection_gamma_overflow_takes_pfaff(a, b, c):
                                   rel=1e-13)
 
 
-@pytest.mark.parametrize("a,b,c", [
-    (0.5, 2.5 + 1e-12, 1.5),   # b - a within INTEGER_WINDOW of 2
-    (0.3, 1.6 + 1e-10, 0.6),   # c - b within INTEGER_WINDOW of -1
-])
+# Route taken below z = -1 when a parameter sits within INTEGER_WINDOW of
+# an integer.
+INTEGER_WINDOW_ROUTES = {
+    # b - a near 2: the connection's halves carry opposite poles; Pfaff.
+    (0.5, 2.5 + 1e-12, 1.5): "pfaff",
+    # c - b near -1: 1/Gamma(c - b) is small and kept, and the
+    # connection stays accurate with a few terms.
+    (0.3, 1.6 + 1e-10, 0.6): "inv_one_minus_z",
+}
+
+
+@pytest.mark.parametrize("a,b,c", list(INTEGER_WINDOW_ROUTES))
 def test_integer_window_keeps_pfaff(a, b, c):
-    # Inside the window a connection coefficient is taken to sit on a gamma
-    # pole, which is only approximately true; the Pfaff map is used instead.
-    for z in (-3.0, -20.0):
+    for z in (-3.0, -20.0, -1e3, -1e5):
         value, report = gauss_2f1(a, b, c, z, full_output=True)
-        assert report.route == "pfaff"
+        assert report.route == INTEGER_WINDOW_ROUTES[a, b, c]
         assert value == pytest.approx(float(mpmath.hyp2f1(a, b, c, z)),
                                       rel=1e-13)
+        if report.route == "inv_one_minus_z":
+            assert report.terms_used <= 64
+
+
+@pytest.mark.parametrize("offset", [3e-9, 3e-8, 3e-7])
+def test_series_keeps_terms_past_a_near_zero_denominator(offset):
+    # 2F1(-nu, -nu; -2nu; w) with nu = 3 + offset: (a)_k makes the terms
+    # from k = 4 tiny, and (c)_k, near zero at k = 7, makes them large
+    # again.  Summation must not stop in between.
+    nu = 3.0 + offset
+    value, terms, ok = gauss_series(-nu, -nu, -2.0 * nu, 0.5)
+    assert ok and terms > 7
+    with mpmath.workdps(40):
+        ref = mpmath.hyp2f1(-nu, -nu, -2.0 * nu, 0.5)
+    assert value == pytest.approx(float(ref), rel=1e-14)
 
 
 # (a, b, c) with one of a, b, c - a, c - b at pole + offset; c - a - b is
@@ -370,6 +396,27 @@ def test_continuation_degenerate_when_both_routes_blocked():
         gauss_2f1_continued(0.75, 0.75, 0.5, 4.0)
 
 
+@pytest.mark.parametrize("which", sorted(NEAR_POLE_PARAMETERS))
+def test_continued_near_gamma_pole_is_accurate_or_raises(which):
+    # Both connections weight a half by 1/Gamma of a, b, c - a or c - b.
+    # Near a pole the result must match mpmath or the call must raise; at
+    # (1.6 + 1e-12, 0.4, 0.6) the function has a zero near z = 3, where
+    # the halves cancel to 1.8e-4.
+    misses = []
+    for offset in (1e-10, -1e-10, 1e-12, -1e-12):
+        a, b, c = NEAR_POLE_PARAMETERS[which](offset)
+        for z in (1.3, 1.9, 3.0, 10.0, 1e3):
+            try:
+                got = gauss_2f1_continued(a, b, c, z).as_complex()
+            except DegenerateParameterError:
+                continue
+            with mpmath.workdps(40):
+                ref = complex(mpmath.hyp2f1(a, b, c, mpmath.mpc(z, 1e-35)))
+            if abs(got - ref) > 1e-12 * abs(ref):
+                misses.append((offset, z, got, ref))
+    assert not misses
+
+
 # ---------------------------------------------------------------------------
 # Appell F1
 # ---------------------------------------------------------------------------
@@ -452,3 +499,118 @@ def test_arccosh_values():
     assert arccosh(math.cosh(1.7)) == pytest.approx(1.7, rel=1e-14)
     with pytest.raises(DomainError):
         arccosh(0.5)
+
+
+# ---------------------------------------------------------------------------
+# conductance integrals against mpmath
+# ---------------------------------------------------------------------------
+
+def _mpmath_geometric_integral(shape, n, r_min, r_max, length):
+    """``integral r(x)^-(3n+1) dx`` over the tube by 40-digit quadrature,
+    split at decades of the throat width so the peak at x = 0 is resolved."""
+    with mpmath.workdps(40):
+        m = 3 * mpmath.mpf(n) + 1
+        r_min, r_max, half = (mpmath.mpf(r_min), mpmath.mpf(r_max),
+                              mpmath.mpf(length) / 2)
+        if shape is TubeShape.COSH:
+            beta = mpmath.acosh(r_max / r_min) / half
+            radius = lambda x: r_min * mpmath.cosh(beta * x)
+            width = 1 / beta
+        else:
+            mean, amp = (r_max + r_min) / 2, (r_max - r_min) / 2
+            k = mpmath.pi / half
+            radius = lambda x: mean - amp * mpmath.cos(k * x)
+            width = mpmath.sqrt(r_min / amp) / k
+        points = [mpmath.mpf(0)]
+        while width / 10 * 10 ** len(points) < half:
+            points.append(width / 10 * 10 ** len(points))
+        points.append(half)
+        return 2 * mpmath.quad(lambda x: radius(x) ** -m, points)
+
+
+def _paper_geometric_integral(shape, n, ratio):
+    """The paper's forms at r_min = length = 1, evaluated in mpmath at
+    z + i0: cosh as Im 2F1 past the cut, the sinusoid as Im F1 at x = 1.
+    mpmath.appellf1 does not continue past |y| = 1, so F1 goes through its
+    x = 1 reduction to a gamma ratio times 2F1(a, b2; c - b1; y)."""
+    with mpmath.workdps(40):
+        three_n, ratio = 3 * mpmath.mpf(n), mpmath.mpf(ratio)
+        if shape is TubeShape.COSH:
+            h = mpmath.hyp2f1(0.5, -three_n / 2, (2 - three_n) / 2,
+                              mpmath.mpc(ratio**2, 1e-35))
+            return float(abs(h.imag)
+                         / (three_n * ratio**three_n * mpmath.acosh(ratio)))
+        a, b1, b2, c = -three_n, 0.5, 0.5, 1 - three_n
+        f1 = (mpmath.gamma(c) * mpmath.gamma(c - a - b1)
+              / (mpmath.gamma(c - a) * mpmath.gamma(c - b1))
+              * mpmath.hyp2f1(a, b2, c - b1, mpmath.mpc(ratio, 1e-35)))
+        return float(abs(f1.imag)
+                     / (mpmath.pi * three_n * ratio**three_n
+                        * mpmath.sqrt(ratio)))
+
+
+@pytest.mark.parametrize("shape", [TubeShape.COSH, TubeShape.SINUSOIDAL])
+@pytest.mark.parametrize("n", [0.25, 0.4, 0.77, 0.9, 1.3, 1.96])
+def test_real_argument_forms_equal_paper_forms(shape, n):
+    # At n off the integer and half-odd 3n families the paper's continued
+    # forms are regular: K from the real-argument forms must equal them,
+    # both in mpmath and through the package's own continued kernels.
+    fluid = PowerLawFluid(1.0, n)
+    three_n = 3.0 * n
+    for ratio in (1.2, 2.0, 4.0, 30.0, 300.0):
+        k = conductance_coefficient(fluid, TubeSpec(shape, 1.0, ratio, 1.0))
+        paper = master_prefactor(fluid, 1.0) * _paper_geometric_integral(
+            shape, n, ratio)
+        assert k == pytest.approx(paper, rel=1e-12)
+        if shape is TubeShape.COSH:
+            h = gauss_2f1_continued(0.5, -three_n / 2.0, 1.0 - three_n / 2.0,
+                                    ratio**2)
+            scale = three_n * ratio**three_n * math.acosh(ratio)
+        else:
+            h = appell_f1(-three_n, 0.5, 0.5, 1.0 - three_n, 1.0, ratio)
+            scale = math.pi * three_n * ratio**three_n * math.sqrt(ratio)
+        kernel = master_prefactor(fluid, 1.0) * abs(h.im) / scale
+        assert k == pytest.approx(kernel, rel=1e-12)
+
+
+# n over [0.2, 2]: integer and half-odd 3n, 3n within 1e-10 and 1e-8 of
+# them, and generic values.
+ENVELOPE_INDICES = (0.2, 1.0 / 3.0, 0.5, 2.0 / 3.0, 0.77, 1.0, 7.0 / 6.0,
+                    1.42, 5.0 / 3.0, 11.0 / 6.0, 2.0,
+                    (1.0 + 1e-10) / 3.0, (3.0 - 1e-10) / 3.0,
+                    (3.0 + 1e-8) / 3.0, (1.5 + 1e-10) / 3.0,
+                    (4.5 - 1e-8) / 3.0)
+
+
+# Ratio 1e12 lies past the envelope, where tanh^2 eta rounds to 1.
+@pytest.mark.parametrize("shape", [TubeShape.COSH, TubeShape.SINUSOIDAL])
+@pytest.mark.parametrize("ratio", [1.0 + 1e-4, 1.5, 10.0, 35.0, 1e3, 1e6, 1e12])
+def test_cosh_and_sinusoid_conductance_against_mpmath_quadrature(shape,
+                                                                 ratio):
+    misses = []
+    for n in ENVELOPE_INDICES:
+        fluid = PowerLawFluid(1.0, n)
+        k = conductance_coefficient(fluid, TubeSpec(shape, 1.0, ratio, 1.0))
+        ref = master_prefactor(fluid, 1.0) * _mpmath_geometric_integral(
+            shape, n, 1.0, ratio, 1.0)
+        if abs(k - ref) > 1e-13 * ref:
+            misses.append((3.0 * n, abs(k - ref) / ref))
+    assert not misses
+
+
+@pytest.mark.parametrize("ratio", [1.0 + 1e-4, 1.0 + 1e-6, 1.0 + 1e-8])
+@pytest.mark.parametrize("n", [0.2, 0.5, 1.0, 1.7, 2.0])
+def test_conic_conductance_at_small_contrast_against_mpmath(ratio, n):
+    # r_min^-3n - r_max^-3n cancels as the radii close in; the exact
+    # integral in 40-digit arithmetic is the reference.
+    r_min, r_max, length = 1e-6, 1e-6 * ratio, 1e-4
+    fluid = PowerLawFluid(1.0, n)
+    k = conductance_coefficient(fluid, TubeSpec(TubeShape.CONIC, r_min,
+                                                r_max, length))
+    with mpmath.workdps(40):
+        three_n = 3 * mpmath.mpf(n)
+        lo, hi = mpmath.mpf(r_min), mpmath.mpf(r_max)
+        geometric = length * (lo**-three_n - hi**-three_n) / (three_n
+                                                             * (hi - lo))
+    assert k == pytest.approx(master_prefactor(fluid, 1.0) * float(geometric),
+                              rel=1e-13)

@@ -19,6 +19,7 @@ failure (neither the analytic route nor the quadrature oracle converged).
 
 import csv
 import io
+import itertools
 import json
 import math
 import sys
@@ -68,8 +69,8 @@ QUICK_GRID = {
 TOL_CONIC = 1e-8
 TOL_FALLBACK = 1e-8
 TOL_DEFAULT = 1e-6
-# Fallback rows are judged against an independently configured oracle run
-# at this tighter tolerance.
+# Fallback rows come from quadrature at FALLBACK_REL_TOL, so their oracle
+# runs at this tighter tolerance, whatever --rel-tol says.
 ORACLE_TIGHT = 1e-12
 
 
@@ -326,17 +327,35 @@ def validate(grid, rel_tol, fmt, output):
               "format": fmt}
     rows = []
     failures = []
+    tubes = itertools.product(SHAPE_NAMES, grid_def["n"], grid_def["ratio"],
+                              grid_def["length"])
     with _numeric_failures_exit_3():
-        for shape in SHAPE_NAMES:
-            for n in grid_def["n"]:
-                for ratio in grid_def["ratio"]:
-                    for length in grid_def["length"]:
-                        for q in grid_def["flow_rate"]:
-                            row, ok = _validate_row(shape, n, ratio, length,
-                                                    q, rel_tol)
-                            rows.append(row)
-                            if not ok:
-                                failures.append(row)
+        for shape, n, ratio, length in tubes:
+            fluid = PowerLawFluid(consistency=1.0, index=n)
+            spec = TubeSpec(shape=TubeShape(shape), r_min=1.0, r_max=ratio,
+                            length=length)
+            # As in sweep: K and the oracle's integral once per tube.
+            cond = flow._conductance(fluid, spec)
+            if cond.method == METHOD_FALLBACK:
+                oracle_tol, tol = ORACLE_TIGHT, TOL_FALLBACK
+            elif shape == TubeShape.CONIC.value:
+                oracle_tol, tol = rel_tol, TOL_CONIC
+            else:
+                oracle_tol, tol = rel_tol, TOL_DEFAULT
+            oracle = pressure_drop_oracle(fluid, spec, oracle_tol)
+            for q in grid_def["flow_rate"]:
+                result = flow._operating_point(fluid, cond, q, False, oracle)
+                row = {
+                    "shape": shape, "n": n, "C": 1.0, "r_min": 1.0,
+                    "r_max": ratio, "length": length, "Q": q,
+                    "P_analytic": result.pressure_drop,
+                    "P_numeric": result.oracle_value,
+                    "rel_err": result.rel_error, "method": result.method,
+                    "branch": result.branch,
+                }
+                rows.append(row)
+                if not result.rel_error <= tol:
+                    failures.append(row)
     _emit(fmt, output, config, VALIDATE_COLUMNS, rows)
     if failures:
         click.echo(
@@ -345,31 +364,6 @@ def validate(grid, rel_tol, fmt, output):
             err=True,
         )
         sys.exit(3)
-
-
-def _validate_row(shape, n, ratio, length, q, rel_tol):
-    fluid = PowerLawFluid(consistency=1.0, index=n)
-    spec = TubeSpec(shape=TubeShape(shape), r_min=1.0, r_max=ratio,
-                    length=length)
-    result = solve_pressure_drop(fluid, spec, q, validate=True,
-                                 oracle_rel_tol=rel_tol)
-    if result.method == METHOD_FALLBACK:
-        # Judge fallback rows against an independently configured,
-        # tighter oracle run.
-        result = solve_pressure_drop(fluid, spec, q, validate=True,
-                                     oracle_rel_tol=ORACLE_TIGHT)
-        tol = TOL_FALLBACK
-    elif shape == TubeShape.CONIC.value:
-        tol = TOL_CONIC
-    else:
-        tol = TOL_DEFAULT
-    row = {
-        "shape": shape, "n": n, "C": 1.0, "r_min": 1.0, "r_max": ratio,
-        "length": length, "Q": q, "P_analytic": result.pressure_drop,
-        "P_numeric": result.oracle_value, "rel_err": result.rel_error,
-        "method": result.method, "branch": result.branch,
-    }
-    return row, result.rel_error <= tol
 
 
 @main.command()

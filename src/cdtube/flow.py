@@ -146,7 +146,6 @@ def _geometric_integral(spec: TubeSpec, n: float):
 
 
 def _conductance(fluid: PowerLawFluid, spec: TubeSpec,
-                 fallback_rel_tol: float = FALLBACK_REL_TOL,
                  max_panels: int = MAX_PANELS) -> _Conductance:
     n = fluid.index
     try:
@@ -163,7 +162,7 @@ def _conductance(fluid: PowerLawFluid, spec: TubeSpec,
     except (DegenerateParameterError, ConvergenceError) as exc:
         try:
             base = integrate_inverse_radius_power(
-                spec, 3.0 * n + 1.0, fallback_rel_tol, max_panels=max_panels
+                spec, 3.0 * n + 1.0, FALLBACK_REL_TOL, max_panels=max_panels
             )
         except ConvergenceError as quad_exc:
             raise EvaluationError(
@@ -175,7 +174,7 @@ def _conductance(fluid: PowerLawFluid, spec: TubeSpec,
         return _Conductance(
             k, METHOD_FALLBACK,
             f"fallback to quadrature ({base.subdivisions} panels, "
-            f"rel_tol={fallback_rel_tol}): {exc}",
+            f"rel_tol={FALLBACK_REL_TOL}): {exc}",
         )
     k = master_prefactor(fluid, 1.0) * geom
     return _Conductance(k, METHOD_ANALYTIC, diag)

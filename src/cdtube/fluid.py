@@ -19,8 +19,10 @@ __all__ = [
     "straight_tube_pressure_drop",
 ]
 
-# Flow behavior indices outside this range still compute, but the
-# special-function continuations lose guaranteed accuracy.
+# Flow behavior indices outside this range still compute, but K is checked
+# against mpmath only inside it.  Outside it some closed forms raise and
+# the quadrature fallback takes over, and from about n = 120 the prefactor
+# (3n+1)^n / (pi n)^n leaves the float range.
 SUPPORTED_INDEX_RANGE = (0.2, 2.0)
 
 

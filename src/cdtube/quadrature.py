@@ -8,13 +8,15 @@ package-wide radius evaluation (the same code path as
 The scheme is adaptive bisection with a nested Clenshaw-Curtis pair
 (17-point high rule, embedded 9-point low rule) per panel; the panel
 error is the difference of the two estimates and the worst panel is
-always split next.  Summation order is fixed, so identical inputs give
-bit-identical results within one build.  numpy is imported, and the rule
-built, by the first integration.
+always split next.  The split order is fixed and the returned sums are
+exactly rounded, so identical inputs give bit-identical results within
+one build.  numpy is imported, and the rule built, by the first
+integration.
 """
 
 import functools
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -79,15 +81,18 @@ class QuadratureResult:
 
 
 def _integrate_adaptive(f, lo: float, hi: float, rel_tol: float,
-                        max_panels: int, seed_split: float | None):
-    """Adaptive bisection driver; ``f`` maps node arrays to value arrays."""
+                        max_panels: int):
+    """Adaptive bisection driver; ``f`` maps node arrays to value arrays.
+
+    The heap holds every live panel as ``(-err, seq, a, b, est, err)``,
+    so the panel with the largest error is split next and ``seq`` breaks
+    ties in creation order.
+    """
     nodes_hi, weights_hi, weights_lo = _rules()
     heap = []
-    panels = {}
-    seq = 0
+    seq = itertools.count()
 
     def add_panel(a, b):
-        nonlocal seq
         mid = 0.5 * (a + b)
         halfwidth = 0.5 * (b - a)
         nodes = mid + halfwidth * nodes_hi
@@ -97,35 +102,21 @@ def _integrate_adaptive(f, lo: float, hi: float, rel_tol: float,
         est_hi = halfwidth * float(weights_hi @ values)
         est_lo = halfwidth * float(weights_lo @ values[::2])
         err = max(abs(est_hi - est_lo), 2e-16 * abs(est_hi))
-        panels[seq] = (a, b, est_hi, err)
-        heapq.heappush(heap, (-err, seq))
-        seq += 1
+        heapq.heappush(heap, (-err, next(seq), a, b, est_hi, err))
         return est_hi, err
 
-    seeds = [(lo, hi)] if seed_split is None else [(lo, seed_split), (seed_split, hi)]
-    total_v = 0.0
-    total_e = 0.0
-    for a, b in seeds:
-        v, e = add_panel(a, b)
-        total_v += v
-        total_e += e
-
+    total_v, total_e = add_panel(lo, hi)
     while True:
-        if total_e <= rel_tol * abs(total_v):
-            ordered = sorted(panels.values())
-            value = math.fsum(p[2] for p in ordered)
-            err = math.fsum(p[3] for p in ordered)
-            if err <= rel_tol * abs(value):
-                return value, err, len(panels), True
+        capped = len(heap) >= max_panels
+        if capped or total_e <= rel_tol * abs(total_v):
+            # The running totals drift; the exactly rounded sums decide.
+            value = math.fsum(panel[4] for panel in heap)
+            err = math.fsum(panel[5] for panel in heap)
+            converged = err <= rel_tol * abs(value)
+            if converged or capped:
+                return value, err, len(heap), converged
             total_v, total_e = value, err
-            continue
-        if len(panels) >= max_panels:
-            break
-        while True:
-            _, key = heapq.heappop(heap)
-            if key in panels:
-                break
-        a, b, v, e = panels.pop(key)
+        _, _, a, b, v, e = heapq.heappop(heap)
         total_v -= v
         total_e -= e
         mid = 0.5 * (a + b)
@@ -134,22 +125,14 @@ def _integrate_adaptive(f, lo: float, hi: float, rel_tol: float,
             total_v += v
             total_e += e
 
-    ordered = sorted(panels.values())
-    value = math.fsum(p[2] for p in ordered)
-    err = math.fsum(p[3] for p in ordered)
-    return value, err, len(panels), err <= rel_tol * abs(value)
-
 
 def integrate_inverse_radius_power(spec: TubeSpec, exponent: float,
                                    rel_tol: float = DEFAULT_REL_TOL,
-                                   *, full_interval: bool = False,
-                                   max_panels: int = MAX_PANELS) -> QuadratureResult:
+                                   *, max_panels: int = MAX_PANELS) -> QuadratureResult:
     """Integrate ``r(x) ** -exponent`` over the tube axis.
 
-    By default the even symmetry of every profile is exploited by
-    integrating [0, L/2] and doubling; ``full_interval=True`` integrates
-    [-L/2, L/2] directly (with an initial split at the conic kink x = 0)
-    and exists to let tests verify the two routes agree.
+    Every profile is even in x, so [0, L/2] is integrated and the result
+    doubled; the conic kink at x = 0 then sits on an endpoint.
 
     Raises
     ------
@@ -170,44 +153,35 @@ def integrate_inverse_radius_power(spec: TubeSpec, exponent: float,
     def integrand(x):
         return _kernels.inverse_radius_power(code, a, b, k, exponent, x)
 
-    half = 0.5 * spec.length
-    if full_interval:
-        value, err, npanels, ok = _integrate_adaptive(
-            integrand, -half, half, rel_tol, max_panels, seed_split=0.0
-        )
-    else:
-        value, err, npanels, ok = _integrate_adaptive(
-            integrand, 0.0, half, rel_tol, max_panels, seed_split=None
-        )
-        value *= 2.0
-        err *= 2.0
-    result = QuadratureResult(value, err, npanels, ok)
+    value, err, npanels, ok = _integrate_adaptive(
+        integrand, 0.0, 0.5 * spec.length, rel_tol, max_panels
+    )
+    result = QuadratureResult(2.0 * value, 2.0 * err, npanels, ok)
     if not ok:
         raise ConvergenceError(
             f"quadrature did not reach rel_tol={rel_tol} within "
-            f"{max_panels} panels (best estimate {value!r})",
+            f"{max_panels} panels (best estimate {result.value!r})",
             best_estimate=result,
         )
     return result
 
 
 def master_prefactor(fluid: PowerLawFluid, flow_rate: float) -> float:
-    """Prefactor ``2 C Q^n (3n+1)^n / (pi^n n^n)`` of the master integral."""
+    """Prefactor ``2 C Q^n (3n+1)^n / (pi^n n^n)`` of the master integral.
+
+    Raises :class:`DomainError` when ``(3n+1)^n`` or ``pi^n n^n`` leaves
+    the float range, from about n = 120 on.
+    """
     n = fluid.index
-    return (2.0 * fluid.consistency * flow_rate**n * (3.0 * n + 1.0) ** n
-            / (math.pi**n * n**n))
-
-
-def _scaled(fluid: PowerLawFluid, flow_rate: float,
-            base: QuadratureResult) -> QuadratureResult:
-    """Pressure drop at ``flow_rate`` from the master integral ``base``."""
-    scale = master_prefactor(fluid, flow_rate)
-    return QuadratureResult(
-        scale * base.value,
-        scale * base.error_estimate,
-        base.subdivisions,
-        base.converged,
-    )
+    try:
+        rise = (3.0 * n + 1.0) ** n
+        fall = math.pi**n * n**n
+    except OverflowError:
+        rise = fall = math.inf
+    if max(rise, fall) == math.inf:
+        raise DomainError(f"flow index n={n!r} is too large: the prefactor "
+                          "(3n+1)^n / (pi n)^n is outside the float range")
+    return 2.0 * fluid.consistency * flow_rate**n * rise / fall
 
 
 def pressure_drop_numeric(fluid: PowerLawFluid, spec: TubeSpec,
@@ -215,21 +189,15 @@ def pressure_drop_numeric(fluid: PowerLawFluid, spec: TubeSpec,
                           rel_tol: float = DEFAULT_REL_TOL,
                           *, max_panels: int = MAX_PANELS) -> QuadratureResult:
     """Pressure drop by direct numerical integration of the master integral."""
-    require_finite_non_negative("flow_rate", flow_rate)
-    if flow_rate == 0.0:
-        return QuadratureResult(0.0, 0.0, 0, True)
-    exponent = 3.0 * fluid.index + 1.0
-    base = integrate_inverse_radius_power(
-        spec, exponent, rel_tol, max_panels=max_panels
-    )
-    return _scaled(fluid, flow_rate, base)
+    return pressure_drop_oracle(fluid, spec, rel_tol,
+                                max_panels=max_panels)(flow_rate)
 
 
 def pressure_drop_oracle(fluid: PowerLawFluid, spec: TubeSpec,
                          rel_tol: float = DEFAULT_REL_TOL,
                          *, max_panels: int = MAX_PANELS):
-    """:func:`pressure_drop_numeric` of one fluid and tube as a function of
-    the flow rate.
+    """Quadrature pressure drop of one fluid and tube as a function of the
+    flow rate, returning a :class:`QuadratureResult` per call.
 
     The integral does not depend on the flow rate, so it runs once, at the
     first non-zero flow rate, and every call scales it.
@@ -245,6 +213,9 @@ def pressure_drop_oracle(fluid: PowerLawFluid, spec: TubeSpec,
             base = integrate_inverse_radius_power(
                 spec, 3.0 * fluid.index + 1.0, rel_tol, max_panels=max_panels
             )
-        return _scaled(fluid, flow_rate, base)
+        scale = master_prefactor(fluid, flow_rate)
+        return QuadratureResult(scale * base.value,
+                                scale * base.error_estimate,
+                                base.subdivisions, base.converged)
 
     return at

@@ -15,8 +15,10 @@ The closed-form pressure relations need three evaluation regimes:
   function of ``y``.
 
 Degenerate parameter combinations (poles of the gamma factors, vanishing
-series denominators) raise :class:`DegenerateParameterError` so that flow
-solvers can fall back to quadrature.
+series denominators) raise :class:`DegenerateParameterError` rather than
+return a value that has lost its digits.  The conductance forms in
+:mod:`cdtube.flow` call only ``gauss_2f1``, always with ``c >= 1``, so
+they never raise it.
 """
 
 import math
@@ -33,9 +35,11 @@ __all__ = [
     "gauss_2f1_continued",
 ]
 
-# Parameters closer than this to a non-positive integer are treated as
-# degenerate: beyond it the connection coefficients lose fewer than ~7
-# digits to cancellation, inside it the quadrature fallback takes over.
+# Parameters closer than this to an integer are treated as that integer:
+# beyond it the connection coefficients lose fewer than ~7 digits to
+# cancellation, inside it gauss_2f1 takes a route without them (Pfaff or
+# the defining series) and the continued kernels raise
+# DegenerateParameterError.
 INTEGER_WINDOW = 1e-9
 
 # Direct-series cutoff; above it the 1-z connection converges much faster.

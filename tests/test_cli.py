@@ -1,3 +1,4 @@
+import collections
 import csv
 import io
 import json
@@ -13,6 +14,8 @@ from cdtube import (
     flow_rate,
     pressure_drop,
 )
+from cdtube import flow as flow_module
+from cdtube import quadrature
 from cdtube.cli import main
 
 VALIDATE_HEADER = "shape,n,C,r_min,r_max,length,Q,P_analytic,P_numeric,rel_err,method,branch"
@@ -197,6 +200,19 @@ def test_solve_overflow_exits_2(runner, args, fmt):
     assert "Infinity" not in result.output
 
 
+@pytest.mark.parametrize("n", ["120", "150"])
+def test_solve_large_index_exits_2(runner, n):
+    # The prefactor (3n+1)^n / (pi n)^n leaves the float range; before, n =
+    # 120 blamed K = 0 and n = 150 exited 1 with an OverflowError.
+    with pytest.warns(UserWarning, match="guaranteed-accuracy"):
+        result = runner.invoke(main, [
+            "solve", "--shape", "conic", "--n", n, "--consistency", "1",
+            "--rmin", "1", "--rmax", "2", "--length", "1", "--flow-rate", "1",
+        ])
+    assert result.exit_code == 2
+    assert f"n={float(n)!r} is too large" in result.output
+
+
 @pytest.mark.parametrize("quantity,n,stop", [("flow-rate", "2", "1e200"),
                                              ("pressure", "0.5", "1e300")])
 def test_sweep_overflow_exits_2(runner, quantity, n, stop):
@@ -347,6 +363,30 @@ def test_validate_quick_grid(runner):
         assert float(row["rel_err"]) <= 1e-6
         expected = 1e-8 if row["method"] == "quadrature_fallback" else 1e-6
         assert float(row["rel_err"]) <= expected
+
+
+def test_sweep_and_validate_compute_each_tube_once(runner, monkeypatch):
+    calls = collections.Counter()
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(flow_module, "_conductance")
+    counted(quadrature, "integrate_inverse_radius_power")
+    once = {"_conductance": 1, "integrate_inverse_radius_power": 1}
+    result = run(runner, SWEEP_BASE[:-2] + ["--count", "50", "--validate"])
+    assert result.exit_code == 0
+    assert calls == once
+    calls.clear()
+    result = run(runner, ["validate", "--grid", "default", "--format", "csv"])
+    assert result.exit_code == 0
+    assert len(parse_csv(result.output)) == 480  # 240 tubes x 2 Q
+    assert calls == {name: 240 for name in once}
 
 
 def test_validate_json_document(runner):

@@ -378,6 +378,18 @@ def test_overflowing_result_rejected():
                 pressure_drop(fluid_of(1.3), tiny, 1.0)
 
 
+@pytest.mark.parametrize("n", [120.0, 150.0])
+def test_large_index_prefactor_rejected(n):
+    # pi^n n^n overflows to inf from n = 120, so K would read 0; from
+    # n = 121 (3n + 1)^n raises OverflowError.
+    with pytest.warns(UserWarning, match="guaranteed-accuracy"):
+        fluid = fluid_of(n)
+    with pytest.raises(DomainError, match=f"n={n!r}"):
+        master_prefactor(fluid, 1.0)
+    with pytest.raises(DomainError, match=f"n={n!r}"):
+        pressure_drop(fluid, TubeSpec(TubeShape.CONIC, 1.0, 2.0, 1.0), 1.0)
+
+
 def test_evaluation_error_when_both_routes_fail(monkeypatch):
     # a stubbed degenerate closed form forces the fallback; a one-panel cap
     # starves it

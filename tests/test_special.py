@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 
 import mpmath
@@ -505,6 +507,7 @@ def test_arccosh_values():
 # conductance integrals against mpmath
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _mpmath_geometric_integral(shape, n, r_min, r_max, length):
     """``integral r(x)^-(3n+1) dx`` over the tube by 40-digit quadrature,
     split at decades of the throat width so the peak at x = 0 is resolved."""
@@ -512,7 +515,17 @@ def _mpmath_geometric_integral(shape, n, r_min, r_max, length):
         m = 3 * mpmath.mpf(n) + 1
         r_min, r_max, half = (mpmath.mpf(r_min), mpmath.mpf(r_max),
                               mpmath.mpf(length) / 2)
-        if shape is TubeShape.COSH:
+        if shape is TubeShape.CONIC:
+            radius = lambda x: r_min + (r_max - r_min) * x / half
+            width = r_min * half / (r_max - r_min)
+        elif shape is TubeShape.PARABOLIC:
+            radius = lambda x: r_min + (r_max - r_min) * (x / half) ** 2
+            width = half * mpmath.sqrt(r_min / (r_max - r_min))
+        elif shape is TubeShape.HYPERBOLIC:
+            radius = lambda x: mpmath.sqrt(
+                r_min**2 + (r_max**2 - r_min**2) * (x / half) ** 2)
+            width = half * r_min / mpmath.sqrt(r_max**2 - r_min**2)
+        elif shape is TubeShape.COSH:
             beta = mpmath.acosh(r_max / r_min) / half
             radius = lambda x: r_min * mpmath.cosh(beta * x)
             width = 1 / beta
@@ -582,20 +595,45 @@ ENVELOPE_INDICES = (0.2, 1.0 / 3.0, 0.5, 2.0 / 3.0, 0.77, 1.0, 7.0 / 6.0,
                     (4.5 - 1e-8) / 3.0)
 
 
-# Ratio 1e12 lies past the envelope, where tanh^2 eta rounds to 1.
-@pytest.mark.parametrize("shape", [TubeShape.COSH, TubeShape.SINUSOIDAL])
+# Every shape, despite the name.  Ratio 1e12 lies past the envelope, where
+# tanh^2 eta rounds to 1.  The throats span the envelope's 1 nm to 10 um,
+# each with length 100 r_min.  Every profile is r_min times a function of
+# 2x/L and the ratio, so the integral is L r_min^-(3n+1) times that of the
+# unit tube; rounding r_min * ratio moves K by under 1e-15.
+THROATS = ((1.0, 1.0), (1e-9, 1e-7), (1e-5, 1e-3))
+
+
+@pytest.mark.parametrize("shape", list(TubeShape))
 @pytest.mark.parametrize("ratio", [1.0 + 1e-4, 1.5, 10.0, 35.0, 1e3, 1e6, 1e12])
 def test_cosh_and_sinusoid_conductance_against_mpmath_quadrature(shape,
                                                                  ratio):
     misses = []
-    for n in ENVELOPE_INDICES:
+    for (r_min, length), n in itertools.product(THROATS, ENVELOPE_INDICES):
         fluid = PowerLawFluid(1.0, n)
-        k = conductance_coefficient(fluid, TubeSpec(shape, 1.0, ratio, 1.0))
-        ref = master_prefactor(fluid, 1.0) * _mpmath_geometric_integral(
-            shape, n, 1.0, ratio, 1.0)
+        k = conductance_coefficient(
+            fluid, TubeSpec(shape, r_min, r_min * ratio, length))
+        with mpmath.workdps(40):
+            geometric = (length * mpmath.mpf(r_min) ** -(3 * mpmath.mpf(n) + 1)
+                         * _mpmath_geometric_integral(shape, n, 1.0, ratio,
+                                                      1.0))
+        ref = master_prefactor(fluid, 1.0) * float(geometric)
         if abs(k - ref) > 1e-13 * ref:
-            misses.append((3.0 * n, abs(k - ref) / ref))
+            misses.append((r_min, 3.0 * n, abs(k - ref) / ref))
     assert not misses
+
+
+# Known defect: with b - a within INTEGER_WINDOW of 1, gauss_2f1 sends the
+# hyperbolic form to Pfaff at a variable near 1, which sums ~1600 terms
+# and keeps only ~13 digits.
+@pytest.mark.xfail(strict=True, reason="Pfaff near 3n = 2 loses digits")
+@pytest.mark.parametrize("three_n", [2.0 - 1e-9, 2.0 + 1e-9])
+def test_hyperbolic_near_integer_b_minus_a_against_mpmath_quadrature(three_n):
+    n = three_n / 3.0
+    fluid = PowerLawFluid(1.0, n)
+    spec = TubeSpec(TubeShape.HYPERBOLIC, 1.0, 1e4, 1.0)
+    ref = master_prefactor(fluid, 1.0) * float(_mpmath_geometric_integral(
+        TubeShape.HYPERBOLIC, n, 1.0, 1e4, 1.0))
+    assert abs(conductance_coefficient(fluid, spec) - ref) <= 1e-13 * ref
 
 
 @pytest.mark.parametrize("ratio", [1.0 + 1e-4, 1.0 + 1e-6, 1.0 + 1e-8])

@@ -35,7 +35,11 @@ def profile_radius(code: int, a: float, b: float, k: float, x):
     elif code == COSH:
         return a * np.cosh(b * x)
     elif code == SINUSOIDAL:
-        return a - b * np.cos(k * x)
+        # r_min + 2b sin^2(kx/2) equals (r_max + r_min)/2 - b cos(kx) but
+        # keeps full relative accuracy at the throat, where the cosine
+        # form cancels.
+        s = np.sin(0.5 * k * x)
+        return a + 2.0 * b * (s * s)
     return a + 0.0 * x  # STRAIGHT
 
 

@@ -135,6 +135,9 @@ def _kernel_args(spec: TubeSpec):
     if spec.is_straight:
         # All shapes collapse to r(x) = r_min; avoids 0/0 in shape formulas.
         return _kernels.STRAIGHT, spec.r_min, 0.0, 0.0
+    if spec.shape is TubeShape.SINUSOIDAL:
+        # The sinusoid kernel starts from the throat, not the mean radius.
+        return _kernels.SINUSOIDAL, spec.r_min, coef.b, coef.k
     return (_SHAPE_CODE[spec.shape], coef.a, coef.b,
             coef.k if coef.k is not None else 0.0)
 

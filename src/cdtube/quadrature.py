@@ -6,12 +6,13 @@ package-wide radius evaluation (the same code path as
 :func:`cdtube.geometry.radius_at`), never the per-shape antiderivatives.
 
 The scheme is adaptive bisection with a nested Clenshaw-Curtis pair
-(17-point high rule, embedded 9-point low rule) per panel; the panel
+(65-point high rule, embedded 33-point low rule) per panel; the panel
 error is the difference of the two estimates and the worst panel is
-always split next.  The split order is fixed and the returned sums are
-exactly rounded, so identical inputs give bit-identical results within
-one build.  numpy is imported, and the rule built, by the first
-integration.
+always split next.  Clenshaw-Curtis converges geometrically on these
+analytic integrands, so most integrals settle in the first panel.  The
+split order is fixed and the returned sums are exactly rounded, so
+identical inputs give bit-identical results within one build.  numpy
+is imported, and the rule built, by the first integration.
 """
 
 import functools
@@ -60,13 +61,13 @@ def _chebyshev_rule(npts: int):
 
 @functools.cache
 def _rules():
-    """17-point nodes with the 17- and 9-point weights.
+    """65-point nodes with the 65- and 33-point weights.
 
-    The 9-point nodes are the even-index subset of the 17-point nodes, so
+    The 33-point nodes are the even-index subset of the 65-point nodes, so
     one batch of function values feeds both rules.
     """
-    nodes_hi, weights_hi = _chebyshev_rule(17)
-    _, weights_lo = _chebyshev_rule(9)
+    nodes_hi, weights_hi = _chebyshev_rule(65)
+    _, weights_lo = _chebyshev_rule(33)
     return nodes_hi, weights_hi, weights_lo
 
 

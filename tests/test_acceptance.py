@@ -306,7 +306,7 @@ def test_acceptance_6_cli_contract():
         failures.append(("exit-2-conflict", conflict.exit_code))
     starve = runner.invoke(cli_main, [
         "solve", "--shape", "sinusoidal", "--n", "1", "--consistency", "1",
-        "--rmin", "1", "--rmax", "10", "--length", "1", "--flow-rate", "1",
+        "--rmin", "1", "--rmax", "100", "--length", "1", "--flow-rate", "1",
         "--validate", "--max-subdivisions", "1",
     ])
     if starve.exit_code != 3:

@@ -160,10 +160,27 @@ def test_numerical_failure_exits_3(runner):
     # a one-panel cap starves the quadrature oracle
     result = runner.invoke(main, [
         "solve", "--shape", "sinusoidal", "--n", "1", "--consistency", "1",
-        "--rmin", "1", "--rmax", "10", "--length", "1", "--flow-rate", "1",
+        "--rmin", "1", "--rmax", "100", "--length", "1", "--flow-rate", "1",
         "--validate", "--max-subdivisions", "1",
     ])
     assert result.exit_code == 3
+
+
+@pytest.mark.parametrize("r_max", ["1e12", "1e15"])
+def test_sinusoid_fallback_converges_at_high_contrast(runner, r_max):
+    # The n = 1/6 closed form caps its series here, so K comes from the
+    # quadrature fallback, which has to resolve a throat 1e12 times
+    # narrower than the ends.
+    with pytest.warns(UserWarning, match="guaranteed-accuracy"):
+        result = runner.invoke(main, [
+            "solve", "--shape", "sinusoidal", "--n", "0.16666666666666666",
+            "--consistency", "1", "--rmin", "1", "--rmax", r_max,
+            "--length", "1", "--flow-rate", "1", "--validate",
+        ])
+    assert result.exit_code == 0
+    (row,) = json.loads(result.output)["results"]
+    assert row["method"] == "quadrature_fallback"
+    assert row["rel_err"] <= 1e-8
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

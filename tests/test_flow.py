@@ -184,6 +184,16 @@ def test_oracle_equivalence_smoke(shape):
     assert res.rel_error <= 1e-6
 
 
+@pytest.mark.parametrize("ratio", [1e6, 1e8, 1e12])
+def test_sinusoid_oracle_at_high_contrast(ratio):
+    # The cosine form (r_max + r_min)/2 - b cos(kx) keeps only about
+    # eps * ratio of r at the throat; the oracle must not use it.
+    spec = TubeSpec(TubeShape.SINUSOIDAL, 1.0, ratio, 1.0)
+    res = pressure_drop(fluid_of(0.8), spec, 1.0, validate=True)
+    assert res.method == METHOD_ANALYTIC
+    assert res.rel_error <= 1e-12
+
+
 @pytest.mark.parametrize("shape", [TubeShape.COSH, TubeShape.SINUSOIDAL])
 def test_branch_selection_recorded(shape):
     # The real-argument forms continue no function past a cut: no branch.
@@ -396,7 +406,7 @@ def test_evaluation_error_when_both_routes_fail(monkeypatch):
     monkeypatch.setattr(flow_module, "_geometric_integral",
                         _no_closed_form(DegenerateParameterError))
     fluid = fluid_of(1.0)
-    spec = TubeSpec(TubeShape.SINUSOIDAL, 1.0, 10.0, 1.0)
+    spec = TubeSpec(TubeShape.SINUSOIDAL, 1.0, 100.0, 1.0)
     with pytest.raises(EvaluationError):
         pressure_drop(fluid, spec, 1.0, max_panels=1)
 

@@ -35,6 +35,12 @@ def test_sinusoidal_coefficients():
     assert coef.k == pytest.approx(1.0, rel=1e-15)
 
 
+@pytest.mark.parametrize("r_max", [1.5, 1e8, 1e12])
+def test_sinusoid_throat_radius_is_exact(r_max):
+    spec = spec_of(TubeShape.SINUSOIDAL, 0.7, r_max, 1.7)
+    assert radius_at(spec, 0.0) == 0.7
+
+
 def test_cosh_coefficients_closed_form():
     coef = coefficients(spec_of(TubeShape.COSH, 1.0, 2.0, 2.0))
     assert coef.a == 1.0

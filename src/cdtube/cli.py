@@ -22,6 +22,7 @@ import io
 import itertools
 import json
 import math
+import operator
 import sys
 
 import click
@@ -74,13 +75,24 @@ TOL_DEFAULT = 1e-6
 ORACLE_TIGHT = 1e-12
 
 
-def _fmt(value) -> str:
-    """Deterministic cell formatting: shortest round-trip for floats."""
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+# Separates the fields of one result row in the ``indent=2`` layout.  Set
+# without ``indent``, it keeps ``json`` on its C encoder.
+_ROW_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "))
+
+
+def _json_document(config: dict, rows) -> str:
+    """The output document as ``json.dumps(doc, indent=2)`` writes it, and
+    a final newline, with the rows written by the C encoder.
+
+    ``rows`` is a non-empty list of non-empty dicts of scalars, as every
+    subcommand emits.
+    """
+    head = json.dumps({"schema_version": SCHEMA_VERSION, "config": config,
+                       "results": []}, indent=2)
+    body = ",\n    ".join("{\n      " + _ROW_ENCODER.encode(row)[1:-1]
+                           + "\n    }" for row in rows)
+    # head ends with the empty list: '[]\n}'
+    return f"{head[:-4]}[\n    {body}\n  ]\n}}\n"
 
 
 def _emit(fmt: str, output, config: dict, columns, rows) -> None:
@@ -88,18 +100,40 @@ def _emit(fmt: str, output, config: dict, columns, rows) -> None:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row[col]) for col in columns])
+        # csv writes None as "" and a float as its shortest repr.
+        writer.writerows(map(operator.itemgetter(*columns), rows))
         text = buf.getvalue()
     else:
-        doc = {"schema_version": SCHEMA_VERSION, "config": config,
-               "results": rows}
-        text = json.dumps(doc, indent=2) + "\n"
+        text = _json_document(config, rows)
     if output is None:
         sys.stdout.write(text)
     else:
         with open(output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+
+
+def _spaced(start: float, stop: float, count: int, log: bool = False):
+    """``count`` floats from ``start`` to ``stop``, both exact.
+
+    Linear spacing is ``np.linspace``'s algorithm, bit for bit.  Log
+    spacing is ``np.geomspace``'s: ``10 ** v`` over the linear grid of the
+    endpoints' ``log10``, here from libm.  An inner point whose exponent
+    rounds to the top one is ``stop`` itself, so no power overflows.
+    """
+    if log:
+        top = math.log10(stop)
+        inner = _spaced(math.log10(start), top, count)[1:-1]
+        return [start, *[10.0 ** v if v < top else stop for v in inner],
+                stop]
+    div = count - 1
+    delta = stop - start
+    step = delta / div
+    if step == 0.0:  # a subnormal step; numpy divides the index first
+        values = [i / div * delta + start for i in range(count)]
+    else:
+        values = [i * step + start for i in range(count)]
+    values[-1] = stop
+    return values
 
 
 def _require_finite_non_negative(option: str, value: float) -> None:
@@ -274,12 +308,7 @@ def sweep(shape, rmin, rmax, length, n, consistency, quantity, start, stop,
         raise click.UsageError("--start must be less than --stop")
     if spacing == "log" and start <= 0:
         raise click.UsageError("log spacing requires --start > 0")
-    import numpy as np
-
-    if spacing == "linear":
-        values = np.linspace(start, stop, count)
-    else:
-        values = np.geomspace(start, stop, count)
+    values = _spaced(start, stop, count, log=spacing == "log")
     config = {
         "subcommand": "sweep", "shape": shape, "n": n,
         "consistency": consistency, "r_min": rmin, "r_max": rmax,
@@ -300,8 +329,8 @@ def sweep(shape, rmin, rmax, length, n, consistency, quantity, start, stop,
 
         rows = [
             _solve_row(fluid, spec, periods,
-                       float(v) if quantity == "flow-rate" else None,
-                       float(v) if quantity == "pressure" else None,
+                       v if quantity == "flow-rate" else None,
+                       v if quantity == "pressure" else None,
                        solve_unit)
             for v in values
         ]
@@ -406,11 +435,8 @@ def rheology(n, consistency, gamma_min, gamma_max, samples, fmt, output):
     config = {"subcommand": "rheology", "n": n, "consistency": consistency,
               "gamma_min": gamma_min, "gamma_max": gamma_max,
               "samples": samples, "format": fmt}
-    import numpy as np
-
     rows = []
-    for rate in np.geomspace(gamma_min, gamma_max, samples):
-        rate = float(rate)
+    for rate in _spaced(gamma_min, gamma_max, samples, log=True):
         visc = apparent_viscosity(fluid, rate)
         rows.append({"strain_rate": rate, "viscosity": visc,
                      "stress": visc * rate})

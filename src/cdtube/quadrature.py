@@ -101,6 +101,12 @@ def _integrate_adaptive(f, lo: float, hi: float, rel_tol: float,
         nodes.clip(a, b, out=nodes)
         values = f(nodes)
         est_hi = halfwidth * float(weights_hi @ values)
+        if not math.isfinite(est_hi):
+            # The integrand overflowed at a node.  For r^-exponent that
+            # includes the throat x = 0, a node of every panel holding it,
+            # so no split converges: stop now, not at max_panels.
+            raise DomainError("the integrand leaves the float range: "
+                              f"panel [{a!r}, {b!r}] estimates {est_hi!r}")
         est_lo = halfwidth * float(weights_lo @ values[::2])
         err = max(abs(est_hi - est_lo), 2e-16 * abs(est_hi))
         heapq.heappush(heap, (-err, next(seq), a, b, est_hi, err))
@@ -140,6 +146,9 @@ def integrate_inverse_radius_power(spec: TubeSpec, exponent: float,
     ConvergenceError
         If the panel cap is reached first; the best estimate rides along
         on the exception.
+    DomainError
+        At the first panel whose estimate is not finite, because
+        ``r ** -exponent`` overflows.
     """
     if not exponent > 0.0:
         raise DomainError(f"exponent must be positive, got {exponent}")

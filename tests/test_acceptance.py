@@ -193,7 +193,7 @@ def test_acceptance_4_length_scaling_as_literally_stated():
     k2 = conductance_coefficient(
         fluid, TubeSpec(TubeShape.CONIC, 100.0, 250.0, 140.0)
     )
-    assert k2 == pytest.approx(100.0 ** (1.0 - 2.7) * k1, rel=1e-10)
+    assert k2 == pytest.approx(100.0 ** (1.0 - 2.7) * k1, rel=1e-10, abs=0.0)
 
 
 def test_acceptance_5_special_function_conformance():

@@ -3,9 +3,14 @@ import csv
 import io
 import json
 import math
+import random
+import sys
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cdtube import (
     PowerLawFluid,
@@ -14,8 +19,9 @@ from cdtube import (
     flow_rate,
     pressure_drop,
 )
+from cdtube import _kernels, quadrature
+from cdtube import cli as cli_module
 from cdtube import flow as flow_module
-from cdtube import quadrature
 from cdtube.cli import main
 
 VALIDATE_HEADER = "shape,n,C,r_min,r_max,length,Q,P_analytic,P_numeric,rel_err,method,branch"
@@ -51,7 +57,8 @@ def test_solve_json_example(runner):
     assert doc["schema_version"] == 1
     assert doc["config"]["subcommand"] == "solve"
     row = doc["results"][0]
-    assert row["P"] == pytest.approx(56.0 / (1.5 * math.pi), rel=1e-10)
+    assert row["P"] == pytest.approx(56.0 / (1.5 * math.pi), rel=1e-10,
+                                     abs=0.0)
     assert row["method"] == "analytic"
 
 
@@ -81,21 +88,21 @@ def test_solve_pressure_inverse(runner):
         "--pressure", repr(p),
     ])
     row = json.loads(result.output)["results"][0]
-    assert row["Q"] == pytest.approx(1.0, rel=1e-10)
+    assert row["Q"] == pytest.approx(1.0, rel=1e-10, abs=0.0)
 
 
 def test_solve_periods_scale_pressure(runner):
     base = json.loads(run(runner, SOLVE_CONIC).output)["results"][0]["P"]
     result = run(runner, SOLVE_CONIC + ["--periods", "3"])
     row = json.loads(result.output)["results"][0]
-    assert row["P"] == pytest.approx(3.0 * base, rel=1e-14)
+    assert row["P"] == pytest.approx(3.0 * base, rel=1e-14, abs=0.0)
     assert row["periods"] == 3
 
 
 def test_solve_validate_embeds_oracle(runner):
     result = run(runner, SOLVE_CONIC + ["--validate"])
     row = json.loads(result.output)["results"][0]
-    assert row["oracle"] == pytest.approx(row["P"], rel=1e-8)
+    assert row["oracle"] == pytest.approx(row["P"], rel=1e-8, abs=0.0)
     assert row["rel_err"] <= 1e-8
 
 
@@ -103,7 +110,8 @@ def test_solve_csv_format(runner):
     result = run(runner, SOLVE_CONIC + ["--format", "csv"])
     rows = parse_csv(result.output)
     assert len(rows) == 1
-    assert float(rows[0]["P"]) == pytest.approx(56.0 / (1.5 * math.pi), rel=1e-10)
+    assert float(rows[0]["P"]) == pytest.approx(56.0 / (1.5 * math.pi), rel=1e-10,
+                                                abs=0.0)
     assert "\r" not in result.output
 
 
@@ -113,7 +121,7 @@ def test_solve_output_file(runner, tmp_path):
     assert result.exit_code == 0
     doc = json.loads(target.read_text())
     assert doc["results"][0]["P"] == pytest.approx(
-        56.0 / (1.5 * math.pi), rel=1e-10
+        56.0 / (1.5 * math.pi), rel=1e-10, abs=0.0
     )
 
 
@@ -164,6 +172,31 @@ def test_numerical_failure_exits_3(runner):
         "--validate", "--max-subdivisions", "1",
     ])
     assert result.exit_code == 3
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowing_fallback_exits_2_at_its_first_panel(runner,
+                                                        monkeypatch):
+    # The closed form overflows, and so does the fallback's integrand
+    # r^-(3n+1) at a 1 nm throat: the quadrature stops at the first
+    # non-finite panel estimate instead of splitting up to MAX_PANELS.
+    panels = 0
+    integrand = _kernels.inverse_radius_power
+
+    def counted(*args):
+        nonlocal panels
+        panels += 1
+        return integrand(*args)
+    monkeypatch.setattr(_kernels, "inverse_radius_power", counted)
+    with pytest.warns(UserWarning, match="guaranteed-accuracy"):
+        result = runner.invoke(main, [
+            "solve", "--shape", "sinusoidal", "--n", "13.982683376860116",
+            "--consistency", "1", "--rmin", "1e-9", "--rmax", "1e6",
+            "--length", "1e-9", "--flow-rate", "1",
+        ])
+    assert result.exit_code == 2
+    assert "the integrand leaves the float range" in result.output
+    assert panels == 1 < quadrature.MAX_PANELS
 
 
 @pytest.mark.parametrize("r_max", ["1e12", "1e15"])
@@ -267,7 +300,52 @@ def test_sweep_log_spacing(runner):
     result = run(runner, SWEEP_BASE + ["--spacing", "log", "--format", "csv"])
     qs = [float(r["Q"]) for r in parse_csv(result.output)]
     ratios = [qs[i + 1] / qs[i] for i in range(len(qs) - 1)]
-    assert ratios == pytest.approx([ratios[0]] * len(ratios), rel=1e-12)
+    assert ratios == pytest.approx([ratios[0]] * len(ratios), rel=1e-12,
+                                   abs=0.0)
+
+
+def test_linear_grid_is_numpy_linspace():
+    rng = random.Random(20261018)
+    for _ in range(500):
+        start = rng.choice([0.0, 10.0 ** rng.uniform(-300, 300)])
+        stop = start + 10.0 ** rng.uniform(-300, 300)
+        count = rng.randint(2, 3000)
+        assert cli_module._spaced(start, stop, count) == \
+            np.linspace(start, stop, count).tolist()
+    # a step below the smallest subnormal: numpy divides the index first
+    assert cli_module._spaced(0.0, 5e-324, 3) == \
+        np.linspace(0.0, 5e-324, 3).tolist()
+
+
+def test_log_grid_is_numpy_geomspace_to_the_last_digits():
+    # Each side's log10 and power are within an ulp of libm's (numpy's
+    # SIMD loops differ from libm on some CPUs).  One ulp of an endpoint's
+    # log10, carried through the step, and the rounding of i * step +
+    # start on either side stay within 6 ulps of the largest log10, which
+    # 10 ** v turns into a relative error of ln(10) times that: below
+    # 1e-14 while the endpoints' log10 stay under 4 in magnitude.
+    rng = random.Random(20261019)
+    for _ in range(500):
+        start = 10.0 ** rng.uniform(-300, 290)
+        stop = start * 10.0 ** rng.uniform(0.004, 12)
+        count = rng.randint(2, 3000)
+        grid = cli_module._spaced(start, stop, count, log=True)
+        assert grid[0] == start and grid[-1] == stop
+        assert all(a < b for a, b in zip(grid, grid[1:]))
+        top = max(abs(math.log10(start)), abs(math.log10(stop)))
+        bound = (6.0 * math.log(10.0) * math.ulp(top)
+                 + 2.0 * sys.float_info.epsilon)
+        for got, ref in zip(grid, np.geomspace(start, stop, count).tolist()):
+            assert abs(got - ref) <= bound * ref
+
+
+def test_log_grid_near_the_float_maximum_stays_finite():
+    # log10 of the two endpoints rounds to one value, and 10 ** that
+    # value overflows; the inner points are the top endpoint instead.
+    top = sys.float_info.max
+    below = math.nextafter(math.nextafter(top, 0.0), 0.0)
+    assert cli_module._spaced(below, top, 4, log=True) == [below, top, top,
+                                                           top]
 
 
 def test_sweep_pressure_quantity(runner):
@@ -280,7 +358,8 @@ def test_sweep_pressure_quantity(runner):
     rows = parse_csv(result.output)
     k = 56.0 / (1.5 * math.pi)
     for row in rows:
-        assert float(row["Q"]) == pytest.approx(float(row["P"]) / k, rel=1e-10)
+        assert float(row["Q"]) == pytest.approx(float(row["P"]) / k, rel=1e-10,
+                                                abs=0.0)
 
 
 def test_sweep_parallel_matches_serial(runner):
@@ -414,6 +493,42 @@ def test_validate_json_document(runner):
     assert len(doc["results"]) == 15
 
 
+@pytest.mark.parametrize("args", [
+    SOLVE_CONIC,
+    SOLVE_CONIC + ["--validate"],
+    SWEEP_BASE,
+    SWEEP_BASE + ["--spacing", "log", "--quantity", "pressure",
+                  "--validate"],
+    ["validate", "--grid", "quick", "--format", "json"],
+    ["profile", "--shape", "cosh", "--rmin", "1", "--rmax", "3",
+     "--length", "2", "--samples", "7"],
+    ["rheology", "--n", "0.7", "--consistency", "1.5"],
+], ids=["solve", "solve-validate", "sweep", "sweep-log-validate", "validate",
+        "profile", "rheology"])
+def test_json_output_is_the_indent_2_document(runner, args):
+    result = run(runner, args)
+    assert result.exit_code == 0
+    assert result.output == json.dumps(json.loads(result.output),
+                                       indent=2) + "\n"
+
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.floats(allow_nan=False), st.sampled_from([-0.0, 5e-324, 1e308]),
+    st.text(), st.sampled_from(['"', "\\", "\n", "a\"b\\c\nd", "é中\u2028"]),
+)
+_ROWS = st.lists(st.dictionaries(st.text(), _SCALARS, min_size=1),
+                 min_size=1, max_size=5)
+
+
+@given(config=st.dictionaries(st.text(), _SCALARS), rows=_ROWS)
+def test_json_rows_are_written_as_indent_2(config, rows):
+    doc = {"schema_version": cli_module.SCHEMA_VERSION, "config": config,
+           "results": rows}
+    assert cli_module._json_document(config, rows) == \
+        json.dumps(doc, indent=2) + "\n"
+
+
 def test_validate_deterministic(runner):
     a = run(runner, ["validate", "--grid", "quick", "--format", "csv"])
     b = run(runner, ["validate", "--grid", "quick", "--format", "csv"])
@@ -438,7 +553,7 @@ def test_profile_quarter_period_samples(runner):
     rs = [float(r["r"]) for r in rows]
     half = 6.283185 / 2.0
     assert xs == pytest.approx([-half, -half / 2, 0.0, half / 2, half])
-    assert rs == pytest.approx([3.0, 2.0, 1.0, 2.0, 3.0], rel=1e-12)
+    assert rs == pytest.approx([3.0, 2.0, 1.0, 2.0, 3.0], rel=1e-12, abs=0.0)
 
 
 def test_profile_deterministic(runner):
@@ -468,10 +583,10 @@ def test_rheology_log_grid(runner):
     for row in rows:
         rate = float(row["strain_rate"])
         assert float(row["viscosity"]) == pytest.approx(
-            1.5 * rate ** (0.7 - 1.0), rel=1e-12
+            1.5 * rate ** (0.7 - 1.0), rel=1e-12, abs=0.0
         )
         assert float(row["stress"]) == pytest.approx(
-            1.5 * rate**0.7, rel=1e-12
+            1.5 * rate**0.7, rel=1e-12, abs=0.0
         )
     rates = [float(r["strain_rate"]) for r in rows]
     assert rates[0] == 0.01 and rates[-1] == 1000.0

@@ -50,11 +50,12 @@ def test_conic_conductance_spot_value():
     fluid = fluid_of(1.0)
     spec = TubeSpec(TubeShape.CONIC, 0.5, 1.0, 1.0)
     k = conductance_coefficient(fluid, spec)
-    assert k == pytest.approx(56.0 / (1.5 * math.pi), rel=1e-14)
+    assert k == pytest.approx(56.0 / (1.5 * math.pi), rel=1e-14, abs=0.0)
     # independent route: quadrature of the geometry integral times the
     # master prefactor
     geom = integrate_inverse_radius_power(spec, 4.0, rel_tol=1e-12).value
-    assert k == pytest.approx(master_prefactor(fluid, 1.0) * geom, rel=1e-12)
+    assert k == pytest.approx(master_prefactor(fluid, 1.0) * geom, rel=1e-12,
+                              abs=0.0)
 
 
 def test_conductance_independent_of_flow():
@@ -63,8 +64,8 @@ def test_conductance_independent_of_flow():
     k = conductance_coefficient(fluid, spec)
     p1 = pressure_drop(fluid, spec, 1.0).pressure_drop
     p2 = pressure_drop(fluid, spec, 2.0).pressure_drop
-    assert p1 == pytest.approx(k, rel=1e-15)
-    assert p2 / p1 == pytest.approx(2.0**0.8, rel=1e-13)
+    assert p1 == pytest.approx(k, rel=1e-15, abs=0.0)
+    assert p2 / p1 == pytest.approx(2.0**0.8, rel=1e-13, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -76,14 +77,15 @@ def test_straight_degenerate_recovers_hagen_poiseuille(shape):
     fluid = fluid_of(1.0)
     spec = TubeSpec(shape, 1.0, 1.0, 1.0)
     res = pressure_drop(fluid, spec, math.pi / 8.0)
-    assert res.pressure_drop == pytest.approx(1.0, rel=1e-12)
+    assert res.pressure_drop == pytest.approx(1.0, rel=1e-12, abs=0.0)
     assert res.method == METHOD_ANALYTIC
     assert "straight tube" in res.diagnostics
 
 
 def test_conic_derived_example():
     res = pressure_drop(fluid_of(1.0), TubeSpec(TubeShape.CONIC, 0.5, 1.0, 1.0), 1.0)
-    assert res.pressure_drop == pytest.approx(56.0 / (1.5 * math.pi), rel=1e-10)
+    assert res.pressure_drop == pytest.approx(56.0 / (1.5 * math.pi), rel=1e-10,
+                                              abs=0.0)
     assert res.method == METHOD_ANALYTIC
 
 
@@ -94,10 +96,10 @@ def test_hyperbolic_arctan_derived_example():
     spec = TubeSpec(TubeShape.HYPERBOLIC, 1.0, 2.0, 1.0)
     a, b = 1.0, 4.0 * (4.0 - 1.0)
     integral = 2.0 / math.sqrt(a * b) * math.atan(0.5 * math.sqrt(b / a))
-    assert integral == pytest.approx(0.6045997880780726, rel=1e-13)
+    assert integral == pytest.approx(0.6045997880780726, rel=1e-13, abs=0.0)
     expected = master_prefactor(fluid, 1.0) * integral
     res = pressure_drop(fluid, spec, 1.0)
-    assert res.pressure_drop == pytest.approx(expected, rel=1e-10)
+    assert res.pressure_drop == pytest.approx(expected, rel=1e-10, abs=0.0)
     assert res.method == METHOD_ANALYTIC
 
 
@@ -109,7 +111,7 @@ def test_newtonian_conic_reduction():
     expected = (8.0 * 2.5 * q * length / (3.0 * math.pi * (r_max - r_min))
                 * (r_min**-3 - r_max**-3))
     assert pressure_drop(fluid, spec, q).pressure_drop == pytest.approx(
-        expected, rel=1e-14
+        expected, rel=1e-14, abs=0.0
     )
 
 
@@ -123,7 +125,7 @@ def test_degenerate_indices_take_fallback_and_match_oracle(shape, n):
     res = pressure_drop(fluid, spec, 1.0)
     assert res.method == METHOD_ANALYTIC
     oracle = pressure_drop_numeric(fluid, spec, 1.0, rel_tol=1e-12)
-    assert res.pressure_drop == pytest.approx(oracle.value, rel=1e-8)
+    assert res.pressure_drop == pytest.approx(oracle.value, rel=1e-8, abs=0.0)
 
 
 def test_sinusoid_newtonian_fallback_against_residue_closed_form():
@@ -156,7 +158,7 @@ def test_sinusoid_newtonian_fallback_against_residue_closed_form():
     expected = master_prefactor(fluid, 1.0) * geometric
     res = pressure_drop(fluid, spec, 1.0)
     assert res.method == METHOD_ANALYTIC
-    assert res.pressure_drop == pytest.approx(expected, rel=1e-13)
+    assert res.pressure_drop == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("shape", [TubeShape.PARABOLIC, TubeShape.HYPERBOLIC])
@@ -171,7 +173,7 @@ def test_high_contrast_stays_analytic(shape, n, ratio):
     res = pressure_drop(fluid, spec, 1.0)
     assert res.method == METHOD_ANALYTIC
     oracle = pressure_drop_numeric(fluid, spec, 1.0, rel_tol=1e-12)
-    assert res.pressure_drop == pytest.approx(oracle.value, rel=1e-8)
+    assert res.pressure_drop == pytest.approx(oracle.value, rel=1e-8, abs=0.0)
 
 
 @pytest.mark.parametrize("shape", ALL_SHAPES)
@@ -216,7 +218,7 @@ def test_homogeneity(shape, n, alpha):
     spec = TubeSpec(shape, 1.0, 3.0, 1.0)
     p1 = pressure_drop(fluid, spec, 0.7).pressure_drop
     p2 = pressure_drop(fluid, spec, alpha * 0.7).pressure_drop
-    assert p2 == pytest.approx(alpha**n * p1, rel=1e-12)
+    assert p2 == pytest.approx(alpha**n * p1, rel=1e-12, abs=0.0)
 
 
 def _no_closed_form(error):
@@ -233,7 +235,7 @@ def test_homogeneity_holds_on_fallback_path(monkeypatch):
     r1 = pressure_drop(fluid, spec, 0.7)
     p2 = pressure_drop(fluid, spec, 1.4).pressure_drop
     assert r1.method == METHOD_FALLBACK
-    assert p2 == pytest.approx(2.0 * r1.pressure_drop, rel=1e-12)
+    assert p2 == pytest.approx(2.0 * r1.pressure_drop, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("shape", ALL_SHAPES)
@@ -243,8 +245,10 @@ def test_linearity_in_consistency_and_length(shape, n):
     base = pressure_drop(fluid_of(n, 1.0), TubeSpec(shape, 1.0, 2.5, 1.0), q)
     c2 = pressure_drop(fluid_of(n, 2.0), TubeSpec(shape, 1.0, 2.5, 1.0), q)
     l2 = pressure_drop(fluid_of(n, 1.0), TubeSpec(shape, 1.0, 2.5, 2.0), q)
-    assert c2.pressure_drop == pytest.approx(2.0 * base.pressure_drop, rel=1e-10)
-    assert l2.pressure_drop == pytest.approx(2.0 * base.pressure_drop, rel=1e-10)
+    assert c2.pressure_drop == pytest.approx(2.0 * base.pressure_drop, rel=1e-10,
+                                             abs=0.0)
+    assert l2.pressure_drop == pytest.approx(2.0 * base.pressure_drop, rel=1e-10,
+                                             abs=0.0)
 
 
 @pytest.mark.parametrize("shape", ALL_SHAPES)
@@ -258,7 +262,7 @@ def test_length_scaling_of_conductance(shape, n, s):
     k2 = conductance_coefficient(
         fluid, TubeSpec(shape, s * 1.0, s * 2.5, s * 1.4)
     )
-    assert k2 == pytest.approx(s ** (-3.0 * n) * k1, rel=1e-10)
+    assert k2 == pytest.approx(s ** (-3.0 * n) * k1, rel=1e-10, abs=0.0)
 
 
 @pytest.mark.parametrize("shape", ALL_SHAPES)
@@ -273,7 +277,7 @@ def test_dimensional_consistency(shape, n, s):
     p2 = pressure_drop(
         fluid, TubeSpec(shape, s * 1.0, s * 2.5, s * 1.4), s**3 * q
     ).pressure_drop
-    assert p2 == pytest.approx(p1, rel=1e-10)
+    assert p2 == pytest.approx(p1, rel=1e-10, abs=0.0)
 
 
 @pytest.mark.parametrize("shape", ALL_SHAPES)
@@ -307,7 +311,7 @@ def test_straight_tube_limit(shape, n):
     spec = TubeSpec(shape, 1.0, ratio, 1.0)
     p = pressure_drop(fluid, spec, 1.0).pressure_drop
     straight = straight_tube_pressure_drop(fluid, 1.0, 1.0, 1.0)
-    assert p == pytest.approx(straight, rel=1e-4)
+    assert p == pytest.approx(straight, rel=1e-4, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -321,14 +325,14 @@ def test_round_trip(shape, n):
     spec = TubeSpec(shape, 1.0, 2.5, 1.0)
     p = pressure_drop(fluid, spec, 0.37).pressure_drop
     q = flow_rate(fluid, spec, p).flow_rate
-    assert q == pytest.approx(0.37, rel=1e-10)
+    assert q == pytest.approx(0.37, rel=1e-10, abs=0.0)
 
 
 def test_inverse_of_conic_derived_example():
     fluid = fluid_of(1.0)
     spec = TubeSpec(TubeShape.CONIC, 0.5, 1.0, 1.0)
     res = flow_rate(fluid, spec, 56.0 / (1.5 * math.pi))
-    assert res.flow_rate == pytest.approx(1.0, rel=1e-10)
+    assert res.flow_rate == pytest.approx(1.0, rel=1e-10, abs=0.0)
 
 
 def test_zero_pressure_zero_flow():
@@ -341,7 +345,7 @@ def test_pressure_doubling_scales_flow():
     spec = TubeSpec(TubeShape.PARABOLIC, 1.0, 2.0, 1.0)
     q1 = flow_rate(fluid, spec, 1.0).flow_rate
     q2 = flow_rate(fluid, spec, 2.0).flow_rate
-    assert q2 == pytest.approx(2.0 ** (1.0 / 0.5) * q1, rel=1e-12)
+    assert q2 == pytest.approx(2.0 ** (1.0 / 0.5) * q1, rel=1e-12, abs=0.0)
 
 
 def test_flow_rate_validation_mode():
@@ -439,7 +443,7 @@ def test_envelope_is_analytic_and_round_trips(shape, n, log_ratio, log_r_min,
     forward = pressure_drop(fluid, spec, q)
     back = flow_rate(fluid, spec, forward.pressure_drop)
     assert forward.method == back.method == METHOD_ANALYTIC
-    assert back.flow_rate == pytest.approx(q, rel=1e-12)
+    assert back.flow_rate == pytest.approx(q, rel=1e-12, abs=0.0)
 
 
 @given(

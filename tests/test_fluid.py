@@ -22,13 +22,15 @@ def test_newtonian_viscosity_is_consistency():
 
 def test_viscosity_forced_value():
     fluid = PowerLawFluid(consistency=2.0, index=0.5)
-    assert apparent_viscosity(fluid, 4.0) == pytest.approx(1.0, rel=1e-15)
+    assert apparent_viscosity(fluid, 4.0) == pytest.approx(1.0, rel=1e-15,
+                                                           abs=0.0)
 
 
 def test_viscosity_direct_power():
     fluid = PowerLawFluid(consistency=1.5, index=0.7)
     expected = 1.5 * 10.0 ** (0.7 - 1.0)
-    assert apparent_viscosity(fluid, 10.0) == pytest.approx(expected, rel=1e-15)
+    assert apparent_viscosity(fluid, 10.0) == pytest.approx(expected, rel=1e-15,
+                                                            abs=0.0)
 
 
 def test_viscosity_loglog_slope_is_index_minus_one():
@@ -66,7 +68,7 @@ def test_index_outside_guaranteed_range_warns_but_computes():
 def test_hagen_poiseuille_reduction():
     fluid = PowerLawFluid(consistency=1.0, index=1.0)
     p = straight_tube_pressure_drop(fluid, 1.0, 1.0, math.pi / 8.0)
-    assert p == pytest.approx(1.0, rel=1e-12)
+    assert p == pytest.approx(1.0, rel=1e-12, abs=0.0)
 
 
 def test_zero_flow_zero_pressure():
@@ -90,24 +92,25 @@ def test_straight_tube_derived_value_and_quadrature_cross_check():
     expected = (2.0 * 1.0 * 2.5**0.5 * 2.0
                 / (math.pi**0.5 * 0.5**0.5 * 1.0 ** (3 * 0.5 + 1)))
     p = straight_tube_pressure_drop(fluid, 1.0, 2.0, 1.0)
-    assert p == pytest.approx(expected, rel=1e-14)
-    assert p == pytest.approx(5.046265044040321, rel=1e-12)
+    assert p == pytest.approx(expected, rel=1e-14, abs=0.0)
+    assert p == pytest.approx(5.046265044040321, rel=1e-12, abs=0.0)
     # ... and of the quadrature oracle on a constant-radius profile.
     spec = TubeSpec(TubeShape.CONIC, 1.0, 1.0, 2.0)
     oracle = pressure_drop_numeric(fluid, spec, 1.0, rel_tol=1e-12)
-    assert p == pytest.approx(oracle.value, rel=1e-12)
+    assert p == pytest.approx(oracle.value, rel=1e-12, abs=0.0)
 
 
 def test_round_trip_derived_example():
     fluid = PowerLawFluid(consistency=1.0, index=0.5)
     p = straight_tube_pressure_drop(fluid, 1.0, 2.0, 1.0)
-    assert straight_tube_flow_rate(fluid, 1.0, 2.0, p) == pytest.approx(1.0, rel=1e-12)
+    assert straight_tube_flow_rate(fluid, 1.0, 2.0, p) == pytest.approx(1.0, rel=1e-12,
+                                                                        abs=0.0)
 
 
 def test_newtonian_inverse():
     fluid = PowerLawFluid(consistency=1.0, index=1.0)
     q = straight_tube_flow_rate(fluid, 1.0, 1.0, 1.0)
-    assert q == pytest.approx(math.pi / 8.0, rel=1e-12)
+    assert q == pytest.approx(math.pi / 8.0, rel=1e-12, abs=0.0)
 
 
 @given(
@@ -121,7 +124,7 @@ def test_round_trip_property(q, n, c, radius, length):
     fluid = PowerLawFluid(consistency=c, index=n)
     p = straight_tube_pressure_drop(fluid, radius, length, q)
     back = straight_tube_flow_rate(fluid, radius, length, p)
-    assert back == pytest.approx(q, rel=1e-12)
+    assert back == pytest.approx(q, rel=1e-12, abs=0.0)
 
 
 @given(
@@ -133,7 +136,7 @@ def test_homogeneity_property(q, n, alpha):
     fluid = PowerLawFluid(consistency=2.0, index=n)
     p1 = straight_tube_pressure_drop(fluid, 0.7, 3.0, q)
     p2 = straight_tube_pressure_drop(fluid, 0.7, 3.0, alpha * q)
-    assert p2 == pytest.approx(alpha**n * p1, rel=1e-12)
+    assert p2 == pytest.approx(alpha**n * p1, rel=1e-12, abs=0.0)
 
 
 @given(

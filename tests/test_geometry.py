@@ -32,7 +32,7 @@ def test_sinusoidal_coefficients():
     coef = coefficients(spec_of(TubeShape.SINUSOIDAL, 1.0, 3.0, 2.0 * math.pi))
     assert coef.a == 2.0
     assert coef.b == 1.0
-    assert coef.k == pytest.approx(1.0, rel=1e-15)
+    assert coef.k == pytest.approx(1.0, rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("r_max", [1.5, 1e8, 1e12])
@@ -45,21 +45,22 @@ def test_cosh_coefficients_closed_form():
     coef = coefficients(spec_of(TubeShape.COSH, 1.0, 2.0, 2.0))
     assert coef.a == 1.0
     # arccosh(2) = ln(2 + sqrt(3))
-    assert coef.b == pytest.approx(math.log(2.0 + math.sqrt(3.0)), rel=1e-14)
+    assert coef.b == pytest.approx(math.log(2.0 + math.sqrt(3.0)), rel=1e-14,
+                                   abs=0.0)
 
 
 def test_parabolic_hand_evaluation():
     spec = spec_of(TubeShape.PARABOLIC, 0.5, 1.0, 1.0)
-    assert radius_at(spec, 0.25) == pytest.approx(0.625, rel=1e-15)
+    assert radius_at(spec, 0.25) == pytest.approx(0.625, rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("shape", ALL_SHAPES)
 def test_endpoint_and_midpoint_identities(shape):
     spec = spec_of(shape, 0.7, 2.3, 1.7)
-    assert radius_at(spec, 0.0) == pytest.approx(0.7, rel=1e-12)
+    assert radius_at(spec, 0.0) == pytest.approx(0.7, rel=1e-12, abs=0.0)
     half = spec.length / 2.0
-    assert radius_at(spec, half) == pytest.approx(2.3, rel=1e-12)
-    assert radius_at(spec, -half) == pytest.approx(2.3, rel=1e-12)
+    assert radius_at(spec, half) == pytest.approx(2.3, rel=1e-12, abs=0.0)
+    assert radius_at(spec, -half) == pytest.approx(2.3, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("shape", ALL_SHAPES)
@@ -91,15 +92,17 @@ def test_sinusoid_spans_one_period():
     half = spec.length / 2.0
     assert radius_at(spec, -half) == radius_at(spec, half)
     # midline crossings at the quarter points of the wavelength
-    assert radius_at(spec, half / 2.0) == pytest.approx(2.0, rel=1e-14)
-    assert radius_at(spec, -half / 2.0) == pytest.approx(2.0, rel=1e-14)
+    assert radius_at(spec, half / 2.0) == pytest.approx(2.0, rel=1e-14,
+                                                        abs=0.0)
+    assert radius_at(spec, -half / 2.0) == pytest.approx(2.0, rel=1e-14,
+                                                         abs=0.0)
 
 
 def test_profile_sampling_matches_quarter_period_points():
     spec = spec_of(TubeShape.SINUSOIDAL, 1.0, 3.0, 2.0 * math.pi)
     xs, rs = sample_profile(spec, 5)
     assert xs == pytest.approx([-math.pi, -math.pi / 2, 0.0, math.pi / 2, math.pi])
-    assert rs == pytest.approx([3.0, 2.0, 1.0, 2.0, 3.0], rel=1e-12)
+    assert rs == pytest.approx([3.0, 2.0, 1.0, 2.0, 3.0], rel=1e-12, abs=0.0)
 
 
 def test_domain_error_outside_tube():
@@ -126,4 +129,5 @@ def test_degenerate_equal_radii_is_straight(shape):
     coef = coefficients(spec)
     assert coef.b == 0.0
     xs = np.linspace(-1.0, 1.0, 7)
-    assert radius_profile(spec, xs) == pytest.approx([1.3] * 7, rel=1e-15)
+    assert radius_profile(spec, xs) == pytest.approx([1.3] * 7, rel=1e-15,
+                                                     abs=0.0)

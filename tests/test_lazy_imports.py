@@ -1,4 +1,5 @@
-"""A closed-form solve runs on scalar ``math``: it must not load numpy.
+"""A closed-form solve, a sweep and ``rheology`` run on scalar ``math``:
+they must not load numpy.
 
 Each probe runs in a fresh interpreter, because a module once imported
 stays in ``sys.modules`` for the life of the process.
@@ -9,6 +10,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -66,6 +69,25 @@ print(json.dumps({"loaded": loaded, "method": result.method}))
 """
 
 
+COMMAND_PROBE = PROBE_HEADER + r"""
+import contextlib
+import io
+
+sys.argv = ["cdtube", *%r]
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        runpy.run_module("cdtube", run_name="__main__")
+    except SystemExit as exc:
+        assert not exc.code, exc.code
+record("command")
+print(json.dumps(loaded))
+"""
+
+SWEEP = ["sweep", "--shape", "cosh", "--n", "0.8", "--consistency", "1.3",
+         "--rmin", "1e-5", "--rmax", "4e-5", "--length", "3e-4",
+         "--start", "1e-12", "--stop", "1e-9", "--count", "50"]
+
+
 def _probe(code):
     env = {**os.environ,
            "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
@@ -100,3 +122,17 @@ def test_quadrature_loads_numpy():
     fallback = _probe(ARRAY_PROBE % (True, 1.0, "cosh", False))
     assert fallback["method"] == "quadrature_fallback"
     assert "numpy" in fallback["loaded"]["solve"]
+
+
+@pytest.mark.parametrize("args", [
+    [*SWEEP, "--spacing", spacing, "--format", fmt]
+    for spacing in ("linear", "log") for fmt in ("csv", "json")
+] + [["rheology", "--n", "0.7", "--consistency", "1.5", "--format", fmt]
+     for fmt in ("csv", "json")])
+def test_sweep_and_rheology_do_not_load_numpy(args):
+    assert _probe(COMMAND_PROBE % (args,)) == {"command": []}
+
+
+def test_validated_sweep_loads_numpy():
+    loaded = _probe(COMMAND_PROBE % ([*SWEEP, "--validate"],))
+    assert "numpy" in loaded["command"]

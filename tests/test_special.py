@@ -78,14 +78,14 @@ def test_empty_series_is_one():
 def test_log_identity():
     # 2F1(1,1;2;z) = -ln(1-z)/z
     assert gauss_2f1(1.0, 1.0, 2.0, 0.5) == pytest.approx(
-        2.0 * math.log(2.0), rel=1e-13
+        2.0 * math.log(2.0), rel=1e-13, abs=0.0
     )
 
 
 def test_arctan_identity():
     # 2F1(1/2,1;3/2;-z^2) = arctan(z)/z at z = 1
     assert gauss_2f1(0.5, 1.0, 1.5, -1.0) == pytest.approx(
-        math.pi / 4.0, rel=1e-13
+        math.pi / 4.0, rel=1e-13, abs=0.0
     )
 
 
@@ -95,7 +95,7 @@ def test_gauss_summation_limit():
         expected = (math.gamma(c) * math.gamma(c - a - b)
                     / (math.gamma(c - a) * math.gamma(c - b)))
         got = gauss_2f1(a, b, c, 1.0 - 1e-12)
-        assert got == pytest.approx(expected, rel=1e-8)
+        assert got == pytest.approx(expected, rel=1e-8, abs=0.0)
 
 
 @given(
@@ -123,26 +123,27 @@ def test_pfaff_agrees_with_direct_series(a, b, c, z):
     # is itself accurate to full precision (non-increasing terms).
     direct, _, ok = gauss_series(a, b, c, z)
     assert ok
-    assert gauss_2f1(a, b, c, z) == pytest.approx(direct, rel=1e-12)
+    assert gauss_2f1(a, b, c, z) == pytest.approx(direct, rel=1e-12, abs=0.0)
 
 
 def test_terminating_series_matches_horner_exactly():
     a, b, c = -5.0, 2.3, 1.7
     for z in (0.3, -2.5):
         expected = horner_terminating_2f1(a, b, c, z)
-        assert gauss_2f1(a, b, c, z) == pytest.approx(expected, rel=1e-14)
+        assert gauss_2f1(a, b, c, z) == pytest.approx(expected, rel=1e-14,
+                                                      abs=0.0)
     # past the cut the polynomial stays real
     val = gauss_2f1_continued(a, b, c, 7.5)
     assert val.im == 0.0
     assert val.re == pytest.approx(
-        horner_terminating_2f1(a, b, c, 7.5), rel=1e-14
+        horner_terminating_2f1(a, b, c, 7.5), rel=1e-14, abs=0.0
     )
 
 
 def test_terminating_survives_nonpositive_c():
     # series stops at k = 2 before (c)_k vanishes at k = 4
     assert gauss_2f1(-2.0, 1.0, -3.5, 0.5) == pytest.approx(
-        horner_terminating_2f1(-2.0, 1.0, -3.5, 0.5), rel=1e-14
+        horner_terminating_2f1(-2.0, 1.0, -3.5, 0.5), rel=1e-14, abs=0.0
     )
 
 
@@ -152,7 +153,8 @@ def test_nearly_terminating_parameter_is_not_a_polynomial():
     # the transformed route converges to ~1 + O(b).
     val = gauss_2f1(1.0, 2e-16, 1.0, -2.0)
     assert val == pytest.approx(1.0, abs=1e-12)
-    assert gauss_2f1(2e-16, 1.0, 1.0, -2.0) == pytest.approx(val, rel=1e-13)
+    assert gauss_2f1(2e-16, 1.0, 1.0, -2.0) == pytest.approx(val, rel=1e-13,
+                                                             abs=0.0)
 
 
 def test_degenerate_lower_parameter_raises():
@@ -246,7 +248,7 @@ def test_near_integer_b_minus_a_without_pole_cancellation_takes_pfaff():
         value, report = gauss_2f1(a, b, c, z, full_output=True)
         assert report.route == route
         assert value == pytest.approx(float(mpmath.hyp2f1(a, b, c, z)),
-                                      rel=1e-13)
+                                      rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("a,b,c", [(0.5, 180.3, 200.7), (0.4, 0.9, 175.0)])
@@ -255,7 +257,7 @@ def test_connection_gamma_overflow_takes_pfaff(a, b, c):
     value, report = gauss_2f1(a, b, c, -5.0, full_output=True)
     assert report.route == "pfaff"
     assert value == pytest.approx(float(mpmath.hyp2f1(a, b, c, -5.0)),
-                                  rel=1e-13)
+                                  rel=1e-13, abs=0.0)
 
 
 # Route taken below z = -1 when a parameter sits within INTEGER_WINDOW of
@@ -275,7 +277,7 @@ def test_integer_window_keeps_pfaff(a, b, c):
         value, report = gauss_2f1(a, b, c, z, full_output=True)
         assert report.route == INTEGER_WINDOW_ROUTES[a, b, c]
         assert value == pytest.approx(float(mpmath.hyp2f1(a, b, c, z)),
-                                      rel=1e-13)
+                                      rel=1e-13, abs=0.0)
         if report.route == "inv_one_minus_z":
             assert report.terms_used <= 64
 
@@ -290,7 +292,7 @@ def test_series_keeps_terms_past_a_near_zero_denominator(offset):
     assert ok and terms > 7
     with mpmath.workdps(40):
         ref = mpmath.hyp2f1(-nu, -nu, -2.0 * nu, 0.5)
-    assert value == pytest.approx(float(ref), rel=1e-14)
+    assert value == pytest.approx(float(ref), rel=1e-14, abs=0.0)
 
 
 # (a, b, c) with one of a, b, c - a, c - b at pole + offset; c - a - b is
@@ -333,7 +335,7 @@ def test_one_minus_z_near_gamma_pole_against_mpmath(which):
 )
 def test_against_reference_implementation(a, b, c, z):
     assert gauss_2f1(a, b, c, z) == pytest.approx(
-        float(mpmath.hyp2f1(a, b, c, z)), rel=1e-12
+        float(mpmath.hyp2f1(a, b, c, z)), rel=1e-12, abs=0.0
     )
 
 
@@ -348,10 +350,11 @@ def test_pinned_continuation_from_elementary_integral():
     rho = 2.0
     t = math.tanh(arccosh(rho))
     expected_im = 3.0 * rho**3 * (t - t**3 / 3.0)
-    assert expected_im == pytest.approx(9.0 * math.sqrt(3.0), rel=1e-14)
+    assert expected_im == pytest.approx(9.0 * math.sqrt(3.0), rel=1e-14,
+                                        abs=0.0)
 
     above = gauss_2f1_continued(0.5, -1.5, -0.5, 4.0, "above")
-    assert above.im == pytest.approx(-expected_im, rel=1e-13)
+    assert above.im == pytest.approx(-expected_im, rel=1e-13, abs=0.0)
     assert above.re == pytest.approx(0.0, abs=1e-12)
 
 
@@ -435,10 +438,10 @@ def test_appell_b2_zero_reduces_to_gauss():
 
 def test_appell_pinned_value_against_double_sum():
     oracle = naive_appell_double_sum(-1.5, 0.5, 0.5, -0.5, 0.3, 0.4)
-    assert oracle == pytest.approx(1.6215014126488505, rel=1e-13)
+    assert oracle == pytest.approx(1.6215014126488505, rel=1e-13, abs=0.0)
     got = appell_f1(-1.5, 0.5, 0.5, -0.5, 0.3, 0.4)
     assert got.im == 0.0
-    assert got.re == pytest.approx(oracle, rel=1e-10)
+    assert got.re == pytest.approx(oracle, rel=1e-10, abs=0.0)
 
 
 @given(
@@ -458,9 +461,9 @@ def test_appell_polydisc_against_double_sum(a, b1, b2, c, x, y):
 def test_appell_boundary_reduction_against_reference():
     got = appell_f1(-1.2, 0.5, 0.5, -0.2, 1.0, 0.5)
     ref = float(mpmath.appellf1(-1.2, 0.5, 0.5, -0.2, 1.0, 0.5))
-    assert got.re == pytest.approx(ref, rel=1e-12)
+    assert got.re == pytest.approx(ref, rel=1e-12, abs=0.0)
     assert got.im == 0.0
-    assert got.re == pytest.approx(3.0864201798819069, rel=1e-12)
+    assert got.re == pytest.approx(3.0864201798819069, rel=1e-12, abs=0.0)
 
 
 def test_appell_boundary_with_continued_argument_is_complex():
@@ -497,8 +500,9 @@ def test_appell_domain_errors():
 
 def test_arccosh_values():
     assert arccosh(1.0) == 0.0
-    assert arccosh(2.0) == pytest.approx(math.log(2.0 + math.sqrt(3.0)), rel=1e-15)
-    assert arccosh(math.cosh(1.7)) == pytest.approx(1.7, rel=1e-14)
+    assert arccosh(2.0) == pytest.approx(math.log(2.0 + math.sqrt(3.0)), rel=1e-15,
+                                         abs=0.0)
+    assert arccosh(math.cosh(1.7)) == pytest.approx(1.7, rel=1e-14, abs=0.0)
     with pytest.raises(DomainError):
         arccosh(0.5)
 
@@ -574,7 +578,7 @@ def test_real_argument_forms_equal_paper_forms(shape, n):
         k = conductance_coefficient(fluid, TubeSpec(shape, 1.0, ratio, 1.0))
         paper = master_prefactor(fluid, 1.0) * _paper_geometric_integral(
             shape, n, ratio)
-        assert k == pytest.approx(paper, rel=1e-12)
+        assert k == pytest.approx(paper, rel=1e-12, abs=0.0)
         if shape is TubeShape.COSH:
             h = gauss_2f1_continued(0.5, -three_n / 2.0, 1.0 - three_n / 2.0,
                                     ratio**2)
@@ -583,7 +587,7 @@ def test_real_argument_forms_equal_paper_forms(shape, n):
             h = appell_f1(-three_n, 0.5, 0.5, 1.0 - three_n, 1.0, ratio)
             scale = math.pi * three_n * ratio**three_n * math.sqrt(ratio)
         kernel = master_prefactor(fluid, 1.0) * abs(h.im) / scale
-        assert k == pytest.approx(kernel, rel=1e-12)
+        assert k == pytest.approx(kernel, rel=1e-12, abs=0.0)
 
 
 # n over [0.2, 2]: integer and half-odd 3n, 3n within 1e-10 and 1e-8 of
@@ -651,4 +655,4 @@ def test_conic_conductance_at_small_contrast_against_mpmath(ratio, n):
         geometric = length * (lo**-three_n - hi**-three_n) / (three_n
                                                              * (hi - lo))
     assert k == pytest.approx(master_prefactor(fluid, 1.0) * float(geometric),
-                              rel=1e-13)
+                              rel=1e-13, abs=0.0)

@@ -17,6 +17,7 @@ Exit codes: 0 success, 2 argument or validation errors, 3 numerical
 failure (neither the analytic route nor the quadrature oracle converged).
 """
 
+import contextlib
 import csv
 import io
 import itertools
@@ -24,6 +25,7 @@ import json
 import math
 import operator
 import sys
+import warnings
 
 import click
 
@@ -365,7 +367,8 @@ def validate(grid, rel_tol, fmt, output):
                             length=length)
             # As in sweep: K and the oracle's integral once per tube.
             cond = flow._conductance(fluid, spec)
-            if cond.method == METHOD_FALLBACK:
+            _, method, _ = cond
+            if method == METHOD_FALLBACK:
                 oracle_tol, tol = ORACLE_TIGHT, TOL_FALLBACK
             elif shape == TubeShape.CONIC.value:
                 oracle_tol, tol = rel_tol, TOL_CONIC
@@ -426,6 +429,8 @@ def profile(shape, rmin, rmax, length, samples, fmt, output):
 @_output_options
 def rheology(n, consistency, gamma_min, gamma_max, samples, fmt, output):
     """Sample the fluid model on a log grid of strain rates."""
+    _require_finite_non_negative("--gamma-min", gamma_min)
+    _require_finite_non_negative("--gamma-max", gamma_max)
     if not 0 < gamma_min < gamma_max:
         raise click.UsageError("require 0 < --gamma-min < --gamma-max")
     try:
@@ -443,23 +448,24 @@ def rheology(n, consistency, gamma_min, gamma_max, samples, fmt, output):
     _emit(fmt, output, config, RHEOLOGY_COLUMNS, rows)
 
 
-class _numeric_failures_exit_3:
-    """Context manager mapping package errors to the CLI exit contract:
-    numerical failures exit 3, remaining domain errors become usage
-    errors (exit 2)."""
+@contextlib.contextmanager
+def _numeric_failures_exit_3():
+    """Map package errors to the CLI exit contract: numerical failures
+    exit 3, remaining domain errors become usage errors (exit 2).
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc_type is None:
-            return False
-        if issubclass(exc_type, (ConvergenceError, EvaluationError)):
+    numpy's overflow warnings are not printed inside it: an integrand that
+    overflows makes the quadrature raise a DomainError that says so.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "overflow encountered",
+                                RuntimeWarning)
+        try:
+            yield
+        except (ConvergenceError, EvaluationError) as exc:
             click.echo(f"numerical failure: {exc}", err=True)
             sys.exit(3)
-        if issubclass(exc_type, CdtubeError):
+        except CdtubeError as exc:
             raise click.UsageError(str(exc))
-        return False
 
 
 if __name__ == "__main__":

@@ -11,9 +11,9 @@ the quadrature oracle takes over and the result records the fallback.
 
 import functools
 import math
-from dataclasses import dataclass
 
 from . import special
+from ._frozen import slot_setters, value_type
 from .errors import (
     ConvergenceError,
     DegenerateParameterError,
@@ -43,7 +43,7 @@ METHOD_ANALYTIC = "analytic"
 METHOD_FALLBACK = "quadrature_fallback"
 
 
-@dataclass(frozen=True)
+@value_type
 class FlowResult:
     """One solved operating point.
 
@@ -63,12 +63,21 @@ class FlowResult:
     oracle_value: float | None = None
     rel_error: float | None = None
 
+    def __init__(self, pressure_drop: float | None, flow_rate: float | None,
+                 method: str, branch: str | None, diagnostics: str,
+                 oracle_value: float | None = None,
+                 rel_error: float | None = None):
+        _set_pressure_drop(self, pressure_drop)
+        _set_flow_rate(self, flow_rate)
+        _set_method(self, method)
+        _set_branch(self, branch)
+        _set_diagnostics(self, diagnostics)
+        _set_oracle_value(self, oracle_value)
+        _set_rel_error(self, rel_error)
 
-@dataclass(frozen=True)
-class _Conductance:
-    value: float
-    method: str
-    diagnostics: str
+
+(_set_pressure_drop, _set_flow_rate, _set_method, _set_branch,
+ _set_diagnostics, _set_oracle_value, _set_rel_error) = slot_setters(FlowResult)
 
 
 def _geometric_integral(spec: TubeSpec, n: float):
@@ -146,12 +155,14 @@ def _geometric_integral(spec: TubeSpec, n: float):
 
 
 def _conductance(fluid: PowerLawFluid, spec: TubeSpec,
-                 max_panels: int = MAX_PANELS) -> _Conductance:
+                 max_panels: int = MAX_PANELS):
+    """``(K, method, diagnostics)`` for the fluid and tube; ``method`` is
+    ``METHOD_ANALYTIC`` or ``METHOD_FALLBACK``."""
     n = fluid.index
     try:
         if spec.is_straight:
             k = straight_tube_conductance(fluid, spec.r_min, spec.length)
-            return _Conductance(k, METHOD_ANALYTIC, "degenerate: straight tube")
+            return k, METHOD_ANALYTIC, "degenerate: straight tube"
         geom, diag = _geometric_integral(spec, n)
     except (OverflowError, ZeroDivisionError) as exc:
         # A power of r_min past the float range, or one underflowing to 0.
@@ -171,24 +182,23 @@ def _conductance(fluid: PowerLawFluid, spec: TubeSpec,
             ) from quad_exc
         geom = base.value
         k = master_prefactor(fluid, 1.0) * geom
-        return _Conductance(
-            k, METHOD_FALLBACK,
-            f"fallback to quadrature ({base.subdivisions} panels, "
-            f"rel_tol={FALLBACK_REL_TOL}): {exc}",
-        )
+        return (k, METHOD_FALLBACK,
+                f"fallback to quadrature ({base.subdivisions} panels, "
+                f"rel_tol={FALLBACK_REL_TOL}): {exc}")
     k = master_prefactor(fluid, 1.0) * geom
-    return _Conductance(k, METHOD_ANALYTIC, diag)
+    return k, METHOD_ANALYTIC, diag
 
 
 def conductance_coefficient(fluid: PowerLawFluid, spec: TubeSpec) -> float:
     """Coefficient K in ``P = K * Q^n`` for the given fluid and geometry."""
-    return _conductance(fluid, spec).value
+    return _conductance(fluid, spec)[0]
 
 
-def _operating_point(fluid: PowerLawFluid, cond: _Conductance, given: float,
+def _operating_point(fluid: PowerLawFluid, cond, given: float,
                      pressure_given: bool, oracle=None) -> FlowResult:
     """Apply ``P = K * Q^n`` at one operating point.
 
+    ``cond`` is the ``(K, method, diagnostics)`` of :func:`_conductance`.
     ``given`` is Q, or P when ``pressure_given``.  ``oracle`` maps Q to the
     quadrature oracle's :class:`QuadratureResult`; with it the result
     carries the oracle's P and the relative deviation of P from it.
@@ -198,7 +208,7 @@ def _operating_point(fluid: PowerLawFluid, cond: _Conductance, given: float,
     Raises :class:`DomainError` if K is not a positive finite float, or if
     the result or the oracle's P overflows.
     """
-    k = cond.value
+    k, method, diagnostics = cond
     if not 0.0 < k < math.inf:
         raise DomainError(f"conductance K={k!r} is outside the float range")
     try:
@@ -221,8 +231,7 @@ def _operating_point(fluid: PowerLawFluid, cond: _Conductance, given: float,
                      if oracle_value != 0.0 else 0.0)
     return FlowResult(None if pressure_given else p,
                       q if pressure_given else None,
-                      cond.method, None, cond.diagnostics,
-                      oracle_value, rel_error)
+                      method, None, diagnostics, oracle_value, rel_error)
 
 
 def pressure_drop(fluid: PowerLawFluid, spec: TubeSpec, flow_rate: float,

@@ -7,8 +7,8 @@ goes to one.
 
 import math
 import warnings
-from dataclasses import dataclass
 
+from ._frozen import slot_setters, value_type
 from .errors import DomainError, require_finite_non_negative
 
 __all__ = [
@@ -26,7 +26,7 @@ __all__ = [
 SUPPORTED_INDEX_RANGE = (0.2, 2.0)
 
 
-@dataclass(frozen=True)
+@value_type
 class PowerLawFluid:
     """Two-parameter shear-thinning/thickening fluid model.
 
@@ -42,20 +42,23 @@ class PowerLawFluid:
     consistency: float
     index: float
 
-    def __post_init__(self):
-        if not (self.consistency > 0.0 and math.isfinite(self.consistency)):
-            raise DomainError(
-                f"consistency must be positive, got {self.consistency}"
-            )
-        if not (self.index > 0.0 and math.isfinite(self.index)):
-            raise DomainError(f"index must be positive, got {self.index}")
+    def __init__(self, consistency: float, index: float):
+        if not (consistency > 0.0 and math.isfinite(consistency)):
+            raise DomainError(f"consistency must be positive, got {consistency}")
+        if not (index > 0.0 and math.isfinite(index)):
+            raise DomainError(f"index must be positive, got {index}")
         lo, hi = SUPPORTED_INDEX_RANGE
-        if not lo <= self.index <= hi:
+        if not lo <= index <= hi:
             warnings.warn(
-                f"flow index n={self.index} is outside the guaranteed-accuracy "
+                f"flow index n={index} is outside the guaranteed-accuracy "
                 f"range [{lo}, {hi}]; results are computed but unvalidated",
                 stacklevel=2,
             )
+        _set_consistency(self, consistency)
+        _set_index(self, index)
+
+
+_set_consistency, _set_index = slot_setters(PowerLawFluid)
 
 
 def apparent_viscosity(fluid: PowerLawFluid, strain_rate: float) -> float:

@@ -10,10 +10,10 @@ first use.
 """
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from . import _kernels
+from ._frozen import slot_setters, value_type
 from .errors import DomainError
 
 __all__ = [
@@ -50,7 +50,7 @@ _SHAPE_CODE = {
 }
 
 
-@dataclass(frozen=True)
+@value_type
 class TubeSpec:
     """Geometry of one converging-diverging unit.
 
@@ -74,16 +74,21 @@ class TubeSpec:
     r_max: float
     length: float
 
-    def __post_init__(self):
-        if not (self.r_min > 0.0 and math.isfinite(self.r_min)):
-            raise DomainError(f"r_min must be positive, got {self.r_min}")
-        if not (self.r_max >= self.r_min and math.isfinite(self.r_max)):
+    def __init__(self, shape: TubeShape, r_min: float, r_max: float,
+                 length: float):
+        if not (r_min > 0.0 and math.isfinite(r_min)):
+            raise DomainError(f"r_min must be positive, got {r_min}")
+        if not (r_max >= r_min and math.isfinite(r_max)):
             raise DomainError(
-                f"r_max must satisfy r_max >= r_min > 0, got r_min={self.r_min}, "
-                f"r_max={self.r_max}"
+                f"r_max must satisfy r_max >= r_min > 0, got r_min={r_min}, "
+                f"r_max={r_max}"
             )
-        if not (self.length > 0.0 and math.isfinite(self.length)):
-            raise DomainError(f"length must be positive, got {self.length}")
+        if not (length > 0.0 and math.isfinite(length)):
+            raise DomainError(f"length must be positive, got {length}")
+        _set_shape(self, shape)
+        _set_r_min(self, r_min)
+        _set_r_max(self, r_max)
+        _set_length(self, length)
 
     @property
     def is_straight(self) -> bool:
@@ -91,7 +96,10 @@ class TubeSpec:
         return self.r_min == self.r_max
 
 
-@dataclass(frozen=True)
+_set_shape, _set_r_min, _set_r_max, _set_length = slot_setters(TubeSpec)
+
+
+@value_type
 class ProfileCoefficients:
     """Per-shape internal parameters (a, b, and k for the sinusoid).
 
@@ -102,6 +110,14 @@ class ProfileCoefficients:
     a: float
     b: float
     k: float | None = None
+
+    def __init__(self, a: float, b: float, k: float | None = None):
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_k(self, k)
+
+
+_set_a, _set_b, _set_k = slot_setters(ProfileCoefficients)
 
 
 def coefficients(spec: TubeSpec) -> ProfileCoefficients:

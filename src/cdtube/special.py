@@ -22,8 +22,8 @@ they never raise it.
 """
 
 import math
-from dataclasses import dataclass
 
+from ._frozen import slot_setters, value_type
 from .errors import ConvergenceError, DegenerateParameterError, DomainError
 
 __all__ = [
@@ -64,12 +64,16 @@ ROUTE_INV_ONE_MINUS_Z = "inv_one_minus_z"
 ROUTE_ONE_MINUS_Z = "one_minus_z"
 
 
-@dataclass(frozen=True)
+@value_type
 class ComplexValue:
     """Real/imaginary pair for continued hypergeometric values."""
 
     re: float
     im: float = 0.0
+
+    def __init__(self, re: float, im: float = 0.0):
+        _set_re(self, re)
+        _set_im(self, im)
 
     def conjugate(self) -> "ComplexValue":
         return ComplexValue(self.re, -self.im)
@@ -78,7 +82,10 @@ class ComplexValue:
         return complex(self.re, self.im)
 
 
-@dataclass(frozen=True)
+_set_re, _set_im = slot_setters(ComplexValue)
+
+
+@value_type
 class EvaluationReport:
     """Diagnostics attached to a kernel evaluation.
 
@@ -92,11 +99,23 @@ class EvaluationReport:
     degenerate_parameters: bool = False
     route: str = ""
 
+    def __init__(self, value: ComplexValue, terms_used: int, converged: bool,
+                 degenerate_parameters: bool = False, route: str = ""):
+        _set_value(self, value)
+        _set_terms_used(self, terms_used)
+        _set_converged(self, converged)
+        _set_degenerate_parameters(self, degenerate_parameters)
+        _set_route(self, route)
+
     def summary(self) -> str:
         state = "converged" if self.converged else "failed"
         if self.degenerate_parameters:
             state = "degenerate"
         return f"{state} after {self.terms_used} series terms"
+
+
+(_set_value, _set_terms_used, _set_converged, _set_degenerate_parameters,
+ _set_route) = slot_setters(EvaluationReport)
 
 
 def gauss_series(a: float, b: float, c: float, z: float):
@@ -111,23 +130,30 @@ def gauss_series(a: float, b: float, c: float, z: float):
 
     Returns ``(value, terms_used, converged)``.
     """
-    term = 1.0
-    total = 1.0
+    # A float counter: ``a + k`` and ``k > -c`` give what an int counter
+    # gives (k stays far below 2**53), without an int-to-float conversion.
+    rtol, run, cap = STAGNATION_RTOL, STAGNATION_RUN, float(MAX_TERMS)
+    neg_c = -c
+    term = total = 1.0
     consec = 0
-    k = 0
-    while k < MAX_TERMS:
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
+    k = 0.0
+    while k < cap:
+        k1 = k + 1.0
+        term *= (a + k) * (b + k) / ((c + k) * k1) * z
         total += term
-        floor = STAGNATION_RTOL * abs(total)
+        # rtol * |total|: rounding is symmetric in sign
+        floor = rtol * total
+        if floor < 0.0:
+            floor = -floor
         if floor < 1e-300:
             floor = 1e-300
-        if abs(term) <= floor and k > -c:
+        if -floor <= term <= floor and k > neg_c:
             consec += 1
-            if consec >= STAGNATION_RUN:
-                return total, k + 1, True
+            if consec >= run:
+                return total, int(k1), True
         else:
             consec = 0
-        k += 1
+        k = k1
     return total, MAX_TERMS, False
 
 
@@ -168,10 +194,9 @@ def _terminates(a: float, b: float, c: float) -> bool:
     leaves a tiny tail that still diverges for ``|z| > 1``, so the window
     used for pole detection must not be applied here.
     """
-    uppers = [round(p) for p in (a, b) if _is_exact_nonpos_int(p)]
-    if not uppers:
+    if not (_is_exact_nonpos_int(a) or _is_exact_nonpos_int(b)):
         return False
-    k_max = -max(uppers)
+    k_max = -max(round(p) for p in (a, b) if _is_exact_nonpos_int(p))
     if _is_nonpos_int(c) and -round(c) < k_max:
         return False
     return True

@@ -3,8 +3,12 @@ import csv
 import io
 import json
 import math
+import os
 import random
+import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +28,7 @@ from cdtube import cli as cli_module
 from cdtube import flow as flow_module
 from cdtube.cli import main
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 VALIDATE_HEADER = "shape,n,C,r_min,r_max,length,Q,P_analytic,P_numeric,rel_err,method,branch"
 
 
@@ -174,12 +179,19 @@ def test_numerical_failure_exits_3(runner):
     assert result.exit_code == 3
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+# The closed form overflows, and so does the fallback's integrand
+# r^-(3n+1) at a 1 nm throat.
+OVERFLOWING_SOLVE = [
+    "solve", "--shape", "sinusoidal", "--n", "13.982683376860116",
+    "--consistency", "1", "--rmin", "1e-9", "--rmax", "1e6",
+    "--length", "1e-9", "--flow-rate", "1",
+]
+
+
 def test_overflowing_fallback_exits_2_at_its_first_panel(runner,
                                                         monkeypatch):
-    # The closed form overflows, and so does the fallback's integrand
-    # r^-(3n+1) at a 1 nm throat: the quadrature stops at the first
-    # non-finite panel estimate instead of splitting up to MAX_PANELS.
+    # The quadrature stops at the first non-finite panel estimate instead
+    # of splitting up to MAX_PANELS.
     panels = 0
     integrand = _kernels.inverse_radius_power
 
@@ -189,14 +201,33 @@ def test_overflowing_fallback_exits_2_at_its_first_panel(runner,
         return integrand(*args)
     monkeypatch.setattr(_kernels, "inverse_radius_power", counted)
     with pytest.warns(UserWarning, match="guaranteed-accuracy"):
-        result = runner.invoke(main, [
-            "solve", "--shape", "sinusoidal", "--n", "13.982683376860116",
-            "--consistency", "1", "--rmin", "1e-9", "--rmax", "1e6",
-            "--length", "1e-9", "--flow-rate", "1",
-        ])
+        result = runner.invoke(main, OVERFLOWING_SOLVE)
     assert result.exit_code == 2
     assert "the integrand leaves the float range" in result.output
     assert panels == 1 < quadrature.MAX_PANELS
+
+
+def test_overflowing_fallback_prints_no_runtime_warning():
+    # numpy warns of the overflow in r^-(3n+1); the usage error already
+    # says the integrand leaves the float range.
+    result = subprocess.run(
+        [sys.executable, "-m", "cdtube", *OVERFLOWING_SOLVE],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+        check=False,
+    )
+    assert result.returncode == 2
+    assert "the integrand leaves the float range" in result.stderr
+    assert "RuntimeWarning" not in result.stderr
+    assert result.stdout == ""
+
+
+def test_overflow_warning_filter_ends_with_the_command(runner):
+    with pytest.warns(UserWarning, match="guaranteed-accuracy") as record:
+        filters = list(warnings.filters)
+        result = runner.invoke(main, OVERFLOWING_SOLVE)
+        assert warnings.filters == filters
+    assert result.exit_code == 2
+    assert [w.category for w in record] == [UserWarning]
 
 
 @pytest.mark.parametrize("r_max", ["1e12", "1e15"])
@@ -590,6 +621,18 @@ def test_rheology_log_grid(runner):
         )
     rates = [float(r["strain_rate"]) for r in rows]
     assert rates[0] == 0.01 and rates[-1] == 1000.0
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("option", ["--gamma-min", "--gamma-max"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_rheology_non_finite_bound_exits_2(runner, option, value, fmt):
+    result = runner.invoke(main, [
+        "rheology", "--n", "0.5", "--consistency", "1", f"{option}={value}",
+        "--format", fmt,
+    ])
+    assert result.exit_code == 2
+    assert f"{option} must be finite and non-negative" in result.output
 
 
 def test_rheology_bad_range_exits_2(runner):

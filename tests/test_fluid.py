@@ -65,6 +65,13 @@ def test_index_outside_guaranteed_range_warns_but_computes():
     assert apparent_viscosity(fluid, 2.0) == pytest.approx(4.0)
 
 
+def test_range_warning_points_at_the_caller():
+    with pytest.warns(UserWarning, match="guaranteed-accuracy") as record:
+        PowerLawFluid(consistency=1.0, index=0.1)
+    (warning,) = record
+    assert warning.filename == __file__
+
+
 def test_hagen_poiseuille_reduction():
     fluid = PowerLawFluid(consistency=1.0, index=1.0)
     p = straight_tube_pressure_drop(fluid, 1.0, 1.0, math.pi / 8.0)

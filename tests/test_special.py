@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import random
 
 import mpmath
 import pytest
@@ -21,7 +22,12 @@ from cdtube import (
     gauss_2f1_continued,
     master_prefactor,
 )
-from cdtube.special import gauss_series
+from cdtube.special import (
+    MAX_TERMS,
+    STAGNATION_RTOL,
+    STAGNATION_RUN,
+    gauss_series,
+)
 
 mpmath.mp.dps = 30
 
@@ -293,6 +299,60 @@ def test_series_keeps_terms_past_a_near_zero_denominator(offset):
     with mpmath.workdps(40):
         ref = mpmath.hyp2f1(-nu, -nu, -2.0 * nu, 0.5)
     assert value == pytest.approx(float(ref), rel=1e-14, abs=0.0)
+
+
+def reference_gauss_series(a, b, c, z):
+    """The summation loop as it stood with an int counter and ``abs``
+    calls; :func:`gauss_series` must reproduce it bit for bit."""
+    term = 1.0
+    total = 1.0
+    consec = 0
+    k = 0
+    while k < MAX_TERMS:
+        term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
+        total += term
+        floor = STAGNATION_RTOL * abs(total)
+        if floor < 1e-300:
+            floor = 1e-300
+        if abs(term) <= floor and k > -c:
+            consec += 1
+            if consec >= STAGNATION_RUN:
+                return total, k + 1, True
+        else:
+            consec = 0
+        k += 1
+    return total, MAX_TERMS, False
+
+
+def _series_parameters(seed, count):
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        a, b = rng.uniform(-8.0, 8.0), rng.uniform(-8.0, 8.0)
+        c = rng.choice([rng.uniform(0.5, 9.0), rng.uniform(-6.0, 9.0),
+                        rng.randint(-6, 0) + rng.choice([1e-9, -1e-9, 0.5])])
+        if rng.random() < 0.2:
+            a = float(rng.randint(-12, 0))  # a terminating polynomial
+        cases.append((a, b, c, rng.uniform(-0.999, 0.999)))
+    return cases
+
+
+def test_series_loop_matches_the_reference_loop_bit_for_bit():
+    cases = _series_parameters(20261018, 400) + [
+        (0.5, 7.0, 1.5, -0.5),        # the parabolic route's first call
+        (-2.4, 3.4, 1.0, -0.3),       # the sinusoid's Legendre series
+        (1.0, 1.0, 2.0, 0.9999999),   # converges slowly past 1e4 terms
+        (math.nan, 1.0, 1.0, 0.5),    # never converges
+        (1.0, 1.0, 1.0, 0.0),         # every term is zero
+    ]
+    seen = set()
+    for case in cases:
+        got, ref = gauss_series(*case), reference_gauss_series(*case)
+        assert type(got[1]) is int
+        assert (got[0].hex(), *got[1:]) == (ref[0].hex(), *ref[1:]), case
+        seen.add((ref[2], ref[0] < 0.0))
+    # converged, capped, and a negative sum all occur
+    assert {(True, False), (True, True), (False, False)} <= seen
 
 
 # (a, b, c) with one of a, b, c - a, c - b at pole + offset; c - a - b is

@@ -1,0 +1,148 @@
+"""The frozen value types keep the dataclass contract: keyword
+construction with the declared defaults, value equality and hashing, the
+generated repr, no assignment, pickling, copying, and ``replace`` that
+validates like the constructor.
+"""
+
+import copy
+import dataclasses
+import inspect
+import math
+import pickle
+
+import pytest
+
+from cdtube import (
+    ComplexValue,
+    DomainError,
+    EvaluationReport,
+    FlowResult,
+    PowerLawFluid,
+    ProfileCoefficients,
+    QuadratureResult,
+    TubeShape,
+    TubeSpec,
+)
+
+VALUES = {
+    "PowerLawFluid": (PowerLawFluid(1.5, 0.7),
+                      "PowerLawFluid(consistency=1.5, index=0.7)"),
+    "TubeSpec": (TubeSpec(TubeShape.COSH, 1e-5, 4e-5, 3e-4),
+                 "TubeSpec(shape=<TubeShape.COSH: 'cosh'>, r_min=1e-05, "
+                 "r_max=4e-05, length=0.0003)"),
+    "FlowResult": (FlowResult(2.5, None, "analytic", None, "conic closed form",
+                              2.5000000001, 4e-11),
+                   "FlowResult(pressure_drop=2.5, flow_rate=None, "
+                   "method='analytic', branch=None, "
+                   "diagnostics='conic closed form', "
+                   "oracle_value=2.5000000001, rel_error=4e-11)"),
+    "QuadratureResult": (QuadratureResult(0.25, 1e-17, 3, True),
+                         "QuadratureResult(value=0.25, error_estimate=1e-17, "
+                         "subdivisions=3, converged=True)"),
+    "EvaluationReport": (EvaluationReport(ComplexValue(1.25), 17, True,
+                                          route="pfaff"),
+                         "EvaluationReport(value=ComplexValue(re=1.25, "
+                         "im=0.0), terms_used=17, converged=True, "
+                         "degenerate_parameters=False, route='pfaff')"),
+    "ComplexValue": (ComplexValue(1.25, -0.5),
+                     "ComplexValue(re=1.25, im=-0.5)"),
+    "ProfileCoefficients": (ProfileCoefficients(2.5e-5, 7.5e-6, 2e4),
+                            "ProfileCoefficients(a=2.5e-05, b=7.5e-06, "
+                            "k=20000.0)"),
+}
+
+# One field changed to a value the constructor must reject.
+INVALID = {
+    "PowerLawFluid": [{"consistency": 0.0}, {"index": -0.5},
+                      {"index": math.nan}],
+    "TubeSpec": [{"r_max": 0.5e-5}, {"r_min": math.inf},
+                 {"length": 0.0}],
+}
+
+
+def _fields(value):
+    return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+
+
+@pytest.fixture(params=sorted(VALUES))
+def case(request):
+    return VALUES[request.param]
+
+
+def test_frozen_and_slotted(case):
+    value, _ = case
+    assert not hasattr(value, "__dict__")
+    for name in (dataclasses.fields(value)[0].name, "unknown"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, 0.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(value, name)
+
+
+def test_signature_matches_the_fields(case):
+    value, _ = case
+    params = list(inspect.signature(type(value)).parameters.values())
+    fields = dataclasses.fields(value)
+    assert [p.name for p in params] == [f.name for f in fields]
+    for p, f in zip(params, fields):
+        expected = (inspect.Parameter.empty if f.default is dataclasses.MISSING
+                    else f.default)
+        assert p.default == expected, f.name
+
+
+def test_keyword_construction_equality_and_hash(case):
+    value, _ = case
+    cls = type(value)
+    twin = cls(**_fields(value))
+    assert twin == value and twin is not value
+    assert hash(twin) == hash(value)
+    assert cls(*_fields(value).values()) == value
+    assert dataclasses.replace(value) == value
+    assert value != tuple(_fields(value).values())
+
+
+def test_repr(case):
+    value, text = case
+    assert repr(value) == text
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_pickle_round_trip(case, protocol):
+    value, _ = case
+    back = pickle.loads(pickle.dumps(value, protocol))
+    assert back == value and type(back) is type(value)
+    assert _fields(back) == _fields(value)
+
+
+def test_copy_and_deepcopy(case):
+    value, _ = case
+    for twin in (copy.copy(value), copy.deepcopy(value)):
+        assert twin == value and type(twin) is type(value)
+        assert hash(twin) == hash(value)
+
+
+def test_defaults():
+    assert ComplexValue(1.0) == ComplexValue(1.0, 0.0)
+    assert ProfileCoefficients(1.0, 2.0).k is None
+    report = EvaluationReport(ComplexValue(1.0), 3, True)
+    assert (report.degenerate_parameters, report.route) == (False, "")
+    result = FlowResult(1.0, None, "analytic", None, "")
+    assert (result.oracle_value, result.rel_error) == (None, None)
+
+
+def test_replace_makes_a_changed_copy():
+    spec = VALUES["TubeSpec"][0]
+    wider = dataclasses.replace(spec, r_max=8e-5)
+    assert wider == TubeSpec(TubeShape.COSH, 1e-5, 8e-5, 3e-4)
+    assert spec.r_max == 4e-5
+
+
+@pytest.mark.parametrize("name,changes", [
+    (name, changes) for name, cases in INVALID.items() for changes in cases
+])
+def test_replace_validates_like_the_constructor(name, changes):
+    value, _ = VALUES[name]
+    with pytest.raises(DomainError):
+        dataclasses.replace(value, **changes)
+    with pytest.raises(DomainError):
+        type(value)(**{**_fields(value), **changes})

@@ -3,10 +3,13 @@
 Every relation factors as ``P = K * Q^n`` with a geometry- and
 fluid-dependent conductance coefficient K, so the inverse problem
 ``Q(P)`` is a single root-free power.  K is elementary for the conic
-profile and one :func:`~cdtube.special.gauss_2f1` of a real argument
-below 1 for the other four, at every flow index.  Should a closed form
-raise :class:`DegenerateParameterError` or :class:`ConvergenceError`,
-the quadrature oracle takes over and the result records the fallback.
+profile.  For the parabolic, hyperbolic and cosh profiles it is one
+incomplete beta function, a :func:`~cdtube.special.gauss_2f1` series of
+positive terms at an argument of at most 1/2.  For the sinusoid it is a
+Legendre function, one ``gauss_2f1`` at a negative argument.  Should a
+closed form raise :class:`DegenerateParameterError` or
+:class:`ConvergenceError`, the quadrature oracle takes over and the
+result records the fallback.
 """
 
 import functools
@@ -80,6 +83,28 @@ class FlowResult:
  _set_diagnostics, _set_oracle_value, _set_rel_error) = slot_setters(FlowResult)
 
 
+def _beta(q: float, t2: float, w: float):
+    """``int_0^sqrt(t2) (1 - u^2)^(q/2 - 1) du`` and the 2F1's report.
+
+    An incomplete beta function (DLMF 8.17); ``w = 1 - t2`` comes formed
+    by the caller, without cancellation.  Up to ``t2 = 1/2`` it is Euler's
+    positive-term form ``sqrt(t2) w^(q/2) 2F1(1, (q+1)/2; 3/2; t2)``;
+    above, the complete integral less the tail ``w^(q/2)/q 2F1(q/2, 1/2;
+    q/2 + 1; w)``.  Either way the series runs at an argument of at most
+    1/2, and its terms do not alternate.
+    """
+    half = 0.5 * q
+    if t2 <= 0.5:
+        h, rep = special.gauss_2f1(1.0, half + 0.5, 1.5, t2, full_output=True)
+        return math.sqrt(t2) * w**half * h, rep
+    h, rep = special.gauss_2f1(half, 0.5, half + 1.0, w, full_output=True)
+    if half < 170.0:
+        gamma_ratio = math.gamma(half) / math.gamma(half + 0.5)
+    else:  # Gamma(half + 1/2) past the float range
+        gamma_ratio = math.exp(math.lgamma(half) - math.lgamma(half + 0.5))
+    return 0.5 * math.sqrt(math.pi) * gamma_ratio - w**half / q * h, rep
+
+
 def _geometric_integral(spec: TubeSpec, n: float):
     """Closed form of ``integral r(x)^-(3n+1) dx`` over the tube; returns
     ``(value, diagnostics)``.
@@ -103,55 +128,37 @@ def _geometric_integral(spec: TubeSpec, n: float):
         return value, "conic closed form"
 
     if spec.shape is TubeShape.PARABOLIC:
-        h, rep = special.gauss_2f1(0.5, three_n + 1.0, 1.5, 1.0 - ratio,
-                                   full_output=True)
-        value = length * h / r_min ** (three_n + 1.0)
+        # r = r_min (1 + d y^2), y = 2x/L; u = sin(atan(sqrt(d) y))
+        h, rep = _beta(6.0 * n + 1.0, d / ratio, 1.0 / ratio)
+        value = length * h / (math.sqrt(d) * r_min**m)
         return value, f"parabolic closed form: 2F1 {rep.summary()}"
 
+    sinh2 = d * (d + 2.0)  # ratio^2 - 1 without cancellation
     if spec.shape is TubeShape.HYPERBOLIC:
-        h, rep = special.gauss_2f1(0.5, (three_n + 1.0) / 2.0, 1.5,
-                                   1.0 - ratio**2, full_output=True)
-        value = length * h / r_min ** (three_n + 1.0)
+        # r^2 = r_min^2 (1 + sinh2 y^2); u = sin(atan(sqrt(sinh2) y))
+        h, rep = _beta(three_n, sinh2 / ratio**2, ratio**-2)
+        value = length * h / (math.sqrt(sinh2) * r_min**m)
         return value, f"hyperbolic closed form: 2F1 {rep.summary()}"
 
     if spec.shape is TubeShape.COSH:
-        # r = r_min cosh(2 eta x / L): the integral is L / (eta r_min^m)
-        # times int_0^eta sech^m t dt, an incomplete beta function (DLMF
-        # 8.17.7).  In u = tanh t it is a 2F1 of tanh^2 eta; past
-        # tanh^2 eta = 1/2 it is the complete integral less the tail in
-        # sech^2 eta = 1/ratio^2, which stays accurate as tanh eta -> 1.
-        sinh2 = d * (d + 2.0)  # ratio^2 - 1 = sinh^2 eta
+        # r = r_min cosh(eta y) with cosh eta = ratio; u = tanh(eta y)
         eta = math.log1p(d + math.sqrt(sinh2))  # acosh(ratio)
-        if sinh2 <= 1.0:  # tanh^2 eta = sinh^2 eta / ratio^2 <= 1/2
-            t2 = sinh2 / ratio**2
-            h, rep = special.gauss_2f1(0.5, 1.0 - m / 2.0, 1.5, t2,
-                                       full_output=True)
-            partial = math.sqrt(t2) * h
-        else:
-            w = ratio**-2
-            h, rep = special.gauss_2f1(m / 2.0, 0.5, m / 2.0 + 1.0, w,
-                                       full_output=True)
-            complete = (0.5 * math.sqrt(math.pi) * math.gamma(m / 2.0)
-                        / math.gamma(m / 2.0 + 0.5))
-            partial = complete - w ** (m / 2.0) / m * h
-        value = length * partial / (eta * r_min**m)
+        h, rep = _beta(m, sinh2 / ratio**2, ratio**-2)
+        value = length * h / (eta * r_min**m)
         return value, f"cosh closed form: 2F1 {rep.summary()}"
 
-    if spec.shape is TubeShape.SINUSOIDAL:
-        # r = A - B cos(2 pi x / L) with A^2 - B^2 = r_min r_max: Laplace's
-        # integral for the Legendre function (DLMF 14.12, with
-        # P_nu = P_{-nu-1}) gives L (r_min r_max)^(-m/2) P_{3n}(z),
-        # z = A / sqrt(r_min r_max), and P_{3n}(z) = 2F1(-3n, 3n + 1; 1;
-        # (1 - z)/2) (DLMF 14.3).
-        root_min, root_max = math.sqrt(r_min), math.sqrt(r_max)
-        mean = root_min * root_max
-        # (1 - z)/2 = -(sqrt(r_max) - sqrt(r_min))^2 / (4 sqrt(r_min r_max))
-        x = -((r_max - r_min) / (root_max + root_min)) ** 2 / (4.0 * mean)
-        h, rep = special.gauss_2f1(-three_n, m, 1.0, x, full_output=True)
-        value = length * h * mean**-m
-        return value, f"sinusoid closed form: Legendre 2F1 {rep.summary()}"
-
-    raise DomainError(f"unknown shape {spec.shape!r}")
+    # Sinusoidal: r = A - B cos(2 pi x / L) with A^2 - B^2 = r_min r_max.
+    # Laplace's integral for the Legendre function (DLMF 14.12, with
+    # P_nu = P_{-nu-1}) gives L (r_min r_max)^(-m/2) P_{3n}(z),
+    # z = A / sqrt(r_min r_max), and P_{3n}(z) = 2F1(-3n, 3n + 1; 1;
+    # (1 - z)/2) (DLMF 14.3).
+    root_min, root_max = math.sqrt(r_min), math.sqrt(r_max)
+    mean = root_min * root_max
+    # (1 - z)/2 = -(sqrt(r_max) - sqrt(r_min))^2 / (4 sqrt(r_min r_max))
+    x = -((r_max - r_min) / (root_max + root_min)) ** 2 / (4.0 * mean)
+    h, rep = special.gauss_2f1(-three_n, m, 1.0, x, full_output=True)
+    value = length * h * mean**-m
+    return value, f"sinusoid closed form: Legendre 2F1 {rep.summary()}"
 
 
 def _conductance(fluid: PowerLawFluid, spec: TubeSpec,

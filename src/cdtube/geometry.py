@@ -57,6 +57,7 @@ class TubeSpec:
     Parameters
     ----------
     shape : TubeShape
+        Or its value string, such as ``"cosh"``.
     r_min : float
         Throat radius in m, at the tube midpoint.
     r_max : float
@@ -76,6 +77,8 @@ class TubeSpec:
 
     def __init__(self, shape: TubeShape, r_min: float, r_max: float,
                  length: float):
+        if shape.__class__ is not TubeShape:
+            shape = _coerce_shape(shape)
         if not (r_min > 0.0 and math.isfinite(r_min)):
             raise DomainError(f"r_min must be positive, got {r_min}")
         if not (r_max >= r_min and math.isfinite(r_max)):
@@ -97,6 +100,17 @@ class TubeSpec:
 
 
 _set_shape, _set_r_min, _set_r_max, _set_length = slot_setters(TubeSpec)
+
+
+def _coerce_shape(value) -> TubeShape:
+    """The :class:`TubeShape` named by ``value``, such as ``"cosh"``."""
+    try:
+        return TubeShape(value)
+    except ValueError:
+        raise DomainError(
+            f"shape must be a TubeShape or one of "
+            f"{', '.join(s.value for s in TubeShape)}, got {value!r}"
+        ) from None
 
 
 @value_type
@@ -137,13 +151,11 @@ def coefficients(spec: TubeSpec) -> ProfileCoefficients:
         return ProfileCoefficients(
             spec.r_min, 2.0 / length * math.acosh(spec.r_max / spec.r_min)
         )
-    if spec.shape is TubeShape.SINUSOIDAL:
-        return ProfileCoefficients(
-            0.5 * (spec.r_max + spec.r_min),
-            0.5 * dr,
-            2.0 * math.pi / length,
-        )
-    raise DomainError(f"unknown shape {spec.shape!r}")
+    return ProfileCoefficients(  # sinusoidal
+        0.5 * (spec.r_max + spec.r_min),
+        0.5 * dr,
+        2.0 * math.pi / length,
+    )
 
 
 def _kernel_args(spec: TubeSpec):

@@ -46,8 +46,9 @@ INTEGER_WINDOW = 1e-9
 _NEAR_ONE = 0.9
 
 # Largest (|first half| + |second half|) / |sum| accepted from the 1/(1-z)
-# connection: about one digit lost to cancellation.  Parabolic and
-# hyperbolic arguments stay below 3 over n in [0.2, 2].
+# connection: about one digit lost to cancellation.  The sinusoid's
+# Legendre form, the only conductance form at a negative argument, stays
+# below 1.04 over n in [0.2, 2].
 _CANCELLATION_LIMIT = 16.0
 
 MAX_TERMS = 10000
@@ -249,9 +250,9 @@ def _negative_argument(a, b, c, z):
             return value, t1 + t2, ROUTE_INV_ONE_MINUS_Z
         spent = t1 + t2
     # Pfaff on the larger upper parameter: w = z/(z-1) lies in (0, 1/2]
-    # for z >= -1 and in (1/2, 1) below it.  With c = a + 1, as in the
-    # parabolic and hyperbolic relations, an integer b - a > 0 makes
-    # c - b a non-positive integer and the Pfaff series a polynomial.
+    # for z >= -1 and in (1/2, 1) below it.  With c = a + 1, an integer
+    # b - a > 0 makes c - b a non-positive integer and the Pfaff series a
+    # polynomial.
     w = z / (z - 1.0)
     if b > a:
         inner, terms = _series_checked(a, c - b, c, w, "gauss_2f1 (Pfaff)")
@@ -294,6 +295,10 @@ def gauss_2f1(a: float, b: float, c: float, z: float, full_output: bool = False)
     * ``one_minus_z``: for ``0.9 < z < 1`` when ``c - a - b`` is not an
       integer, the connection in powers of ``1 - z`` (DLMF 15.8.4);
       otherwise the defining series.
+
+    Of the conductance forms in :mod:`cdtube.flow`, the parabolic,
+    hyperbolic and cosh ones call only the ``series`` route, at
+    ``0 < z <= 1/2``; the sinusoid's is the one at a negative argument.
 
     With ``full_output`` the :class:`EvaluationReport` names the route.
 

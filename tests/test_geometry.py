@@ -122,6 +122,24 @@ def test_spec_invariants():
         TubeSpec(TubeShape.CONIC, 1.0, 2.0, 0.0)
 
 
+@pytest.mark.parametrize("shape", ["bogus", "", "CONIC", 1, None,
+                                   ["conic"]])
+def test_spec_rejects_an_unknown_shape(shape):
+    # With equal radii the solver never reads the shape, so only the
+    # constructor can reject it.
+    with pytest.raises(DomainError, match="shape must be a TubeShape"):
+        TubeSpec(shape, 1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("shape", ALL_SHAPES)
+def test_spec_coerces_a_shape_value_string(shape):
+    spec = TubeSpec(shape.value, 1.0, 2.0, 1.0)
+    assert spec.shape is shape
+    assert spec == TubeSpec(shape, 1.0, 2.0, 1.0)
+    # and is solved as that shape, not rejected at solve time
+    assert coefficients(spec) == coefficients(spec_of(shape))
+
+
 @pytest.mark.parametrize("shape", ALL_SHAPES)
 def test_degenerate_equal_radii_is_straight(shape):
     spec = spec_of(shape, 1.3, 1.3, 2.0)

@@ -21,7 +21,9 @@ from cdtube import (
     gauss_2f1,
     gauss_2f1_continued,
     master_prefactor,
+    pressure_drop,
 )
+from cdtube import special
 from cdtube.special import (
     MAX_TERMS,
     STAGNATION_RTOL,
@@ -686,10 +688,8 @@ def test_cosh_and_sinusoid_conductance_against_mpmath_quadrature(shape,
     assert not misses
 
 
-# Known defect: with b - a within INTEGER_WINDOW of 1, gauss_2f1 sends the
-# hyperbolic form to Pfaff at a variable near 1, which sums ~1600 terms
-# and keeps only ~13 digits.
-@pytest.mark.xfail(strict=True, reason="Pfaff near 3n = 2 loses digits")
+# 3n = 2 puts b - a of the paper's hyperbolic 2F1 on an integer, where its
+# 1/(1-z) connection has cancelling poles.
 @pytest.mark.parametrize("three_n", [2.0 - 1e-9, 2.0 + 1e-9])
 def test_hyperbolic_near_integer_b_minus_a_against_mpmath_quadrature(three_n):
     n = three_n / 3.0
@@ -698,6 +698,111 @@ def test_hyperbolic_near_integer_b_minus_a_against_mpmath_quadrature(three_n):
     ref = master_prefactor(fluid, 1.0) * float(_mpmath_geometric_integral(
         TubeShape.HYPERBOLIC, n, 1.0, 1e4, 1.0))
     assert abs(conductance_coefficient(fluid, spec) - ref) <= 1e-13 * ref
+
+
+BETA_SHAPES = (TubeShape.PARABOLIC, TubeShape.HYPERBOLIC, TubeShape.COSH)
+
+
+@pytest.mark.parametrize("n", [0.001, 0.005])
+def test_hyperbolic_far_below_the_index_range_is_analytic(n):
+    # No accuracy is claimed below n = 0.2.  Measured against 40-digit
+    # mpmath: at most 3.0e-14 (n = 0.001, ratio 100); the 1e-12 check only
+    # catches a wrong value.
+    with pytest.warns(UserWarning, match="guaranteed-accuracy"):
+        fluid = PowerLawFluid(1.0, n)
+    for ratio in (100.0, 1e3, 1e4, 1e6, 1e8):
+        spec = TubeSpec(TubeShape.HYPERBOLIC, 1.0, ratio, 1.0)
+        result = pressure_drop(fluid, spec, 1.0)
+        assert result.method == "analytic"
+        ref = master_prefactor(fluid, 1.0) * float(_mpmath_geometric_integral(
+            TubeShape.HYPERBOLIC, n, 1.0, ratio, 1.0))
+        assert result.pressure_drop == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+# Worst relative error measured over the grid below, times about four.
+# The parabolic forms at n = 60 and 100 take Gamma(q/2)/Gamma(q/2 + 1/2)
+# through lgamma, which keeps about 13 digits (measured 1.15e-13); the
+# hyperbolic and cosh forms measured 1.3e-14.
+LARGE_INDEX_BOUNDS = {TubeShape.PARABOLIC: 5e-13, TubeShape.HYPERBOLIC: 5e-14,
+                      TubeShape.COSH: 5e-14}
+
+
+@pytest.mark.parametrize("shape", BETA_SHAPES)
+@pytest.mark.parametrize("n", [10.0, 40.0, 60.0, 100.0])
+def test_large_index_beta_forms_against_mpmath_quadrature(shape, n):
+    # Past the index range K is still reported as analytic, so it must be
+    # right; at these n a series whose terms alternate cancels to nothing.
+    with pytest.warns(UserWarning, match="guaranteed-accuracy"):
+        fluid = PowerLawFluid(1.0, n)
+    misses = []
+    for ratio in (1.2, 1.5, 1.9, 3.0, 100.0):
+        result = pressure_drop(fluid, TubeSpec(shape, 1.0, ratio, 1.0), 1.0)
+        ref = master_prefactor(fluid, 1.0) * float(
+            _mpmath_geometric_integral(shape, n, 1.0, ratio, 1.0))
+        rel_err = abs(result.pressure_drop - ref) / ref
+        if result.method != "analytic" or rel_err > LARGE_INDEX_BOUNDS[shape]:
+            misses.append((ratio, result.method, rel_err))
+    assert not misses
+
+
+def _recording_gauss_2f1(monkeypatch):
+    """Patch the 2F1 the conductance forms call; return the list that
+    collects ``(z, route, terms)`` of each call."""
+    calls = []
+    inner = special.gauss_2f1
+
+    def record(a, b, c, z, full_output=False):
+        value, report = inner(a, b, c, z, full_output=True)
+        calls.append((z, report.route, report.terms_used))
+        return (value, report) if full_output else value
+
+    monkeypatch.setattr(special, "gauss_2f1", record)
+    return calls
+
+
+# n over [0.2, 2]: every integer and half-odd 3n, each also 1e-10 and
+# 1e-9 off, and generic values.
+TERM_BOUND_INDICES = tuple(
+    n for j in range(2, 13) for offset in (0.0, 1e-10, -1e-10, 1e-9, -1e-9)
+    for n in [(j / 2.0 + offset) / 3.0] if n <= 2.0
+) + (0.2, 0.27, 0.41, 0.77, 1.09, 1.42, 1.96)
+
+
+@pytest.mark.parametrize("shape", BETA_SHAPES)
+def test_beta_forms_take_one_short_series(shape, monkeypatch):
+    # Each K is one series at an argument of at most 1/2 in at most 80
+    # terms; the measured maximum is 75 (parabolic).
+    calls = _recording_gauss_2f1(monkeypatch)
+    for n, ratio in itertools.product(TERM_BOUND_INDICES, ENVELOPE_RATIOS):
+        calls.clear()
+        k = conductance_coefficient(PowerLawFluid(1.0, n),
+                                    TubeSpec(shape, 1.0, ratio, 1.0))
+        assert 0.0 < k < math.inf
+        [(z, route, terms)] = calls
+        assert (route, 0.0 < z <= 0.5, terms <= 80) == ("series", True, True), (
+            n, ratio, z, route, terms)
+
+
+@pytest.mark.parametrize("n", ENVELOPE_INDICES)
+def test_beta_forms_equal_paper_forms(n):
+    # The paper writes the parabolic and hyperbolic integrals as
+    # 2F1(1/2, 3n + 1; 3/2; 1 - ratio) and 2F1(1/2, (3n + 1)/2; 3/2;
+    # 1 - ratio^2), at r_min = length = 1.
+    fluid = PowerLawFluid(1.0, n)
+    prefactor = master_prefactor(fluid, 1.0)
+    for ratio in (1.0 + 1e-4, 1.2, 2.0, 4.0, 30.0, 1e3, 1e6):
+        with mpmath.workdps(40):
+            m, big = 3 * mpmath.mpf(n) + 1, mpmath.mpf(ratio)
+            paper = {
+                TubeShape.PARABOLIC: mpmath.hyp2f1(0.5, m, 1.5, 1 - big),
+                TubeShape.HYPERBOLIC: mpmath.hyp2f1(0.5, m / 2, 1.5,
+                                                    1 - big**2),
+            }
+        for shape, h in paper.items():
+            k = conductance_coefficient(fluid, TubeSpec(shape, 1.0, ratio,
+                                                        1.0))
+            assert k == pytest.approx(prefactor * float(h), rel=1e-13,
+                                      abs=0.0), (shape, ratio)
 
 
 @pytest.mark.parametrize("ratio", [1.0 + 1e-4, 1.0 + 1e-6, 1.0 + 1e-8])

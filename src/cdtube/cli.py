@@ -17,7 +17,6 @@ Exit codes: 0 success, 2 argument or validation errors, 3 numerical
 failure (neither the analytic route nor the quadrature oracle converged).
 """
 
-import contextlib
 import csv
 import io
 import itertools
@@ -138,20 +137,10 @@ def _spaced(start: float, stop: float, count: int, log: bool = False):
     return values
 
 
-def _require_finite_non_negative(option: str, value: float) -> None:
-    try:
-        require_finite_non_negative(option, value)
-    except DomainError as exc:
-        raise click.UsageError(str(exc)) from exc
-
-
 def _build_inputs(shape, n, consistency, rmin, rmax, length):
-    try:
-        fluid = PowerLawFluid(consistency=consistency, index=n)
-        spec = TubeSpec(shape=TubeShape(shape), r_min=rmin, r_max=rmax,
-                        length=length)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+    fluid = PowerLawFluid(consistency=consistency, index=n)
+    spec = TubeSpec(shape=TubeShape(shape), r_min=rmin, r_max=rmax,
+                    length=length)
     return fluid, spec
 
 
@@ -186,11 +175,37 @@ def _solve_row(fluid, spec, periods, given_flow, given_pressure, solve_unit):
     }
 
 
+class _Command(click.Command):
+    """A subcommand under the exit contract of the package's errors.
+
+    A numerical failure (:class:`ConvergenceError` or
+    :class:`EvaluationError`) exits 3; any other :class:`CdtubeError`
+    becomes a usage error, exit 2.  numpy's overflow warnings are not
+    printed: an integrand that overflows makes the quadrature raise a
+    DomainError that says so.
+    """
+
+    def invoke(self, ctx):
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "overflow encountered",
+                                    RuntimeWarning)
+            try:
+                return super().invoke(ctx)
+            except (ConvergenceError, EvaluationError) as exc:
+                click.echo(f"numerical failure: {exc}", err=True)
+                sys.exit(3)
+            except CdtubeError as exc:
+                raise click.UsageError(str(exc), ctx) from exc
+
+
 @click.group()
 @click.version_option(version=__version__, prog_name="cdtube")
 def main():
     """Pressure-drop/flow-rate solver for power-law fluids in
     converging-diverging capillaries."""
+
+
+main.command_class = _Command
 
 
 def _geometry_options(func):
@@ -257,9 +272,9 @@ def solve(shape, rmin, rmax, length, n, consistency, flow_rate, pressure,
             "exactly one of --flow-rate or --pressure is required"
         )
     if flow_rate is not None:
-        _require_finite_non_negative("--flow-rate", flow_rate)
+        require_finite_non_negative("--flow-rate", flow_rate)
     if pressure is not None:
-        _require_finite_non_negative("--pressure", pressure)
+        require_finite_non_negative("--pressure", pressure)
     config = {
         "subcommand": "solve", "shape": shape, "n": n,
         "consistency": consistency, "r_min": rmin, "r_max": rmax,
@@ -274,9 +289,7 @@ def solve(shape, rmin, rmax, length, n, consistency, flow_rate, pressure,
         return solver(fluid, spec, value, validate=validate,
                       oracle_rel_tol=rel_tol, max_panels=max_subdivisions)
 
-    with _numeric_failures_exit_3():
-        row = _solve_row(fluid, spec, periods, flow_rate, pressure,
-                         solve_unit)
+    row = _solve_row(fluid, spec, periods, flow_rate, pressure, solve_unit)
     _emit(fmt, output, config, SOLVE_COLUMNS, [row])
 
 
@@ -304,8 +317,8 @@ def solve(shape, rmin, rmax, length, n, consistency, flow_rate, pressure,
 def sweep(shape, rmin, rmax, length, n, consistency, quantity, start, stop,
           count, spacing, periods, validate, rel_tol, jobs, fmt, output):
     """Sweep flow rate or pressure over a range."""
-    _require_finite_non_negative("--start", start)
-    _require_finite_non_negative("--stop", stop)
+    require_finite_non_negative("--start", start)
+    require_finite_non_negative("--stop", stop)
     if not start < stop:
         raise click.UsageError("--start must be less than --stop")
     if spacing == "log" and start <= 0:
@@ -319,23 +332,22 @@ def sweep(shape, rmin, rmax, length, n, consistency, quantity, start, stop,
         "validate": validate, "rel_tol": rel_tol, "format": fmt,
     }
     fluid, spec = _build_inputs(shape, n, consistency, rmin, rmax, length)
-    with _numeric_failures_exit_3():
-        # Only Q or P varies along the sweep: K, and the oracle's
-        # integral, are computed once.
-        cond = flow._conductance(fluid, spec)
-        oracle = pressure_drop_oracle(fluid, spec, rel_tol) if validate else None
+    # Only Q or P varies along the sweep: K, and the oracle's integral,
+    # are computed once.
+    cond = flow._conductance(fluid, spec)
+    oracle = pressure_drop_oracle(fluid, spec, rel_tol) if validate else None
 
-        def solve_unit(value, pressure_given):
-            return flow._operating_point(fluid, cond, value, pressure_given,
-                                         oracle)
+    def solve_unit(value, pressure_given):
+        return flow._operating_point(fluid, cond, value, pressure_given,
+                                     oracle)
 
-        rows = [
-            _solve_row(fluid, spec, periods,
-                       v if quantity == "flow-rate" else None,
-                       v if quantity == "pressure" else None,
-                       solve_unit)
-            for v in values
-        ]
+    rows = [
+        _solve_row(fluid, spec, periods,
+                   v if quantity == "flow-rate" else None,
+                   v if quantity == "pressure" else None,
+                   solve_unit)
+        for v in values
+    ]
     _emit(fmt, output, config, SOLVE_COLUMNS, rows)
 
 
@@ -360,34 +372,33 @@ def validate(grid, rel_tol, fmt, output):
     failures = []
     tubes = itertools.product(SHAPE_NAMES, grid_def["n"], grid_def["ratio"],
                               grid_def["length"])
-    with _numeric_failures_exit_3():
-        for shape, n, ratio, length in tubes:
-            fluid = PowerLawFluid(consistency=1.0, index=n)
-            spec = TubeSpec(shape=TubeShape(shape), r_min=1.0, r_max=ratio,
-                            length=length)
-            # As in sweep: K and the oracle's integral once per tube.
-            cond = flow._conductance(fluid, spec)
-            _, method, _ = cond
-            if method == METHOD_FALLBACK:
-                oracle_tol, tol = ORACLE_TIGHT, TOL_FALLBACK
-            elif shape == TubeShape.CONIC.value:
-                oracle_tol, tol = rel_tol, TOL_CONIC
-            else:
-                oracle_tol, tol = rel_tol, TOL_DEFAULT
-            oracle = pressure_drop_oracle(fluid, spec, oracle_tol)
-            for q in grid_def["flow_rate"]:
-                result = flow._operating_point(fluid, cond, q, False, oracle)
-                row = {
-                    "shape": shape, "n": n, "C": 1.0, "r_min": 1.0,
-                    "r_max": ratio, "length": length, "Q": q,
-                    "P_analytic": result.pressure_drop,
-                    "P_numeric": result.oracle_value,
-                    "rel_err": result.rel_error, "method": result.method,
-                    "branch": result.branch,
-                }
-                rows.append(row)
-                if not result.rel_error <= tol:
-                    failures.append(row)
+    for shape, n, ratio, length in tubes:
+        fluid = PowerLawFluid(consistency=1.0, index=n)
+        spec = TubeSpec(shape=TubeShape(shape), r_min=1.0, r_max=ratio,
+                        length=length)
+        # As in sweep: K and the oracle's integral once per tube.
+        cond = flow._conductance(fluid, spec)
+        _, method, _ = cond
+        if method == METHOD_FALLBACK:
+            oracle_tol, tol = ORACLE_TIGHT, TOL_FALLBACK
+        elif shape == TubeShape.CONIC.value:
+            oracle_tol, tol = rel_tol, TOL_CONIC
+        else:
+            oracle_tol, tol = rel_tol, TOL_DEFAULT
+        oracle = pressure_drop_oracle(fluid, spec, oracle_tol)
+        for q in grid_def["flow_rate"]:
+            result = flow._operating_point(fluid, cond, q, False, oracle)
+            row = {
+                "shape": shape, "n": n, "C": 1.0, "r_min": 1.0,
+                "r_max": ratio, "length": length, "Q": q,
+                "P_analytic": result.pressure_drop,
+                "P_numeric": result.oracle_value,
+                "rel_err": result.rel_error, "method": result.method,
+                "branch": result.branch,
+            }
+            rows.append(row)
+            if not result.rel_error <= tol:
+                failures.append(row)
     _emit(fmt, output, config, VALIDATE_COLUMNS, rows)
     if failures:
         click.echo(
@@ -405,12 +416,9 @@ def validate(grid, rel_tol, fmt, output):
 @_output_options
 def profile(shape, rmin, rmax, length, samples, fmt, output):
     """Sample the tube radius along the axis as (x, r) pairs."""
-    try:
-        spec = TubeSpec(shape=TubeShape(shape), r_min=rmin, r_max=rmax,
-                        length=length)
-        xs, rs = sample_profile(spec, samples)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+    spec = TubeSpec(shape=TubeShape(shape), r_min=rmin, r_max=rmax,
+                    length=length)
+    xs, rs = sample_profile(spec, samples)
     config = {"subcommand": "profile", "shape": shape, "r_min": rmin,
               "r_max": rmax, "length": length, "samples": samples,
               "format": fmt}
@@ -429,14 +437,11 @@ def profile(shape, rmin, rmax, length, samples, fmt, output):
 @_output_options
 def rheology(n, consistency, gamma_min, gamma_max, samples, fmt, output):
     """Sample the fluid model on a log grid of strain rates."""
-    _require_finite_non_negative("--gamma-min", gamma_min)
-    _require_finite_non_negative("--gamma-max", gamma_max)
+    require_finite_non_negative("--gamma-min", gamma_min)
+    require_finite_non_negative("--gamma-max", gamma_max)
     if not 0 < gamma_min < gamma_max:
         raise click.UsageError("require 0 < --gamma-min < --gamma-max")
-    try:
-        fluid = PowerLawFluid(consistency=consistency, index=n)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+    fluid = PowerLawFluid(consistency=consistency, index=n)
     config = {"subcommand": "rheology", "n": n, "consistency": consistency,
               "gamma_min": gamma_min, "gamma_max": gamma_max,
               "samples": samples, "format": fmt}
@@ -446,26 +451,6 @@ def rheology(n, consistency, gamma_min, gamma_max, samples, fmt, output):
         rows.append({"strain_rate": rate, "viscosity": visc,
                      "stress": visc * rate})
     _emit(fmt, output, config, RHEOLOGY_COLUMNS, rows)
-
-
-@contextlib.contextmanager
-def _numeric_failures_exit_3():
-    """Map package errors to the CLI exit contract: numerical failures
-    exit 3, remaining domain errors become usage errors (exit 2).
-
-    numpy's overflow warnings are not printed inside it: an integrand that
-    overflows makes the quadrature raise a DomainError that says so.
-    """
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "overflow encountered",
-                                RuntimeWarning)
-        try:
-            yield
-        except (ConvergenceError, EvaluationError) as exc:
-            click.echo(f"numerical failure: {exc}", err=True)
-            sys.exit(3)
-        except CdtubeError as exc:
-            raise click.UsageError(str(exc))
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ import functools
 import math
 
 from . import special
-from ._frozen import slot_setters, value_type
+from ._frozen import value_type
 from .errors import (
     ConvergenceError,
     DegenerateParameterError,
@@ -65,22 +65,6 @@ class FlowResult:
     diagnostics: str
     oracle_value: float | None = None
     rel_error: float | None = None
-
-    def __init__(self, pressure_drop: float | None, flow_rate: float | None,
-                 method: str, branch: str | None, diagnostics: str,
-                 oracle_value: float | None = None,
-                 rel_error: float | None = None):
-        _set_pressure_drop(self, pressure_drop)
-        _set_flow_rate(self, flow_rate)
-        _set_method(self, method)
-        _set_branch(self, branch)
-        _set_diagnostics(self, diagnostics)
-        _set_oracle_value(self, oracle_value)
-        _set_rel_error(self, rel_error)
-
-
-(_set_pressure_drop, _set_flow_rate, _set_method, _set_branch,
- _set_diagnostics, _set_oracle_value, _set_rel_error) = slot_setters(FlowResult)
 
 
 def _beta(q: float, t2: float, w: float):
@@ -133,32 +117,38 @@ def _geometric_integral(spec: TubeSpec, n: float):
         value = length * h / (math.sqrt(d) * r_min**m)
         return value, f"parabolic closed form: 2F1 {rep.summary()}"
 
+    if spec.shape is TubeShape.SINUSOIDAL:
+        # r = A - B cos(2 pi x / L) with A^2 - B^2 = r_min r_max.  Laplace's
+        # integral for the Legendre function (DLMF 14.12, with P_nu =
+        # P_{-nu-1}) gives L (r_min r_max)^(-m/2) P_{3n}(z), z = A /
+        # sqrt(r_min r_max), and P_{3n}(z) = 2F1(-3n, 3n + 1; 1; (1 - z)/2)
+        # (DLMF 14.3).
+        root_min, root_max = math.sqrt(r_min), math.sqrt(r_max)
+        mean = root_min * root_max
+        # (1 - z)/2 = -(sqrt(r_max) - sqrt(r_min))^2 / (4 sqrt(r_min r_max))
+        x = -((r_max - r_min) / (root_max + root_min)) ** 2 / (4.0 * mean)
+        h, rep = special.gauss_2f1(-three_n, m, 1.0, x, full_output=True)
+        value = length * h * mean**-m
+        return value, f"sinusoid closed form: Legendre 2F1 {rep.summary()}"
+
+    # Hyperbolic and cosh: sinh eta and tanh^2 eta of cosh eta = ratio.
     sinh2 = d * (d + 2.0)  # ratio^2 - 1 without cancellation
+    if sinh2 < math.inf:
+        sinh, t2 = math.sqrt(sinh2), sinh2 / ratio**2
+    else:  # ratio^2 past the float range, from about 1.3e154
+        sinh = math.sqrt(d) * math.sqrt(d + 2.0)
+        t2 = (d / ratio) * ((d + 2.0) / ratio)
     if spec.shape is TubeShape.HYPERBOLIC:
-        # r^2 = r_min^2 (1 + sinh2 y^2); u = sin(atan(sqrt(sinh2) y))
-        h, rep = _beta(three_n, sinh2 / ratio**2, ratio**-2)
-        value = length * h / (math.sqrt(sinh2) * r_min**m)
+        # r^2 = r_min^2 (1 + sinh^2 y^2); u = sin(atan(sinh y))
+        h, rep = _beta(three_n, t2, ratio**-2)
+        value = length * h / (sinh * r_min**m)
         return value, f"hyperbolic closed form: 2F1 {rep.summary()}"
 
-    if spec.shape is TubeShape.COSH:
-        # r = r_min cosh(eta y) with cosh eta = ratio; u = tanh(eta y)
-        eta = math.log1p(d + math.sqrt(sinh2))  # acosh(ratio)
-        h, rep = _beta(m, sinh2 / ratio**2, ratio**-2)
-        value = length * h / (eta * r_min**m)
-        return value, f"cosh closed form: 2F1 {rep.summary()}"
-
-    # Sinusoidal: r = A - B cos(2 pi x / L) with A^2 - B^2 = r_min r_max.
-    # Laplace's integral for the Legendre function (DLMF 14.12, with
-    # P_nu = P_{-nu-1}) gives L (r_min r_max)^(-m/2) P_{3n}(z),
-    # z = A / sqrt(r_min r_max), and P_{3n}(z) = 2F1(-3n, 3n + 1; 1;
-    # (1 - z)/2) (DLMF 14.3).
-    root_min, root_max = math.sqrt(r_min), math.sqrt(r_max)
-    mean = root_min * root_max
-    # (1 - z)/2 = -(sqrt(r_max) - sqrt(r_min))^2 / (4 sqrt(r_min r_max))
-    x = -((r_max - r_min) / (root_max + root_min)) ** 2 / (4.0 * mean)
-    h, rep = special.gauss_2f1(-three_n, m, 1.0, x, full_output=True)
-    value = length * h * mean**-m
-    return value, f"sinusoid closed form: Legendre 2F1 {rep.summary()}"
+    # Cosh: r = r_min cosh(eta y); u = tanh(eta y)
+    eta = math.log1p(d + sinh)  # acosh(ratio)
+    h, rep = _beta(m, t2, ratio**-2)
+    value = length * h / (eta * r_min**m)
+    return value, f"cosh closed form: 2F1 {rep.summary()}"
 
 
 def _conductance(fluid: PowerLawFluid, spec: TubeSpec,

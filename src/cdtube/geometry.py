@@ -125,14 +125,6 @@ class ProfileCoefficients:
     b: float
     k: float | None = None
 
-    def __init__(self, a: float, b: float, k: float | None = None):
-        _set_a(self, a)
-        _set_b(self, b)
-        _set_k(self, k)
-
-
-_set_a, _set_b, _set_k = slot_setters(ProfileCoefficients)
-
 
 def coefficients(spec: TubeSpec) -> ProfileCoefficients:
     """Map (r_min, r_max, length) to the profile's internal coefficients."""

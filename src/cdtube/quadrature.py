@@ -21,7 +21,7 @@ import itertools
 import math
 
 from . import _kernels, geometry
-from ._frozen import slot_setters, value_type
+from ._frozen import value_type
 from .errors import ConvergenceError, DomainError, require_finite_non_negative
 from .fluid import PowerLawFluid
 from .geometry import TubeSpec
@@ -79,17 +79,6 @@ class QuadratureResult:
     error_estimate: float
     subdivisions: int
     converged: bool
-
-    def __init__(self, value: float, error_estimate: float, subdivisions: int,
-                 converged: bool):
-        _set_value(self, value)
-        _set_error_estimate(self, error_estimate)
-        _set_subdivisions(self, subdivisions)
-        _set_converged(self, converged)
-
-
-(_set_value, _set_error_estimate, _set_subdivisions,
- _set_converged) = slot_setters(QuadratureResult)
 
 
 def _integrate_adaptive(f, lo: float, hi: float, rel_tol: float,

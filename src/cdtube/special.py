@@ -23,7 +23,7 @@ they never raise it.
 
 import math
 
-from ._frozen import slot_setters, value_type
+from ._frozen import value_type
 from .errors import ConvergenceError, DegenerateParameterError, DomainError
 
 __all__ = [
@@ -72,18 +72,11 @@ class ComplexValue:
     re: float
     im: float = 0.0
 
-    def __init__(self, re: float, im: float = 0.0):
-        _set_re(self, re)
-        _set_im(self, im)
-
     def conjugate(self) -> "ComplexValue":
         return ComplexValue(self.re, -self.im)
 
     def as_complex(self) -> complex:
         return complex(self.re, self.im)
-
-
-_set_re, _set_im = slot_setters(ComplexValue)
 
 
 @value_type
@@ -100,23 +93,11 @@ class EvaluationReport:
     degenerate_parameters: bool = False
     route: str = ""
 
-    def __init__(self, value: ComplexValue, terms_used: int, converged: bool,
-                 degenerate_parameters: bool = False, route: str = ""):
-        _set_value(self, value)
-        _set_terms_used(self, terms_used)
-        _set_converged(self, converged)
-        _set_degenerate_parameters(self, degenerate_parameters)
-        _set_route(self, route)
-
     def summary(self) -> str:
         state = "converged" if self.converged else "failed"
         if self.degenerate_parameters:
             state = "degenerate"
         return f"{state} after {self.terms_used} series terms"
-
-
-(_set_value, _set_terms_used, _set_converged, _set_degenerate_parameters,
- _set_route) = slot_setters(EvaluationReport)
 
 
 def gauss_series(a: float, b: float, c: float, z: float):
@@ -220,6 +201,23 @@ def _series_checked(a, b, c, z, context):
     return _finite_or_raise(value, context), terms
 
 
+# The reports of the continued and Appell kernels.  ``gauss_2f1`` builds
+# its success report inline, so the conductance path makes no extra call.
+def _degenerate(message: str) -> DegenerateParameterError:
+    """The error for parameters on a pole, with the report of a kernel
+    that summed no terms and has no value."""
+    return DegenerateParameterError(
+        message, EvaluationReport(ComplexValue(math.nan), 0, False, True)
+    )
+
+
+def _returned(result: ComplexValue, terms: int, full_output: bool):
+    """``result``, with its report when ``full_output``."""
+    if full_output:
+        return result, EvaluationReport(result, terms, True)
+    return result
+
+
 def arccosh(t: float) -> float:
     """Inverse hyperbolic cosine, ``log(t + sqrt(t^2 - 1))`` for ``t >= 1``."""
     if t < 1.0:
@@ -316,9 +314,8 @@ def gauss_2f1(a: float, b: float, c: float, z: float, full_output: bool = False)
         raise DomainError(f"gauss_2f1 requires z < 1, got {z}")
     terminating = _terminates(a, b, c)
     if _is_nonpos_int(c) and not terminating:
-        report = EvaluationReport(ComplexValue(math.nan), 0, False, True)
-        raise DegenerateParameterError(
-            f"gauss_2f1 is undefined for non-positive integer c={c}", report
+        raise _degenerate(
+            f"gauss_2f1 is undefined for non-positive integer c={c}"
         )
 
     route = ROUTE_SERIES
@@ -412,15 +409,10 @@ def gauss_2f1_continued(a: float, b: float, c: float, z: float,
         raise DomainError(f"gauss_2f1_continued requires z > 1, got {z}")
     if _terminates(a, b, c):
         value, terms = _series_checked(a, b, c, z, "gauss_2f1_continued")
-        result = ComplexValue(value, 0.0)
-        if full_output:
-            return result, EvaluationReport(result, terms, True)
-        return result
+        return _returned(ComplexValue(value, 0.0), terms, full_output)
     if _is_nonpos_int(c):
-        report = EvaluationReport(ComplexValue(math.nan), 0, False, True)
-        raise DegenerateParameterError(
-            f"gauss_2f1_continued is undefined for non-positive integer c={c}",
-            report,
+        raise _degenerate(
+            f"gauss_2f1_continued is undefined for non-positive integer c={c}"
         )
 
     if any(map(_near_pole, (a, b, c - a, c - b))):
@@ -428,11 +420,9 @@ def gauss_2f1_continued(a: float, b: float, c: float, z: float,
         # Near such a pole the function can come close to a zero while the
         # halves stay of order one: at (1.6 + 1e-12, 0.4, 0.6, 3) their
         # sum keeps four digits.
-        report = EvaluationReport(ComplexValue(math.nan), 0, False, True)
-        raise DegenerateParameterError(
+        raise _degenerate(
             "continuation parameters within INTEGER_WINDOW of a gamma pole "
-            f"(a={a}, b={b}, c-a={c - a}, c-b={c - b})",
-            report,
+            f"(a={a}, b={b}, c-a={c - a}, c-b={c - b})"
         )
 
     routes = []
@@ -444,11 +434,9 @@ def gauss_2f1_continued(a: float, b: float, c: float, z: float,
             # 1/z is the smaller expansion variable past z = 2.
             routes.reverse()
     if not routes:
-        report = EvaluationReport(ComplexValue(math.nan), 0, False, True)
-        raise DegenerateParameterError(
+        raise _degenerate(
             "no continuation route: both c-a-b and b-a are integers "
-            f"(a={a}, b={b}, c={c})",
-            report,
+            f"(a={a}, b={b}, c={c})"
         )
 
     last_error = None
@@ -462,9 +450,7 @@ def gauss_2f1_continued(a: float, b: float, c: float, z: float,
             _finite_or_raise(re, "gauss_2f1_continued"),
             _finite_or_raise(im, "gauss_2f1_continued"),
         )
-        if full_output:
-            return result, EvaluationReport(result, terms, True)
-        return result
+        return _returned(result, terms, full_output)
     raise last_error
 
 
@@ -515,9 +501,8 @@ def appell_f1(a: float, b1: float, b2: float, c: float, x: float, y: float,
     # (c)_{m+n} vanishing is fatal unless (a)_{m+n} truncates the double
     # series first.
     if _is_nonpos_int(c) and not (_is_exact_nonpos_int(a) and round(c) <= round(a)):
-        report = EvaluationReport(ComplexValue(math.nan), 0, False, True)
-        raise DegenerateParameterError(
-            f"appell_f1 is undefined for non-positive integer c={c}", report
+        raise _degenerate(
+            f"appell_f1 is undefined for non-positive integer c={c}"
         )
 
     if b2 == 0.0 and abs(x) < 1.0:
@@ -536,37 +521,29 @@ def appell_f1(a: float, b1: float, b2: float, c: float, x: float, y: float,
                 f"appell_f1 boundary x=1 requires c - a - b1 > 0, got {s}"
             )
         if _is_nonpos_int(c) or _is_nonpos_int(c - a) or _is_nonpos_int(c - b1):
-            report = EvaluationReport(ComplexValue(math.nan), 0, False, True)
-            raise DegenerateParameterError(
+            raise _degenerate(
                 "appell_f1 boundary reduction hits a gamma pole "
-                f"(c-a={c - a}, c-b1={c - b1})",
-                report,
+                f"(c-a={c - a}, c-b1={c - b1})"
             )
         coef = (math.gamma(c) * math.gamma(s)
                 * _rgamma(c - a) * _rgamma(c - b1))
         if y < 1.0:
             inner, rep = gauss_2f1(a, b2, c - b1, y, full_output=True)
             result = ComplexValue(coef * inner)
-            terms = rep.terms_used
         elif y == 1.0:
             raise DomainError("appell_f1 corner x = y = 1 is not supported")
         else:
             inner, rep = gauss_2f1_continued(a, b2, c - b1, y, branch,
                                              full_output=True)
             result = ComplexValue(coef * inner.re, coef * inner.im)
-            terms = rep.terms_used
         _finite_or_raise(result.re, "appell_f1")
         _finite_or_raise(result.im, "appell_f1")
-        if full_output:
-            return result, EvaluationReport(result, terms, True)
-        return result
+        return _returned(result, rep.terms_used, full_output)
 
     if abs(x) < 1.0 and abs(y) < 1.0:
         value, terms = _appell_series(a, b1, b2, c, x, y)
         result = ComplexValue(_finite_or_raise(value, "appell_f1"))
-        if full_output:
-            return result, EvaluationReport(result, terms, True)
-        return result
+        return _returned(result, terms, full_output)
 
     raise DomainError(
         f"appell_f1 arguments (x={x}, y={y}) outside the supported domain: "

@@ -17,6 +17,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cdtube import (
+    ConvergenceError,
+    EvaluationError,
     PowerLawFluid,
     TubeShape,
     TubeSpec,
@@ -641,3 +643,65 @@ def test_rheology_bad_range_exits_2(runner):
         "--gamma-min", "10", "--gamma-max", "1",
     ])
     assert result.exit_code == 2
+
+
+# ---------------------------------------------------------------------------
+# exit codes: 2 for a domain error, 3 for a numerical failure
+# ---------------------------------------------------------------------------
+
+COSH_GEOMETRY = ["--shape", "cosh", "--rmin", "1", "--rmax", "2",
+                 "--length", "1"]
+NEWTONIAN = ["--n", "1", "--consistency", "1"]
+
+# Per command: arguments that pass click's own checks but break a
+# precondition of the package, and the message printed for it.
+DOMAIN_ERRORS = {
+    "solve": (["solve", *COSH_GEOMETRY, *NEWTONIAN, "--flow-rate", "-1"],
+              "--flow-rate must be finite and non-negative, got -1.0"),
+    "sweep": (["sweep", *COSH_GEOMETRY[:4], "--rmax", "0.5",
+               *COSH_GEOMETRY[6:], *NEWTONIAN, "--start", "0", "--stop", "1",
+               "--count", "3"],
+              "r_max must satisfy r_max >= r_min > 0, got r_min=1.0, "
+              "r_max=0.5"),
+    "validate": (["validate", "--grid", "quick", "--rel-tol", "1e-20"],
+                 "rel_tol must be within [1e-14, 0.01], got 1e-20"),
+    "profile": (["profile", *COSH_GEOMETRY[:6], "--length", "0"],
+                "length must be positive, got 0.0"),
+    "rheology": (["rheology", "--n", "0", "--consistency", "1"],
+                 "index must be positive, got 0.0"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(DOMAIN_ERRORS))
+def test_domain_error_exits_2_with_the_usage_line(runner, command):
+    args, message = DOMAIN_ERRORS[command]
+    result = runner.invoke(main, args, prog_name="cdtube")
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"Usage: cdtube {command} [OPTIONS]\n")
+    assert result.stderr.endswith(f"\nError: {message}\n")
+
+
+NUMERIC_COMMANDS = [
+    ["solve", *COSH_GEOMETRY, *NEWTONIAN, "--flow-rate", "1"],
+    ["solve", *COSH_GEOMETRY, *NEWTONIAN, "--pressure", "1", "--format",
+     "csv"],
+    ["sweep", *COSH_GEOMETRY, *NEWTONIAN, "--start", "0", "--stop", "1",
+     "--count", "3"],
+    ["validate", "--grid", "quick"],
+]
+
+
+@pytest.mark.parametrize("error", [ConvergenceError, EvaluationError])
+@pytest.mark.parametrize("args", NUMERIC_COMMANDS,
+                         ids=["solve", "solve-pressure", "sweep", "validate"])
+def test_numerical_failure_exits_3_with_nothing_on_stdout(runner, monkeypatch,
+                                                          args, error):
+    def fail(*_args, **_kwargs):
+        raise error("no route converged")
+
+    monkeypatch.setattr(flow_module, "_conductance", fail)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr == "numerical failure: no route converged\n"

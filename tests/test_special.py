@@ -745,6 +745,34 @@ def test_large_index_beta_forms_against_mpmath_quadrature(shape, n):
     assert not misses
 
 
+@pytest.mark.parametrize("shape", [TubeShape.HYPERBOLIC, TubeShape.COSH])
+@pytest.mark.parametrize("ratio", [1e155, 1e200, 1e300])
+@pytest.mark.parametrize("n", [0.5, 1.0, 2.0])
+def test_ratio_past_the_square_root_of_the_float_range(shape, ratio, n):
+    # ratio^2 - 1 overflows from about 1.3e154, while K stays an ordinary
+    # float.  The reference is a 40-digit quadrature at r_min = length = 1
+    # in the variable of the closed form's substitution, over which the
+    # integrand is smooth: theta = atan(sinh y) for the hyperbolic,
+    # t = eta y for the cosh.  The throat-width splits of
+    # _mpmath_geometric_integral leave the hyperbolic peak unresolved at
+    # these ratios (6e-7 off at 1e155).
+    fluid = PowerLawFluid(1.0, n)
+    with mpmath.workdps(40):
+        m, big = 3 * mpmath.mpf(n) + 1, mpmath.mpf(ratio)
+        if shape is TubeShape.HYPERBOLIC:
+            sinh = mpmath.sqrt(big**2 - 1)
+            geometric = mpmath.quad(lambda t: mpmath.cos(t) ** (m - 2),
+                                    [0, mpmath.atan(sinh)]) / sinh
+        else:
+            eta = mpmath.acosh(big)
+            geometric = mpmath.quad(lambda t: mpmath.sech(t) ** m,
+                                    [0, 1, 4, 16, 64, eta]) / eta
+    ref = master_prefactor(fluid, 1.0) * float(geometric)
+    result = pressure_drop(fluid, TubeSpec(shape, 1.0, ratio, 1.0), 1.0)
+    assert result.method == "analytic"
+    assert abs(result.pressure_drop - ref) <= 1e-13 * ref
+
+
 def _recording_gauss_2f1(monkeypatch):
     """Patch the 2F1 the conductance forms call; return the list that
     collects ``(z, route, terms)`` of each call."""

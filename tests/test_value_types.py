@@ -23,6 +23,7 @@ from cdtube import (
     TubeShape,
     TubeSpec,
 )
+from cdtube._frozen import slot_setters, value_type
 
 VALUES = {
     "PowerLawFluid": (PowerLawFluid(1.5, 0.7),
@@ -146,3 +147,36 @@ def test_replace_validates_like_the_constructor(name, changes):
         dataclasses.replace(value, **changes)
     with pytest.raises(DomainError):
         type(value)(**{**_fields(value), **changes})
+
+
+def test_value_type_generates_an_init_that_stores_the_fields():
+    @value_type
+    class Pair:
+        left: float
+        right: str = "unset"
+
+    pair = Pair(1.5)
+    assert (pair.left, pair.right) == (1.5, "unset")
+    params = inspect.signature(Pair).parameters.values()
+    assert [(p.name, p.default) for p in params] == [
+        ("left", inspect.Parameter.empty), ("right", "unset")]
+    assert Pair(right="x", left=1.5) == Pair(1.5, "x") != pair
+    assert dataclasses.replace(pair, right="y") == Pair(1.5, "y")
+    assert pair == Pair(1.5, "unset")
+    with pytest.raises(TypeError):
+        Pair()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pair.left = 2.0
+
+
+def test_value_type_keeps_an_init_of_its_own():
+    @value_type
+    class Doubled:
+        value: float
+
+        def __init__(self, value):
+            store(self, 2.0 * value)
+
+    (store,) = slot_setters(Doubled)
+    assert Doubled(1.5).value == 3.0
+    assert dataclasses.replace(Doubled(1.0), value=4.0).value == 8.0

@@ -2,49 +2,43 @@
 
 These are the only profile formulas the quadrature oracle uses.  numpy is
 imported on the first call, not with the package: the closed-form solve
-path never evaluates a profile on an array.  Everything here is pure
-float math with no exception raising; wrappers in :mod:`cdtube.geometry`
-own validation and error reporting.
+path never evaluates a profile on an array.  The arguments come from
+:func:`cdtube.geometry._kernel_args`, which raises :class:`DomainError`
+for a profile whose arguments are not finite, so the kernels only
+compute.
 """
-
-# Integer codes for the five profiles plus the straight-tube degenerate.
-STRAIGHT = 0
-CONIC = 1
-PARABOLIC = 2
-HYPERBOLIC = 3
-COSH = 4
-SINUSOIDAL = 5
 
 # numpy, bound by the first profile evaluation.  A function-level import
 # statement would cost about 0.1 us on each quadrature panel.
 np = None
 
 
-def profile_radius(code: int, a: float, b: float, k: float, x):
-    """Radius of profile ``code`` at axial positions ``x`` (array)."""
+def profile_radius(shape, a: float, b: float, k: float, x):
+    """Radius at axial positions ``x`` (array) of the profile whose
+    :class:`~cdtube.geometry.TubeShape` value is ``shape`` (None: straight)."""
     global np
     if np is None:
         import numpy as np
 
-    if code == CONIC:
+    if shape is None:  # straight tube: r = a
+        return a + 0.0 * x
+    elif shape == "conic":
         return a + b * np.abs(x)
-    elif code == PARABOLIC:
+    elif shape == "parabolic":
         return a + b * x * x
-    elif code == HYPERBOLIC:
+    elif shape == "hyperbolic":
         return np.sqrt(a + b * x * x)
-    elif code == COSH:
+    elif shape == "cosh":
         return a * np.cosh(b * x)
-    elif code == SINUSOIDAL:
-        # r_min + 2b sin^2(kx/2) equals (r_max + r_min)/2 - b cos(kx) but
-        # keeps full relative accuracy at the throat, where the cosine
-        # form cancels.
-        s = np.sin(0.5 * k * x)
-        return a + 2.0 * b * (s * s)
-    return a + 0.0 * x  # STRAIGHT
+    # Sinusoidal: r_min + 2b sin^2(kx/2) equals (r_max + r_min)/2 - b cos(kx)
+    # but keeps full relative accuracy at the throat, where the cosine
+    # form cancels.
+    s = np.sin(0.5 * k * x)
+    return a + 2.0 * b * (s * s)
 
 
-def inverse_radius_power(code: int, a: float, b: float, k: float,
+def inverse_radius_power(shape, a: float, b: float, k: float,
                          exponent: float, x):
     """Integrand of the master pressure integral: ``r(x) ** -exponent``."""
-    r = profile_radius(code, a, b, k, x)
+    r = profile_radius(shape, a, b, k, x)
     return r ** (-exponent)

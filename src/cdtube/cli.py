@@ -137,13 +137,6 @@ def _spaced(start: float, stop: float, count: int, log: bool = False):
     return values
 
 
-def _build_inputs(shape, n, consistency, rmin, rmax, length):
-    fluid = PowerLawFluid(consistency=consistency, index=n)
-    spec = TubeSpec(shape=TubeShape(shape), r_min=rmin, r_max=rmax,
-                    length=length)
-    return fluid, spec
-
-
 def _solve_row(fluid, spec, periods, given_flow, given_pressure, solve_unit):
     """One row in SOLVE_COLUMNS order.
 
@@ -208,41 +201,37 @@ def main():
 main.command_class = _Command
 
 
-def _geometry_options(func):
-    for deco in reversed([
-        click.option("--shape", type=click.Choice(SHAPE_NAMES), required=True,
-                     help="Tube profile."),
-        click.option("--rmin", type=float, required=True,
-                     help="Throat radius (m)."),
-        click.option("--rmax", type=float, required=True,
-                     help="Entry/exit radius (m)."),
-        click.option("--length", type=float, required=True,
-                     help="Length of one corrugation unit (m)."),
-    ]):
-        func = deco(func)
-    return func
+def _options(*decorators):
+    """One decorator applying ``decorators``, the first outermost."""
+    def apply(func):
+        for deco in reversed(decorators):
+            func = deco(func)
+        return func
+    return apply
 
 
-def _fluid_options(func):
-    for deco in reversed([
-        click.option("--n", type=float, required=True,
-                     help="Flow behavior index (dimensionless)."),
-        click.option("--consistency", type=float, required=True,
-                     help="Consistency factor C (Pa*s^n)."),
-    ]):
-        func = deco(func)
-    return func
-
-
-def _output_options(func):
-    for deco in reversed([
-        click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-                     default="json", show_default=True),
-        click.option("--output", type=click.Path(dir_okay=False), default=None,
-                     help="Write to this path instead of stdout."),
-    ]):
-        func = deco(func)
-    return func
+_geometry_options = _options(
+    click.option("--shape", type=click.Choice(SHAPE_NAMES), required=True,
+                 help="Tube profile."),
+    click.option("--rmin", type=float, required=True,
+                 help="Throat radius (m)."),
+    click.option("--rmax", type=float, required=True,
+                 help="Entry/exit radius (m)."),
+    click.option("--length", type=float, required=True,
+                 help="Length of one corrugation unit (m)."),
+)
+_fluid_options = _options(
+    click.option("--n", type=float, required=True,
+                 help="Flow behavior index (dimensionless)."),
+    click.option("--consistency", type=float, required=True,
+                 help="Consistency factor C (Pa*s^n)."),
+)
+_output_options = _options(
+    click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
+                 default="json", show_default=True),
+    click.option("--output", type=click.Path(dir_okay=False), default=None,
+                 help="Write to this path instead of stdout."),
+)
 
 
 @main.command()
@@ -282,7 +271,8 @@ def solve(shape, rmin, rmax, length, n, consistency, flow_rate, pressure,
         "pressure": pressure, "validate": validate, "rel_tol": rel_tol,
         "max_subdivisions": max_subdivisions, "format": fmt,
     }
-    fluid, spec = _build_inputs(shape, n, consistency, rmin, rmax, length)
+    fluid = PowerLawFluid(consistency=consistency, index=n)
+    spec = TubeSpec(shape=shape, r_min=rmin, r_max=rmax, length=length)
 
     def solve_unit(value, pressure_given):
         solver = solve_flow_rate if pressure_given else solve_pressure_drop
@@ -331,7 +321,8 @@ def sweep(shape, rmin, rmax, length, n, consistency, quantity, start, stop,
         "start": start, "stop": stop, "count": count, "spacing": spacing,
         "validate": validate, "rel_tol": rel_tol, "format": fmt,
     }
-    fluid, spec = _build_inputs(shape, n, consistency, rmin, rmax, length)
+    fluid = PowerLawFluid(consistency=consistency, index=n)
+    spec = TubeSpec(shape=shape, r_min=rmin, r_max=rmax, length=length)
     # Only Q or P varies along the sweep: K, and the oracle's integral,
     # are computed once.
     cond = flow._conductance(fluid, spec)
@@ -374,8 +365,7 @@ def validate(grid, rel_tol, fmt, output):
                               grid_def["length"])
     for shape, n, ratio, length in tubes:
         fluid = PowerLawFluid(consistency=1.0, index=n)
-        spec = TubeSpec(shape=TubeShape(shape), r_min=1.0, r_max=ratio,
-                        length=length)
+        spec = TubeSpec(shape=shape, r_min=1.0, r_max=ratio, length=length)
         # As in sweep: K and the oracle's integral once per tube.
         cond = flow._conductance(fluid, spec)
         _, method, _ = cond
@@ -416,8 +406,7 @@ def validate(grid, rel_tol, fmt, output):
 @_output_options
 def profile(shape, rmin, rmax, length, samples, fmt, output):
     """Sample the tube radius along the axis as (x, r) pairs."""
-    spec = TubeSpec(shape=TubeShape(shape), r_min=rmin, r_max=rmax,
-                    length=length)
+    spec = TubeSpec(shape=shape, r_min=rmin, r_max=rmax, length=length)
     xs, rs = sample_profile(spec, samples)
     config = {"subcommand": "profile", "shape": shape, "r_min": rmin,
               "r_max": rmax, "length": length, "samples": samples,
@@ -448,8 +437,12 @@ def rheology(n, consistency, gamma_min, gamma_max, samples, fmt, output):
     rows = []
     for rate in _spaced(gamma_min, gamma_max, samples, log=True):
         visc = apparent_viscosity(fluid, rate)
+        stress = visc * rate
+        if stress == math.inf:
+            raise DomainError(f"stress at strain rate {rate!r} is outside "
+                              "the float range")
         rows.append({"strain_rate": rate, "viscosity": visc,
-                     "stress": visc * rate})
+                     "stress": stress})
     _emit(fmt, output, config, RHEOLOGY_COLUMNS, rows)
 
 

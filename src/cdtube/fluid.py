@@ -65,11 +65,19 @@ def apparent_viscosity(fluid: PowerLawFluid, strain_rate: float) -> float:
     """Apparent viscosity ``C * rate^(n-1)`` in Pa*s.
 
     The model has no low-shear plateau, so a zero or negative strain rate
-    is a domain error (the n < 1 viscosity diverges at rest).
+    is a domain error (the n < 1 viscosity diverges at rest), and so is a
+    viscosity past the float range.
     """
     if not strain_rate > 0.0:
         raise DomainError(f"strain_rate must be positive, got {strain_rate}")
-    return fluid.consistency * strain_rate ** (fluid.index - 1.0)
+    try:
+        viscosity = fluid.consistency * strain_rate ** (fluid.index - 1.0)
+    except OverflowError:
+        viscosity = math.inf
+    if viscosity == math.inf:
+        raise DomainError(f"apparent viscosity at strain rate {strain_rate!r} "
+                          f"is outside the float range (n={fluid.index!r})")
+    return viscosity
 
 
 def straight_tube_conductance(fluid: PowerLawFluid, radius: float,

@@ -6,7 +6,8 @@ throat (minimum radius) at ``x = 0`` and the maximum radius at both ends.
 internal parameters; :func:`radius_at` and :func:`radius_profile` evaluate
 the radius itself and are the only profile knowledge the quadrature oracle
 is allowed to use.  They, and :func:`sample_profile`, import numpy on
-first use.
+first use, and raise :class:`DomainError` for a profile that leaves the
+float range.
 """
 
 import math
@@ -39,15 +40,6 @@ class TubeShape(Enum):
     HYPERBOLIC = "hyperbolic"
     COSH = "cosh"
     SINUSOIDAL = "sinusoidal"
-
-
-_SHAPE_CODE = {
-    TubeShape.CONIC: _kernels.CONIC,
-    TubeShape.PARABOLIC: _kernels.PARABOLIC,
-    TubeShape.HYPERBOLIC: _kernels.HYPERBOLIC,
-    TubeShape.COSH: _kernels.COSH,
-    TubeShape.SINUSOIDAL: _kernels.SINUSOIDAL,
-}
 
 
 @value_type
@@ -127,18 +119,18 @@ class ProfileCoefficients:
 
 
 def coefficients(spec: TubeSpec) -> ProfileCoefficients:
-    """Map (r_min, r_max, length) to the profile's internal coefficients."""
+    """Map (r_min, r_max, length) to the profile's internal coefficients;
+    one past the float range is inf or nan, not an OverflowError."""
     dr = spec.r_max - spec.r_min
     length = spec.length
     if spec.shape is TubeShape.CONIC:
         return ProfileCoefficients(spec.r_min, 2.0 * dr / length)
     if spec.shape is TubeShape.PARABOLIC:
-        return ProfileCoefficients(spec.r_min, (2.0 / length) ** 2 * dr)
+        return ProfileCoefficients(spec.r_min, _square(2.0 / length) * dr)
     if spec.shape is TubeShape.HYPERBOLIC:
+        a = _square(spec.r_min)
         return ProfileCoefficients(
-            spec.r_min**2,
-            (2.0 / length) ** 2 * (spec.r_max**2 - spec.r_min**2),
-        )
+            a, _square(2.0 / length) * (_square(spec.r_max) - a))
     if spec.shape is TubeShape.COSH:
         return ProfileCoefficients(
             spec.r_min, 2.0 / length * math.acosh(spec.r_max / spec.r_min)
@@ -150,30 +142,42 @@ def coefficients(spec: TubeSpec) -> ProfileCoefficients:
     )
 
 
+def _square(v: float) -> float:
+    """``v ** 2``, or inf where ``**`` raises :class:`OverflowError`."""
+    try:
+        return v**2
+    except OverflowError:
+        return math.inf
+
+
 def _kernel_args(spec: TubeSpec):
-    coef = coefficients(spec)
+    """``(shape, a, b, k)`` for :mod:`cdtube._kernels`: the shape's value,
+    None for the straight tube.  The one check of a profile's float range:
+    an argument that is not finite raises :class:`DomainError`."""
     if spec.is_straight:
         # All shapes collapse to r(x) = r_min; avoids 0/0 in shape formulas.
-        return _kernels.STRAIGHT, spec.r_min, 0.0, 0.0
-    if spec.shape is TubeShape.SINUSOIDAL:
-        # The sinusoid kernel starts from the throat, not the mean radius.
-        return _kernels.SINUSOIDAL, spec.r_min, coef.b, coef.k
-    return (_SHAPE_CODE[spec.shape], coef.a, coef.b,
-            coef.k if coef.k is not None else 0.0)
+        return None, spec.r_min, 0.0, 0.0
+    coef = coefficients(spec)
+    # The sinusoid kernel starts from the throat, not the mean radius.
+    a, b, k = ((spec.r_min, coef.b, coef.k)
+               if spec.shape is TubeShape.SINUSOIDAL
+               else (coef.a, coef.b, 0.0))
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(k)):
+        raise DomainError(f"the {spec.shape.value} profile is outside the "
+                          f"float range (r_min={spec.r_min!r}, "
+                          f"r_max={spec.r_max!r}, length={spec.length!r})")
+    # ``_value_`` holds what ``.value``, a Python-level property, returns.
+    return spec.shape._value_, a, b, k
 
 
 def radius_at(spec: TubeSpec, x: float) -> float:
     """Tube radius at axial position ``x`` (m), ``|x| <= length/2``."""
-    import numpy as np
-
     half = 0.5 * spec.length
     if abs(x) > half * (1.0 + _EDGE_SLACK):
         raise DomainError(
             f"x={x} outside the tube domain [-{half}, {half}]"
         )
-    x = min(max(x, -half), half)
-    code, a, b, k = _kernel_args(spec)
-    return float(_kernels.profile_radius(code, a, b, k, np.float64(x)))
+    return float(radius_profile(spec, x))
 
 
 def radius_profile(spec: TubeSpec, x):
@@ -185,8 +189,7 @@ def radius_profile(spec: TubeSpec, x):
     if np.any(np.abs(x) > half * (1.0 + _EDGE_SLACK)):
         raise DomainError("profile positions outside the tube domain")
     x = np.clip(x, -half, half)
-    code, a, b, k = _kernel_args(spec)
-    return _kernels.profile_radius(code, a, b, k, x)
+    return _kernels.profile_radius(*_kernel_args(spec), x)
 
 
 def sample_profile(spec: TubeSpec, samples: int):

@@ -147,8 +147,8 @@ def integrate_inverse_radius_power(spec: TubeSpec, exponent: float,
         If the panel cap is reached first; the best estimate rides along
         on the exception.
     DomainError
-        At the first panel whose estimate is not finite, because
-        ``r ** -exponent`` overflows.
+        If the profile leaves the float range, or at the first panel
+        whose estimate is not finite, because ``r ** -exponent`` overflows.
     """
     if not exponent > 0.0:
         raise DomainError(f"exponent must be positive, got {exponent}")
@@ -158,10 +158,10 @@ def integrate_inverse_radius_power(spec: TubeSpec, exponent: float,
             f"rel_tol must be within [{lo_tol}, {hi_tol}], got {rel_tol}"
         )
 
-    code, a, b, k = geometry._kernel_args(spec)
+    shape, a, b, k = geometry._kernel_args(spec)
 
     def integrand(x):
-        return _kernels.inverse_radius_power(code, a, b, k, exponent, x)
+        return _kernels.inverse_radius_power(shape, a, b, k, exponent, x)
 
     value, err, npanels, ok = _integrate_adaptive(
         integrand, 0.0, 0.5 * spec.length, rel_tol, max_panels

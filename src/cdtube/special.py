@@ -1,6 +1,6 @@
 """Gauss and Appell hypergeometric kernels with real-axis continuation.
 
-The closed-form pressure relations need three evaluation regimes:
+The module covers three evaluation regimes:
 
 * ``gauss_2f1`` for real argument ``z < 1``, through a route map (DLMF
   15.8): the direct series on ``(0, 0.9]``, the ``1 - z`` connection

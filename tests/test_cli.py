@@ -601,6 +601,39 @@ def test_profile_requires_valid_geometry(runner):
     assert result.exit_code == 2
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+@pytest.mark.parametrize("shape", cli_module.SHAPE_NAMES)
+def test_extreme_profiles_exit_2_or_print_finite_radii(runner, shape,
+                                                       extreme_geometries):
+    # Before, such a profile exited 0 with Infinity or NaN radii, or 1 with
+    # an OverflowError traceback.
+    for r_min, r_max, length in extreme_geometries:
+        args = ["profile", "--shape", shape, "--rmin", repr(r_min),
+                "--rmax", repr(r_max), "--length", repr(length),
+                "--samples", "11"]
+        for fmt in ("json", "csv"):
+            result = runner.invoke(main, [*args, "--format", fmt])
+            if result.exit_code == 2:
+                assert result.stdout == ""
+                assert f"the {shape} profile is outside the float range" \
+                    in result.stderr
+            elif fmt == "json":
+                assert result.exit_code == 0, result.output
+                doc = json.loads(result.stdout,
+                                 parse_constant=_reject_constant)
+                assert len(doc["results"]) == 11
+            else:
+                assert result.exit_code == 0, result.output
+                rows = parse_csv(result.stdout)
+                assert all(math.isfinite(float(row[column]))
+                           for row in rows for column in ("x", "r"))
+                assert "inf" not in result.stdout
+                assert "nan" not in result.stdout
+
+
 # ---------------------------------------------------------------------------
 # rheology
 # ---------------------------------------------------------------------------
@@ -645,6 +678,24 @@ def test_rheology_bad_range_exits_2(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("args,message", [
+    # rate^(n-1) raised OverflowError: a traceback and exit 1
+    (["--n", "300", "--consistency", "1"],
+     "apparent viscosity at strain rate 12.115276586285876 is outside the "
+     "float range (n=300.0)"),
+    # a finite viscosity times the rate: exit 0 with "stress": Infinity
+    (["--n", "100", "--consistency", "1e10"],
+     "stress at strain rate 1000.0 is outside the float range"),
+])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_rheology_past_the_float_range_exits_2(runner, args, message, fmt):
+    with pytest.warns(UserWarning, match="guaranteed-accuracy"):
+        result = runner.invoke(main, ["rheology", *args, "--format", fmt])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.endswith(f"\nError: {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # exit codes: 2 for a domain error, 3 for a numerical failure
 # ---------------------------------------------------------------------------
@@ -680,6 +731,20 @@ def test_domain_error_exits_2_with_the_usage_line(runner, command):
     assert result.stdout == ""
     assert result.stderr.startswith(f"Usage: cdtube {command} [OPTIONS]\n")
     assert result.stderr.endswith(f"\nError: {message}\n")
+
+
+def test_oracle_past_the_profile_float_range_exits_2(runner):
+    # K = 2e-200 is finite, but the oracle's r^2 = r_min^2 + b x^2 is not.
+    # Before, --validate blamed "pressure drop at 1.0 overflows".
+    args = ["solve", "--shape", "hyperbolic", *NEWTONIAN, "--rmin", "1",
+            "--rmax", "1e200", "--length", "1", "--flow-rate", "1"]
+    assert run(runner, args).exit_code == 0
+    result = runner.invoke(main, [*args, "--validate"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.endswith(
+        "\nError: the hyperbolic profile is outside the float range "
+        "(r_min=1.0, r_max=1e+200, length=1.0)\n")
 
 
 NUMERIC_COMMANDS = [

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 from hypothesis import given, strategies as st
@@ -156,3 +157,17 @@ def test_linearity_in_consistency_and_length(q, n):
     doubled_l = straight_tube_pressure_drop(PowerLawFluid(1.5, n), 0.7, 6.0, q)
     assert doubled_c == 2.0 * base
     assert doubled_l == 2.0 * base
+
+
+@pytest.mark.parametrize("consistency,index,strain_rate", [
+    (1.0, 300.0, 1e3),    # rate^(n-1) raises OverflowError
+    (1e300, 2.0, 1e10),   # C * rate^(n-1) is inf
+    (1e300, 0.5, 1e-20),  # rate^(n-1) grows as the rate falls for n < 1
+])
+def test_viscosity_past_the_float_range_is_a_domain_error(consistency, index,
+                                                         strain_rate):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        fluid = PowerLawFluid(consistency=consistency, index=index)
+    with pytest.raises(DomainError, match="outside the float range"):
+        apparent_viscosity(fluid, strain_rate)

@@ -29,10 +29,8 @@ from .geometry import (
     sample_profile,
 )
 from .special import (
-    ComplexValue,
     EvaluationReport,
     appell_f1,
-    arccosh,
     gauss_2f1,
     gauss_2f1_continued,
 )
@@ -51,7 +49,6 @@ from .flow import (
 
 __all__ = [
     "CdtubeError",
-    "ComplexValue",
     "ConvergenceError",
     "DegenerateParameterError",
     "DomainError",
@@ -65,7 +62,6 @@ __all__ = [
     "TubeSpec",
     "appell_f1",
     "apparent_viscosity",
-    "arccosh",
     "coefficients",
     "conductance_coefficient",
     "flow_rate",

@@ -163,7 +163,7 @@ def _solve_row(fluid, spec, periods, given_flow, given_pressure, solve_unit):
         "r_min": spec.r_min, "r_max": spec.r_max, "length": spec.length,
         "periods": periods,
         "Q": q_val, "P": p_val, "method": result.method,
-        "branch": result.branch, "note": result.diagnostics,
+        "branch": None, "note": result.diagnostics,
         "oracle": oracle, "rel_err": result.rel_error,
     }
 
@@ -384,7 +384,7 @@ def validate(grid, rel_tol, fmt, output):
                 "P_analytic": result.pressure_drop,
                 "P_numeric": result.oracle_value,
                 "rel_err": result.rel_error, "method": result.method,
-                "branch": result.branch,
+                "branch": None,
             }
             rows.append(row)
             if not result.rel_error <= tol:

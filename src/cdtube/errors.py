@@ -23,10 +23,6 @@ class DegenerateParameterError(CdtubeError, ValueError):
     Callers are expected to fall back to numerical integration.
     """
 
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
-
 
 class ConvergenceError(CdtubeError, RuntimeError):
     """An iterative evaluation failed to converge within its caps.
@@ -34,10 +30,9 @@ class ConvergenceError(CdtubeError, RuntimeError):
     ``best_estimate`` carries the last iterate when one is available.
     """
 
-    def __init__(self, message, best_estimate=None, report=None):
+    def __init__(self, message, best_estimate=None):
         super().__init__(message)
         self.best_estimate = best_estimate
-        self.report = report
 
 
 class EvaluationError(CdtubeError, RuntimeError):

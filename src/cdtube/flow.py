@@ -53,15 +53,12 @@ class FlowResult:
     Exactly one of ``pressure_drop`` / ``flow_rate`` is set, matching the
     direction of the solve.  ``method`` records whether the closed form or
     the quadrature fallback produced the value, and ``oracle_value`` /
-    ``rel_error`` are filled when validation was requested.  ``branch`` is
-    always None: no closed form continues a function past its branch cut,
-    and the field stays for the output schema.
+    ``rel_error`` are filled when validation was requested.
     """
 
     pressure_drop: float | None
     flow_rate: float | None
     method: str
-    branch: str | None
     diagnostics: str
     oracle_value: float | None = None
     rel_error: float | None = None
@@ -228,7 +225,7 @@ def _operating_point(fluid: PowerLawFluid, cond, given: float,
                      if oracle_value != 0.0 else 0.0)
     return FlowResult(None if pressure_given else p,
                       q if pressure_given else None,
-                      method, None, diagnostics, oracle_value, rel_error)
+                      method, diagnostics, oracle_value, rel_error)
 
 
 def pressure_drop(fluid: PowerLawFluid, spec: TubeSpec, flow_rate: float,

@@ -11,6 +11,7 @@ float range.
 """
 
 import math
+import sys
 from enum import Enum
 
 from . import _kernels
@@ -30,6 +31,8 @@ __all__ = [
 # Relative slack on the |x| <= L/2 domain check, to absorb endpoint
 # rounding from node generation.
 _EDGE_SLACK = 1e-12
+
+_SMALLEST_NORMAL = sys.float_info.min
 
 
 class TubeShape(Enum):
@@ -120,11 +123,13 @@ class ProfileCoefficients:
 
 def coefficients(spec: TubeSpec) -> ProfileCoefficients:
     """Map (r_min, r_max, length) to the profile's internal coefficients;
-    one past the float range is inf or nan, not an OverflowError."""
+    one past the float range is inf or nan, not an OverflowError, and a
+    square below the normal range is 0."""
     dr = spec.r_max - spec.r_min
     length = spec.length
     if spec.shape is TubeShape.CONIC:
-        return ProfileCoefficients(spec.r_min, 2.0 * dr / length)
+        # Scaling by 2 is exact: 2 * dr could overflow where b does not.
+        return ProfileCoefficients(spec.r_min, 2.0 * (dr / length))
     if spec.shape is TubeShape.PARABOLIC:
         return ProfileCoefficients(spec.r_min, _square(2.0 / length) * dr)
     if spec.shape is TubeShape.HYPERBOLIC:
@@ -143,17 +148,22 @@ def coefficients(spec: TubeSpec) -> ProfileCoefficients:
 
 
 def _square(v: float) -> float:
-    """``v ** 2``, or inf where ``**`` raises :class:`OverflowError`."""
+    """``v ** 2``; inf where ``**`` raises :class:`OverflowError`, and 0
+    where the square is subnormal, as the digits it lost would be lost
+    from a coefficient scaled back into the normal range."""
     try:
-        return v**2
+        square = v**2
     except OverflowError:
         return math.inf
+    return square if square >= _SMALLEST_NORMAL else 0.0
 
 
 def _kernel_args(spec: TubeSpec):
     """``(shape, a, b, k)`` for :mod:`cdtube._kernels`: the shape's value,
     None for the straight tube.  The one check of a profile's float range:
-    an argument that is not finite raises :class:`DomainError`."""
+    ``b``, and ``a`` where it is not ``r_min`` itself, must be normal
+    floats, and ``k`` finite, or :class:`DomainError` is raised.  A
+    subnormal coefficient has lost digits: at 1e-320 a relative 1e-4."""
     if spec.is_straight:
         # All shapes collapse to r(x) = r_min; avoids 0/0 in shape formulas.
         return None, spec.r_min, 0.0, 0.0
@@ -162,7 +172,8 @@ def _kernel_args(spec: TubeSpec):
     a, b, k = ((spec.r_min, coef.b, coef.k)
                if spec.shape is TubeShape.SINUSOIDAL
                else (coef.a, coef.b, 0.0))
-    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(k)):
+    if not (_SMALLEST_NORMAL <= b < math.inf and math.isfinite(k)
+            and (a == spec.r_min or _SMALLEST_NORMAL <= a < math.inf)):
         raise DomainError(f"the {spec.shape.value} profile is outside the "
                           f"float range (r_min={spec.r_min!r}, "
                           f"r_max={spec.r_max!r}, length={spec.length!r})")
@@ -173,7 +184,7 @@ def _kernel_args(spec: TubeSpec):
 def radius_at(spec: TubeSpec, x: float) -> float:
     """Tube radius at axial position ``x`` (m), ``|x| <= length/2``."""
     half = 0.5 * spec.length
-    if abs(x) > half * (1.0 + _EDGE_SLACK):
+    if not abs(x) <= half * (1.0 + _EDGE_SLACK):  # NaN fails it too
         raise DomainError(
             f"x={x} outside the tube domain [-{half}, {half}]"
         )
@@ -186,7 +197,7 @@ def radius_profile(spec: TubeSpec, x):
 
     half = 0.5 * spec.length
     x = np.asarray(x, dtype=np.float64)
-    if np.any(np.abs(x) > half * (1.0 + _EDGE_SLACK)):
+    if not np.all(np.abs(x) <= half * (1.0 + _EDGE_SLACK)):
         raise DomainError("profile positions outside the tube domain")
     x = np.clip(x, -half, half)
     return _kernels.profile_radius(*_kernel_args(spec), x)

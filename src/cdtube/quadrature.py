@@ -78,7 +78,6 @@ class QuadratureResult:
     value: float
     error_estimate: float
     subdivisions: int
-    converged: bool
 
 
 def _integrate_adaptive(f, lo: float, hi: float, rel_tol: float,
@@ -166,7 +165,7 @@ def integrate_inverse_radius_power(spec: TubeSpec, exponent: float,
     value, err, npanels, ok = _integrate_adaptive(
         integrand, 0.0, 0.5 * spec.length, rel_tol, max_panels
     )
-    result = QuadratureResult(2.0 * value, 2.0 * err, npanels, ok)
+    result = QuadratureResult(2.0 * value, 2.0 * err, npanels)
     if not ok:
         raise ConvergenceError(
             f"quadrature did not reach rel_tol={rel_tol} within "
@@ -218,7 +217,7 @@ def pressure_drop_oracle(fluid: PowerLawFluid, spec: TubeSpec,
         nonlocal base
         require_finite_non_negative("flow_rate", flow_rate)
         if flow_rate == 0.0:
-            return QuadratureResult(0.0, 0.0, 0, True)
+            return QuadratureResult(0.0, 0.0, 0)
         if base is None:
             base = integrate_inverse_radius_power(
                 spec, 3.0 * fluid.index + 1.0, rel_tol, max_panels=max_panels
@@ -226,6 +225,6 @@ def pressure_drop_oracle(fluid: PowerLawFluid, spec: TubeSpec,
         scale = master_prefactor(fluid, flow_rate)
         return QuadratureResult(scale * base.value,
                                 scale * base.error_estimate,
-                                base.subdivisions, base.converged)
+                                base.subdivisions)
 
     return at

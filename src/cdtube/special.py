@@ -27,9 +27,7 @@ from ._frozen import value_type
 from .errors import ConvergenceError, DegenerateParameterError, DomainError
 
 __all__ = [
-    "ComplexValue",
     "EvaluationReport",
-    "arccosh",
     "appell_f1",
     "gauss_2f1",
     "gauss_2f1_continued",
@@ -66,38 +64,19 @@ ROUTE_ONE_MINUS_Z = "one_minus_z"
 
 
 @value_type
-class ComplexValue:
-    """Real/imaginary pair for continued hypergeometric values."""
-
-    re: float
-    im: float = 0.0
-
-    def conjugate(self) -> "ComplexValue":
-        return ComplexValue(self.re, -self.im)
-
-    def as_complex(self) -> complex:
-        return complex(self.re, self.im)
-
-
-@value_type
 class EvaluationReport:
-    """Diagnostics attached to a kernel evaluation.
+    """How a kernel evaluation that returned a value got it.
 
-    ``route`` names the transformation :func:`gauss_2f1` summed (one of
-    the ``ROUTE_*`` names); it is empty where no route is recorded.
+    ``terms_used`` counts the series terms summed.  ``route`` names the
+    transformation :func:`gauss_2f1` summed (one of the ``ROUTE_*``
+    names); it is empty where no route is recorded.
     """
 
-    value: ComplexValue
     terms_used: int
-    converged: bool
-    degenerate_parameters: bool = False
     route: str = ""
 
     def summary(self) -> str:
-        state = "converged" if self.converged else "failed"
-        if self.degenerate_parameters:
-            state = "degenerate"
-        return f"{state} after {self.terms_used} series terms"
+        return f"converged after {self.terms_used} series terms"
 
 
 def gauss_series(a: float, b: float, c: float, z: float):
@@ -201,28 +180,12 @@ def _series_checked(a, b, c, z, context):
     return _finite_or_raise(value, context), terms
 
 
-# The reports of the continued and Appell kernels.  ``gauss_2f1`` builds
-# its success report inline, so the conductance path makes no extra call.
-def _degenerate(message: str) -> DegenerateParameterError:
-    """The error for parameters on a pole, with the report of a kernel
-    that summed no terms and has no value."""
-    return DegenerateParameterError(
-        message, EvaluationReport(ComplexValue(math.nan), 0, False, True)
-    )
-
-
-def _returned(result: ComplexValue, terms: int, full_output: bool):
-    """``result``, with its report when ``full_output``."""
+def _returned(result: complex, terms: int, full_output: bool):
+    """``result`` of a continued or Appell kernel, with its report when
+    ``full_output``."""
     if full_output:
-        return result, EvaluationReport(result, terms, True)
+        return result, EvaluationReport(terms)
     return result
-
-
-def arccosh(t: float) -> float:
-    """Inverse hyperbolic cosine, ``log(t + sqrt(t^2 - 1))`` for ``t >= 1``."""
-    if t < 1.0:
-        raise DomainError(f"arccosh requires t >= 1, got {t}")
-    return math.acosh(t)
 
 
 def _negative_argument(a, b, c, z):
@@ -314,7 +277,7 @@ def gauss_2f1(a: float, b: float, c: float, z: float, full_output: bool = False)
         raise DomainError(f"gauss_2f1 requires z < 1, got {z}")
     terminating = _terminates(a, b, c)
     if _is_nonpos_int(c) and not terminating:
-        raise _degenerate(
+        raise DegenerateParameterError(
             f"gauss_2f1 is undefined for non-positive integer c={c}"
         )
 
@@ -342,8 +305,7 @@ def gauss_2f1(a: float, b: float, c: float, z: float, full_output: bool = False)
             route = ROUTE_ONE_MINUS_Z
     value = _finite_or_raise(value, "gauss_2f1")
     if full_output:
-        return value, EvaluationReport(ComplexValue(value), terms, True,
-                                       route=route)
+        return value, EvaluationReport(terms, route)
     return value
 
 
@@ -409,9 +371,9 @@ def gauss_2f1_continued(a: float, b: float, c: float, z: float,
         raise DomainError(f"gauss_2f1_continued requires z > 1, got {z}")
     if _terminates(a, b, c):
         value, terms = _series_checked(a, b, c, z, "gauss_2f1_continued")
-        return _returned(ComplexValue(value, 0.0), terms, full_output)
+        return _returned(complex(value), terms, full_output)
     if _is_nonpos_int(c):
-        raise _degenerate(
+        raise DegenerateParameterError(
             f"gauss_2f1_continued is undefined for non-positive integer c={c}"
         )
 
@@ -420,7 +382,7 @@ def gauss_2f1_continued(a: float, b: float, c: float, z: float,
         # Near such a pole the function can come close to a zero while the
         # halves stay of order one: at (1.6 + 1e-12, 0.4, 0.6, 3) their
         # sum keeps four digits.
-        raise _degenerate(
+        raise DegenerateParameterError(
             "continuation parameters within INTEGER_WINDOW of a gamma pole "
             f"(a={a}, b={b}, c-a={c - a}, c-b={c - b})"
         )
@@ -434,7 +396,7 @@ def gauss_2f1_continued(a: float, b: float, c: float, z: float,
             # 1/z is the smaller expansion variable past z = 2.
             routes.reverse()
     if not routes:
-        raise _degenerate(
+        raise DegenerateParameterError(
             "no continuation route: both c-a-b and b-a are integers "
             f"(a={a}, b={b}, c={c})"
         )
@@ -446,7 +408,7 @@ def gauss_2f1_continued(a: float, b: float, c: float, z: float,
         except ConvergenceError as exc:
             last_error = exc
             continue
-        result = ComplexValue(
+        result = complex(
             _finite_or_raise(re, "gauss_2f1_continued"),
             _finite_or_raise(im, "gauss_2f1_continued"),
         )
@@ -495,23 +457,23 @@ def appell_f1(a: float, b1: float, b2: float, c: float, x: float, y: float,
       gauss_2f1(a, b2; c-b1; y)``, with ``y > 1`` handled by continuation
       on the selected ``branch``.
 
-    The value is returned as a :class:`ComplexValue`; inside the polydisc
-    its imaginary part is zero.
+    The value is returned as a ``complex``; inside the polydisc its
+    imaginary part is zero.
     """
     # (c)_{m+n} vanishing is fatal unless (a)_{m+n} truncates the double
     # series first.
     if _is_nonpos_int(c) and not (_is_exact_nonpos_int(a) and round(c) <= round(a)):
-        raise _degenerate(
+        raise DegenerateParameterError(
             f"appell_f1 is undefined for non-positive integer c={c}"
         )
 
     if b2 == 0.0 and abs(x) < 1.0:
         value, rep = gauss_2f1(a, b1, c, x, full_output=True)
-        result = ComplexValue(value)
+        result = complex(value)
         return (result, rep) if full_output else result
     if b1 == 0.0 and abs(y) < 1.0:
         value, rep = gauss_2f1(a, b2, c, y, full_output=True)
-        result = ComplexValue(value)
+        result = complex(value)
         return (result, rep) if full_output else result
 
     if x == 1.0:
@@ -521,7 +483,7 @@ def appell_f1(a: float, b1: float, b2: float, c: float, x: float, y: float,
                 f"appell_f1 boundary x=1 requires c - a - b1 > 0, got {s}"
             )
         if _is_nonpos_int(c) or _is_nonpos_int(c - a) or _is_nonpos_int(c - b1):
-            raise _degenerate(
+            raise DegenerateParameterError(
                 "appell_f1 boundary reduction hits a gamma pole "
                 f"(c-a={c - a}, c-b1={c - b1})"
             )
@@ -529,20 +491,22 @@ def appell_f1(a: float, b1: float, b2: float, c: float, x: float, y: float,
                 * _rgamma(c - a) * _rgamma(c - b1))
         if y < 1.0:
             inner, rep = gauss_2f1(a, b2, c - b1, y, full_output=True)
-            result = ComplexValue(coef * inner)
+            result = complex(coef * inner)
         elif y == 1.0:
             raise DomainError("appell_f1 corner x = y = 1 is not supported")
         else:
             inner, rep = gauss_2f1_continued(a, b2, c - b1, y, branch,
                                              full_output=True)
-            result = ComplexValue(coef * inner.re, coef * inner.im)
-        _finite_or_raise(result.re, "appell_f1")
-        _finite_or_raise(result.im, "appell_f1")
+            # Not ``coef * inner``: that subtracts ``0.0 * inner.imag``
+            # from the real part, which can flip the sign of a zero.
+            result = complex(coef * inner.real, coef * inner.imag)
+        _finite_or_raise(result.real, "appell_f1")
+        _finite_or_raise(result.imag, "appell_f1")
         return _returned(result, rep.terms_used, full_output)
 
     if abs(x) < 1.0 and abs(y) < 1.0:
         value, terms = _appell_series(a, b1, b2, c, x, y)
-        result = ComplexValue(_finite_or_raise(value, "appell_f1"))
+        result = complex(_finite_or_raise(value, "appell_f1"))
         return _returned(result, terms, full_output)
 
     raise DomainError(

@@ -223,7 +223,7 @@ def test_acceptance_5_special_function_conformance():
         (1.2, -0.4, 0.5, 0.8, 0.55, -0.65),
     ]
     for args in appell_points:
-        got = appell_f1(*args).re
+        got = appell_f1(*args).real
         oracle = naive_appell_double_sum(*args)
         if abs(got - oracle) > 1e-10 * max(abs(oracle), 1.0):
             failures.append(("appell", args, got, oracle))
@@ -232,9 +232,9 @@ def test_acceptance_5_special_function_conformance():
     for args in [(0.5, -1.5, -0.5, 4.0), (-1.2, 0.5, -0.7, 9.0)]:
         above = gauss_2f1_continued(*args, branch="above")
         below = gauss_2f1_continued(*args, branch="below")
-        scale = max(abs(above.im), abs(above.re), 1.0)
-        if abs(above.re - below.re) > 1e-13 * scale or \
-                abs(above.im + below.im) > 1e-13 * scale:
+        scale = max(abs(above.imag), abs(above.real), 1.0)
+        if abs(above.real - below.real) > 1e-13 * scale or \
+                abs(above.imag + below.imag) > 1e-13 * scale:
             failures.append(("conjugate", args))
 
     _announce("5 (special-function conformance)", failures)

@@ -439,7 +439,7 @@ def test_sweep_rows_match_library_solves(runner, shape, n, quantity):
             res = flow_rate(fluid, spec, value / periods, validate=True)
             q, p = res.flow_rate, value
         expected = {"periods": periods, "Q": q, "P": p, "method": res.method,
-                    "branch": res.branch, "note": res.diagnostics,
+                    "branch": None, "note": res.diagnostics,
                     "oracle": periods * res.oracle_value,
                     "rel_err": res.rel_error}
         assert {key: row[key] for key in expected} == {
@@ -632,6 +632,37 @@ def test_extreme_profiles_exit_2_or_print_finite_radii(runner, shape,
                            for row in rows for column in ("x", "r"))
                 assert "inf" not in result.stdout
                 assert "nan" not in result.stdout
+
+
+@pytest.mark.parametrize("args", [
+    ["profile", "--shape", "parabolic", "--rmin", "1", "--rmax", "2",
+     "--length", "1e200"],
+    ["profile", "--shape", "hyperbolic", "--rmin", "1e-200", "--rmax", "1",
+     "--length", "1"],
+    ["solve", "--shape", "parabolic", "--n", "1", "--consistency", "1",
+     "--rmin", "1", "--rmax", "2", "--length", "1e200", "--flow-rate",
+     "1e-190", "--validate"],
+], ids=["parabolic", "hyperbolic", "solve"])
+def test_an_underflowing_profile_exits_2(runner, args):
+    # Before, the profiles printed r = 1.0 at both ends and r = 0.0 at the
+    # throat, and the solve exited 0 with rel_err 0.525.
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    shape = args[args.index("--shape") + 1]
+    assert f"the {shape} profile is outside the float range" in result.stderr
+
+
+def test_a_long_conic_profile_with_a_huge_contrast_is_printed(runner):
+    # 2 * dr overflowed, and the profile exited 2.
+    result = run(runner, ["profile", "--shape", "conic", "--rmin", "1",
+                          "--rmax", "1.797e308", "--length", "1e300",
+                          "--format", "json"])
+    doc = json.loads(result.stdout, parse_constant=_reject_constant)
+    radii = [row["r"] for row in doc["results"]]
+    assert radii[50] == 1.0
+    assert radii[0] == radii[-1] == pytest.approx(1.797e308, rel=1e-12,
+                                                  abs=0.0)
 
 
 # ---------------------------------------------------------------------------

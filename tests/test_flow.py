@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -200,7 +201,7 @@ def test_sinusoid_oracle_at_high_contrast(ratio):
 def test_branch_selection_recorded(shape):
     # The real-argument forms continue no function past a cut: no branch.
     res = pressure_drop(fluid_of(0.8), TubeSpec(shape, 1.0, 2.0, 1.0), 1.0)
-    assert res.branch is None
+    assert "branch" not in {f.name for f in dataclasses.fields(res)}
     assert res.pressure_drop > 0.0
 
 

@@ -113,6 +113,17 @@ def test_domain_error_outside_tube():
         radius_profile(spec, np.array([0.0, -0.7]))
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_a_position_that_is_not_finite_is_a_domain_error(x):
+    # NaN fails no ``>`` comparison, so it once passed the domain check and
+    # gave a NaN radius.
+    spec = spec_of(TubeShape.CONIC)
+    with pytest.raises(DomainError):
+        radius_at(spec, x)
+    with pytest.raises(DomainError):
+        radius_profile(spec, np.array([0.0, x, 0.5]))
+
+
 def test_spec_invariants():
     with pytest.raises(DomainError):
         TubeSpec(TubeShape.CONIC, -1.0, 2.0, 1.0)
@@ -191,3 +202,62 @@ def test_radius_at_is_radius_profile_bit_for_bit(shape, r_max, frac):
     spec = spec_of(shape, 0.7, r_max, 1.7)
     x = frac * spec.length / 2.0
     assert radius_at(spec, x).hex() == float(radius_profile(spec, [x])[0]).hex()
+
+
+# Specs whose coefficients underflow: a square of 2/L, or a coefficient,
+# below the normal range.  Each sampled a finite but wrong profile.
+UNDERFLOW_GEOMETRIES = [(1.0, 2.0, length) for length in
+                        (1e150, 1.3e154, 2e154, 1e155, 1e160, 1e200, 1e300)]
+UNDERFLOW_GEOMETRIES += [(1e-160, r_max, length)
+                         for r_max in (1.797e308, 1e10, 1.0)
+                         for length in (1e-3, 1.0, 1e300)]
+UNDERFLOW_GEOMETRIES += [(1.0, 1e300, 1e160), (1.0, 1e10, 1e160),
+                         (1e-300, 2e-300, 1e10), (1e-300, 2e-300, 1e20)]
+
+
+@pytest.mark.parametrize("shape", ALL_SHAPES)
+def test_a_sampled_profile_runs_from_r_min_to_r_max(shape, extreme_geometries):
+    # A profile either raises DomainError or has r(0) = r_min exactly and
+    # r(+-L/2) within 1e-12 of r_max.  Before, the parabolic (1, 2, 1e200)
+    # was flat at r = 1 and the hyperbolic throat at r_min = 1e-300 was 0.
+    sampled = 0
+    for geometry in extreme_geometries + UNDERFLOW_GEOMETRIES:
+        spec = TubeSpec(shape, *geometry)
+        if spec.is_straight:
+            continue
+        try:
+            _, radii = sample_profile(spec, 11)
+        except DomainError as exc:
+            assert f"the {shape.value} profile is outside the float range" \
+                in str(exc)
+            continue
+        assert np.all(np.isfinite(radii)), spec
+        assert radius_at(spec, 0.0) == spec.r_min, spec
+        for end in (-0.5 * spec.length, 0.5 * spec.length):
+            assert radius_at(spec, end) == pytest.approx(
+                spec.r_max, rel=1e-12, abs=0.0), spec
+        sampled += 1
+    assert sampled > 0
+
+
+@pytest.mark.parametrize("shape,r_min,r_max,length", [
+    (TubeShape.PARABOLIC, 1.0, 2.0, 1e200),    # (2/L)^2 underflows to 0
+    (TubeShape.PARABOLIC, 1.0, 1e300, 1e160),  # (2/L)^2 subnormal, b normal
+    (TubeShape.HYPERBOLIC, 1e-200, 1.0, 1.0),  # r_min^2 underflows to 0
+    (TubeShape.CONIC, 1e-300, 2e-300, 1e20),   # b subnormal
+])
+def test_an_underflowing_coefficient_is_a_domain_error(shape, r_min, r_max,
+                                                       length):
+    spec = TubeSpec(shape, r_min, r_max, length)
+    with pytest.raises(DomainError, match=f"the {shape.value} profile"):
+        sample_profile(spec, 11)
+
+
+def test_a_long_conic_tube_with_a_huge_contrast_samples_its_radii():
+    # 2 * dr overflowed although b = 2 dr / L is 3.6e8.
+    spec = TubeSpec(TubeShape.CONIC, 1.0, 1.797e308, 1e300)
+    _, radii = sample_profile(spec, 101)
+    assert np.all(np.isfinite(radii))
+    assert radii[50] == 1.0
+    assert radii[0] == radii[-1] == pytest.approx(1.797e308, rel=1e-12,
+                                                  abs=0.0)

@@ -45,7 +45,7 @@ def test_straight_tube_constant_integrand():
     spec = TubeSpec(TubeShape.PARABOLIC, 2.0, 2.0, 3.0)
     res = integrate_inverse_radius_power(spec, 4.0)
     assert res.value == pytest.approx(3.0 / 2.0**4, rel=1e-13, abs=0.0)
-    assert res.converged
+    assert res.error_estimate <= quadrature.DEFAULT_REL_TOL * res.value
     assert res.subdivisions == 1
 
 
@@ -122,7 +122,7 @@ def test_panel_cap_raises_with_best_estimate():
         integrate_inverse_radius_power(spec, 4.0, rel_tol=1e-12, max_panels=1)
     best = excinfo.value.best_estimate
     assert best is not None
-    assert not best.converged
+    assert best.error_estimate > 1e-12 * abs(best.value)
     assert best.subdivisions == 1
     exact = pressure_drop_numeric(
         PowerLawFluid(1.0, 1.0), spec, 1.0, rel_tol=1e-12
@@ -136,7 +136,7 @@ def test_pressure_drop_numeric_zero_flow():
     spec = TubeSpec(TubeShape.COSH, 1.0, 3.0, 2.0)
     res = pressure_drop_numeric(fluid, spec, 0.0)
     assert res.value == 0.0
-    assert res.converged
+    assert res.error_estimate == 0.0
 
 
 def test_pressure_drop_numeric_conic_spot():
@@ -153,7 +153,6 @@ def test_pressure_drop_numeric_conic_spot():
 def test_converged_result_meets_contract():
     spec = TubeSpec(TubeShape.SINUSOIDAL, 1.0, 4.0, 2.0)
     res = integrate_inverse_radius_power(spec, 5.8, rel_tol=1e-9)
-    assert res.converged
     assert res.error_estimate <= 1e-9 * abs(res.value)
 
 
@@ -227,7 +226,7 @@ def test_oracle_over_the_envelope_against_mpmath(shape, ratio, exponent):
     for rel_tol in ENVELOPE_REL_TOLS:
         res = integrate_inverse_radius_power(spec, exponent, rel_tol=rel_tol)
         true_err = abs(res.value - exact)
-        assert res.converged
+        assert res.error_estimate <= rel_tol * res.value
         # the reported estimate bounds the true error
         assert true_err <= res.error_estimate + 8 * EPS * exact, rel_tol
         assert true_err <= rel_tol * exact, rel_tol

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from cdtube import (
-    ComplexValue,
     ConvergenceError,
     DegenerateParameterError,
     DomainError,
@@ -16,7 +15,6 @@ from cdtube import (
     TubeShape,
     TubeSpec,
     appell_f1,
-    arccosh,
     conductance_coefficient,
     gauss_2f1,
     gauss_2f1_continued,
@@ -142,8 +140,8 @@ def test_terminating_series_matches_horner_exactly():
                                                       abs=0.0)
     # past the cut the polynomial stays real
     val = gauss_2f1_continued(a, b, c, 7.5)
-    assert val.im == 0.0
-    assert val.re == pytest.approx(
+    assert val.imag == 0.0
+    assert val.real == pytest.approx(
         horner_terminating_2f1(a, b, c, 7.5), rel=1e-14, abs=0.0
     )
 
@@ -166,9 +164,8 @@ def test_nearly_terminating_parameter_is_not_a_polynomial():
 
 
 def test_degenerate_lower_parameter_raises():
-    with pytest.raises(DegenerateParameterError) as excinfo:
+    with pytest.raises(DegenerateParameterError):
         gauss_2f1(0.5, 0.5, -2.0, 0.3)
-    assert excinfo.value.report.degenerate_parameters
 
 
 def test_z_at_or_above_one_is_domain_error():
@@ -180,10 +177,8 @@ def test_z_at_or_above_one_is_domain_error():
 
 def test_full_output_report():
     value, report = gauss_2f1(0.5, 0.8, 1.9, 0.4, full_output=True)
-    assert report.converged
     assert report.terms_used > 0
-    assert report.value.re == value
-    assert report.value.im == 0.0
+    assert value == gauss_2f1(0.5, 0.8, 1.9, 0.4)
     assert report.route == "series"
     _, report = gauss_2f1(0.3, 0.4, 1.45, 0.97, full_output=True)
     assert report.route == "one_minus_z"
@@ -410,14 +405,14 @@ def test_pinned_continuation_from_elementary_integral():
     # integral sech^4 = tanh - tanh^3/3, which forces
     # |Im 2F1(1/2,-3/2;-1/2; rho^2)| = 3 rho^3 (T - T^3/3), T = tanh(arccosh rho).
     rho = 2.0
-    t = math.tanh(arccosh(rho))
+    t = math.tanh(math.acosh(rho))
     expected_im = 3.0 * rho**3 * (t - t**3 / 3.0)
     assert expected_im == pytest.approx(9.0 * math.sqrt(3.0), rel=1e-14,
                                         abs=0.0)
 
     above = gauss_2f1_continued(0.5, -1.5, -0.5, 4.0, "above")
-    assert above.im == pytest.approx(-expected_im, rel=1e-13, abs=0.0)
-    assert above.re == pytest.approx(0.0, abs=1e-12)
+    assert above.imag == pytest.approx(-expected_im, rel=1e-13, abs=0.0)
+    assert above.real == pytest.approx(0.0, abs=1e-12)
 
 
 def test_branch_symmetry_is_conjugation():
@@ -425,8 +420,8 @@ def test_branch_symmetry_is_conjugation():
                  (0.3, 1.9, 2.4, 1.7)]:
         above = gauss_2f1_continued(*args, branch="above")
         below = gauss_2f1_continued(*args, branch="below")
-        assert above.re == below.re
-        assert above.im == -below.im
+        assert above.real == below.real
+        assert above.imag == -below.imag
 
 
 def test_continuity_onto_the_cut():
@@ -437,7 +432,7 @@ def test_continuity_onto_the_cut():
         below_cut = gauss_2f1(0.5, -1.5, -0.5, 1.0 - eps)
         on_cut = gauss_2f1_continued(0.5, -1.5, -0.5, 1.0 + eps, "above")
         assert abs(below_cut) <= scale
-        assert abs(on_cut.re) <= scale
+        assert abs(on_cut.real) <= scale
 
 
 @pytest.mark.parametrize(
@@ -453,8 +448,8 @@ def test_continuity_onto_the_cut():
 def test_continued_against_reference_implementation(a, b, c, z):
     got = gauss_2f1_continued(a, b, c, z, "above")
     ref = mpmath.hyp2f1(a, b, c, mpmath.mpc(z, 1e-25))
-    assert got.re == pytest.approx(float(ref.real), rel=1e-10, abs=1e-12)
-    assert got.im == pytest.approx(float(ref.imag), rel=1e-10, abs=1e-12)
+    assert got.real == pytest.approx(float(ref.real), rel=1e-10, abs=1e-12)
+    assert got.imag == pytest.approx(float(ref.imag), rel=1e-10, abs=1e-12)
 
 
 def test_continuation_degenerate_when_both_routes_blocked():
@@ -474,7 +469,7 @@ def test_continued_near_gamma_pole_is_accurate_or_raises(which):
         a, b, c = NEAR_POLE_PARAMETERS[which](offset)
         for z in (1.3, 1.9, 3.0, 10.0, 1e3):
             try:
-                got = gauss_2f1_continued(a, b, c, z).as_complex()
+                got = gauss_2f1_continued(a, b, c, z)
             except DegenerateParameterError:
                 continue
             with mpmath.workdps(40):
@@ -489,21 +484,21 @@ def test_continued_near_gamma_pole_is_accurate_or_raises(which):
 # ---------------------------------------------------------------------------
 
 def test_appell_empty_series():
-    assert appell_f1(1.3, 0.4, 0.7, 2.2, 0.0, 0.0) == ComplexValue(1.0, 0.0)
+    assert appell_f1(1.3, 0.4, 0.7, 2.2, 0.0, 0.0) == complex(1.0, 0.0)
 
 
 def test_appell_b2_zero_reduces_to_gauss():
     got = appell_f1(0.3, 0.7, 0.0, 1.1, 0.5, 0.99)
-    assert got.im == 0.0
-    assert got.re == gauss_2f1(0.3, 0.7, 1.1, 0.5)
+    assert got.imag == 0.0
+    assert got.real == gauss_2f1(0.3, 0.7, 1.1, 0.5)
 
 
 def test_appell_pinned_value_against_double_sum():
     oracle = naive_appell_double_sum(-1.5, 0.5, 0.5, -0.5, 0.3, 0.4)
     assert oracle == pytest.approx(1.6215014126488505, rel=1e-13, abs=0.0)
     got = appell_f1(-1.5, 0.5, 0.5, -0.5, 0.3, 0.4)
-    assert got.im == 0.0
-    assert got.re == pytest.approx(oracle, rel=1e-10, abs=0.0)
+    assert got.imag == 0.0
+    assert got.real == pytest.approx(oracle, rel=1e-10, abs=0.0)
 
 
 @given(
@@ -517,22 +512,22 @@ def test_appell_pinned_value_against_double_sum():
 def test_appell_polydisc_against_double_sum(a, b1, b2, c, x, y):
     oracle = naive_appell_double_sum(a, b1, b2, c, x, y)
     got = appell_f1(a, b1, b2, c, x, y)
-    assert got.re == pytest.approx(oracle, rel=1e-10, abs=1e-12)
+    assert got.real == pytest.approx(oracle, rel=1e-10, abs=1e-12)
 
 
 def test_appell_boundary_reduction_against_reference():
     got = appell_f1(-1.2, 0.5, 0.5, -0.2, 1.0, 0.5)
     ref = float(mpmath.appellf1(-1.2, 0.5, 0.5, -0.2, 1.0, 0.5))
-    assert got.re == pytest.approx(ref, rel=1e-12, abs=0.0)
-    assert got.im == 0.0
-    assert got.re == pytest.approx(3.0864201798819069, rel=1e-12, abs=0.0)
+    assert got.real == pytest.approx(ref, rel=1e-12, abs=0.0)
+    assert got.imag == 0.0
+    assert got.real == pytest.approx(3.0864201798819069, rel=1e-12, abs=0.0)
 
 
 def test_appell_boundary_with_continued_argument_is_complex():
     got = appell_f1(-1.2, 0.5, 0.5, -0.2, 1.0, 3.0, branch="below")
     flipped = appell_f1(-1.2, 0.5, 0.5, -0.2, 1.0, 3.0, branch="above")
-    assert got.im != 0.0
-    assert got.im == -flipped.im
+    assert got.imag != 0.0
+    assert got.imag == -flipped.imag
 
 
 def test_appell_degenerate_parameters():
@@ -554,19 +549,6 @@ def test_appell_domain_errors():
     with pytest.raises(DomainError):
         # boundary reduction needs c - a - b1 > 0
         appell_f1(1.0, 0.5, 0.5, 1.2, 1.0, 0.5)
-
-
-# ---------------------------------------------------------------------------
-# arccosh
-# ---------------------------------------------------------------------------
-
-def test_arccosh_values():
-    assert arccosh(1.0) == 0.0
-    assert arccosh(2.0) == pytest.approx(math.log(2.0 + math.sqrt(3.0)), rel=1e-15,
-                                         abs=0.0)
-    assert arccosh(math.cosh(1.7)) == pytest.approx(1.7, rel=1e-14, abs=0.0)
-    with pytest.raises(DomainError):
-        arccosh(0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +630,7 @@ def test_real_argument_forms_equal_paper_forms(shape, n):
         else:
             h = appell_f1(-three_n, 0.5, 0.5, 1.0 - three_n, 1.0, ratio)
             scale = math.pi * three_n * ratio**three_n * math.sqrt(ratio)
-        kernel = master_prefactor(fluid, 1.0) * abs(h.im) / scale
+        kernel = master_prefactor(fluid, 1.0) * abs(h.imag) / scale
         assert k == pytest.approx(kernel, rel=1e-12, abs=0.0)
 
 

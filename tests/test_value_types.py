@@ -13,7 +13,6 @@ import pickle
 import pytest
 
 from cdtube import (
-    ComplexValue,
     DomainError,
     EvaluationReport,
     FlowResult,
@@ -31,22 +30,16 @@ VALUES = {
     "TubeSpec": (TubeSpec(TubeShape.COSH, 1e-5, 4e-5, 3e-4),
                  "TubeSpec(shape=<TubeShape.COSH: 'cosh'>, r_min=1e-05, "
                  "r_max=4e-05, length=0.0003)"),
-    "FlowResult": (FlowResult(2.5, None, "analytic", None, "conic closed form",
+    "FlowResult": (FlowResult(2.5, None, "analytic", "conic closed form",
                               2.5000000001, 4e-11),
                    "FlowResult(pressure_drop=2.5, flow_rate=None, "
-                   "method='analytic', branch=None, "
-                   "diagnostics='conic closed form', "
+                   "method='analytic', diagnostics='conic closed form', "
                    "oracle_value=2.5000000001, rel_error=4e-11)"),
-    "QuadratureResult": (QuadratureResult(0.25, 1e-17, 3, True),
+    "QuadratureResult": (QuadratureResult(0.25, 1e-17, 3),
                          "QuadratureResult(value=0.25, error_estimate=1e-17, "
-                         "subdivisions=3, converged=True)"),
-    "EvaluationReport": (EvaluationReport(ComplexValue(1.25), 17, True,
-                                          route="pfaff"),
-                         "EvaluationReport(value=ComplexValue(re=1.25, "
-                         "im=0.0), terms_used=17, converged=True, "
-                         "degenerate_parameters=False, route='pfaff')"),
-    "ComplexValue": (ComplexValue(1.25, -0.5),
-                     "ComplexValue(re=1.25, im=-0.5)"),
+                         "subdivisions=3)"),
+    "EvaluationReport": (EvaluationReport(17, route="pfaff"),
+                         "EvaluationReport(terms_used=17, route='pfaff')"),
     "ProfileCoefficients": (ProfileCoefficients(2.5e-5, 7.5e-6, 2e4),
                             "ProfileCoefficients(a=2.5e-05, b=7.5e-06, "
                             "k=20000.0)"),
@@ -123,11 +116,9 @@ def test_copy_and_deepcopy(case):
 
 
 def test_defaults():
-    assert ComplexValue(1.0) == ComplexValue(1.0, 0.0)
     assert ProfileCoefficients(1.0, 2.0).k is None
-    report = EvaluationReport(ComplexValue(1.0), 3, True)
-    assert (report.degenerate_parameters, report.route) == (False, "")
-    result = FlowResult(1.0, None, "analytic", None, "")
+    assert EvaluationReport(3).route == ""
+    result = FlowResult(1.0, None, "analytic", "")
     assert (result.oracle_value, result.rel_error) == (None, None)
 
 

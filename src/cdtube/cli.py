@@ -15,6 +15,9 @@ m, flow rates in m^3/s, pressures in Pa, consistency in Pa*s^n.
 
 Exit codes: 0 success, 2 argument or validation errors, 3 numerical
 failure (neither the analytic route nor the quadrature oracle converged).
+
+Each command declares one table of options; the parser and ``--help``
+are both generated from it, with the standard library alone.
 """
 
 import csv
@@ -23,10 +26,10 @@ import itertools
 import json
 import math
 import operator
+import os
+import stat
 import sys
 import warnings
-
-import click
 
 from . import __version__, flow
 from .errors import (
@@ -168,96 +171,403 @@ def _solve_row(fluid, spec, periods, given_flow, given_pressure, solve_unit):
     }
 
 
-class _Command(click.Command):
-    """A subcommand under the exit contract of the package's errors.
+# ---------------------------------------------------------------------------
+# Command-line parsing: one option table per command
+# ---------------------------------------------------------------------------
 
-    A numerical failure (:class:`ConvergenceError` or
-    :class:`EvaluationError`) exits 3; any other :class:`CdtubeError`
-    becomes a usage error, exit 2.  numpy's overflow warnings are not
-    printed: an integrand that overflows makes the quadrature raise a
-    DomainError that says so.
+_ABOUT = ("Pressure-drop/flow-rate solver for power-law fluids in "
+          "converging-diverging capillaries.")
+
+
+class _UsageError(Exception):
+    """A command line that does not parse: exit 2 under the usage line."""
+
+
+class _Float:
+    """A float, as ``float`` reads it ("nan" and "-inf" included)."""
+
+    metavar = "FLOAT"
+
+    def parse(self, text):
+        try:
+            return float(text)
+        except ValueError:
+            raise ValueError(f"{text!r} is not a valid float.") from None
+
+
+class _AtLeast:
+    """An integer no less than ``minimum``."""
+
+    metavar = "INTEGER RANGE"
+
+    def __init__(self, minimum):
+        self.minimum = minimum
+        self.bounds = f"x>={minimum}"
+
+    def parse(self, text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise ValueError(
+                f"{text!r} is not a valid integer range.") from None
+        if value < self.minimum:
+            raise ValueError(f"{value} is not in the range {self.bounds}.")
+        return value
+
+
+class _Choice:
+    """One of ``names``, spelled exactly."""
+
+    def __init__(self, *names):
+        self.names = names
+        self.metavar = f"[{'|'.join(names)}]"
+
+    def parse(self, text):
+        if text not in self.names:
+            raise ValueError(f"{text!r} is not one of "
+                             f"{', '.join(map(repr, self.names))}.")
+        return text
+
+
+class _File:
+    """A path to write: not a directory, nor a file that cannot be read."""
+
+    metavar = "FILE"
+
+    def parse(self, text):
+        try:
+            mode = os.stat(text).st_mode
+        except OSError:
+            return text
+        if stat.S_ISDIR(mode):
+            raise ValueError(f"File {text!r} is a directory.")
+        if not os.access(text, os.R_OK):
+            raise ValueError(f"File {text!r} is not readable.")
+        return text
+
+
+_FLOAT = _Float()
+_FILE = _File()
+
+
+class _Option:
+    """One row of an option table.
+
+    ``kind`` reads the value, which is the token after the option or the
+    text after its ``=``; an option without a kind is a flag, True when
+    given.  ``dest`` names the callback's parameter.
     """
 
-    def invoke(self, ctx):
+    __slots__ = ("flag", "kind", "dest", "default", "required", "help")
+
+    def __init__(self, flag, kind=None, *, dest=None, default=None,
+                 required=False, help=""):
+        self.flag = flag
+        self.kind = kind
+        self.dest = dest or flag[2:].replace("-", "_")
+        self.default = False if kind is None else default
+        self.required = required
+        self.help = help
+
+    def row(self):
+        """The option's two ``--help`` columns."""
+        name = self.flag if self.kind is None else \
+            f"{self.flag} {self.kind.metavar}"
+        extra = []
+        if self.kind is not None and self.default is not None:
+            extra.append(f"default: {self.default}")
+        if isinstance(self.kind, _AtLeast):
+            extra.append(self.kind.bounds)
+        if self.required:
+            extra.append("required")
+        if not extra:
+            return name, self.help
+        extra = f"[{'; '.join(extra)}]"
+        return name, f"{self.help}  {extra}" if self.help else extra
+
+
+_HELP = _Option("--help", help="Show this message and exit.")
+_VERSION = _Option("--version", help="Show the version and exit.")
+
+
+def _no_such(kind, name, known=()):
+    message = f"No such {kind} {name!r}."
+    if not known:
+        return message
+    from difflib import get_close_matches
+    close = sorted(get_close_matches(name, known))
+    if len(close) == 1:
+        return f"{message} Did you mean {close[0]!r}?"
+    if close:
+        return (f"{message} (Did you mean one of: "
+                f"{', '.join(map(repr, close))}?)")
+    return message
+
+
+def _scan(table, args, *, stop_at_command=False):
+    """The options given in ``args``, as {option: value text, or True for a
+    flag} in the order each first appears, and the other arguments.
+
+    ``table`` maps flags to options.  A value is the next token, whatever
+    it is, so ``--start -1e-3`` reaches the command's own check.  A flag
+    is matched whole: ``--flow`` is not ``--flow-rate``.  Everything after
+    ``--`` is an argument; with ``stop_at_command``, so is everything from
+    the first argument on.  Later values of an option replace earlier ones.
+    """
+    given = {}
+    rest = []
+    tokens = iter(args)
+    for arg in tokens:
+        if arg == "--":
+            rest.extend(tokens)
+            break
+        if arg[:1] != "-" or arg == "-":
+            rest.append(arg)
+            if stop_at_command:
+                rest.extend(tokens)
+                break
+            continue
+        flag, has_value, value = arg.partition("=")
+        option = table.get(flag)
+        if option is None:
+            if arg[:2] == "--":
+                raise _UsageError(_no_such("option", flag, table))
+            raise _UsageError(_no_such("option", arg[:2]))
+        if option.kind is None:
+            if has_value:
+                raise _UsageError(f"Option {flag!r} does not take a value.")
+            value = True
+        elif not has_value:
+            value = next(tokens, None)
+            if value is None:
+                raise _UsageError(f"Option {flag!r} requires an argument.")
+        given[option] = value
+    return given, rest
+
+
+def _help_page(usage, about, sections):
+    """A ``--help`` page: the usage line, ``about``, and titled sections of
+    (name, description) rows in two columns, wrapped to fit 80 columns."""
+    import textwrap
+
+    def fill(text, width, indent=""):
+        return textwrap.fill(text, width, initial_indent=indent,
+                             subsequent_indent=indent,
+                             replace_whitespace=False)
+
+    about = "\n\n".join(fill(" ".join(paragraph.split()), 78, "  ")
+                        for paragraph in about.strip().split("\n\n"))
+    lines = [f"Usage: {usage}", "", about]
+    for title, rows in sections:
+        lines += ["", f"{title}:"]
+        column = min(max(len(name) for name, _ in rows), 30) + 2
+        for name, text in rows:
+            if not text:
+                lines.append(f"  {name}")
+                continue
+            # Descriptions start at 2 + column and end by column 76.
+            wrapped = fill(text, 76 - column).split("\n")
+            if len(name) <= column - 2:
+                lines.append(f"  {name:<{column}}{wrapped[0]}")
+            else:
+                lines += [f"  {name}", f"{'':<{column + 2}}{wrapped[0]}"]
+            lines += [f"{'':<{column + 2}}{line}" for line in wrapped[1:]]
+    return "\n".join(lines) + "\n"
+
+
+class _Command:
+    """A command: its option table, and the callback it runs with the
+    options' values.  ``callback`` is read when the command runs, so it
+    can be replaced on ``main.commands[name]``."""
+
+    __slots__ = ("callback", "options", "_table")
+
+    def __init__(self, callback, options):
+        self.callback = callback
+        self.options = options
+        self._table = {option.flag: option for option in (*options, _HELP)}
+
+    def parse(self, args, path):
+        """The callback's keyword arguments from ``args``; ``--help``
+        prints this command's page and exits 0."""
+        given, extra = _scan(self._table, args)
+        if _HELP in given:
+            rows = [option.row() for option in (*self.options, _HELP)]
+            sys.stdout.write(_help_page(f"{path} [OPTIONS]",
+                                        self.callback.__doc__,
+                                        [("Options", rows)]))
+            sys.exit(0)
+        params = {}
+        # Options given are read first, in command-line order; then the
+        # others, whose first missing required one is reported.
+        for option in [*given, *(o for o in self.options if o not in given)]:
+            if option in given:
+                value = given[option]
+                if option.kind is not None:
+                    try:
+                        value = option.kind.parse(value)
+                    except ValueError as exc:
+                        raise _UsageError(f"Invalid value for "
+                                          f"{option.flag!r}: {exc}") from None
+            elif option.required:
+                message = f"Missing option {option.flag!r}."
+                if isinstance(option.kind, _Choice):
+                    message += " Choose from:\n\t" + ",\n\t".join(
+                        option.kind.names)
+                raise _UsageError(message)
+            else:
+                value = option.default
+            params[option.dest] = value
+        if extra:
+            plural = "s" if len(extra) > 1 else ""
+            raise _UsageError(f"Got unexpected extra argument{plural} "
+                              f"({' '.join(extra)})")
+        return params
+
+
+def _group_options(args, prog_name):
+    """The arguments from the command name on; ``--help`` and
+    ``--version`` before it print and exit 0, the first given acting."""
+    given, rest = _scan({"--version": _VERSION, "--help": _HELP}, args,
+                        stop_at_command=True)
+    for option in given:
+        if option is _VERSION:
+            sys.stdout.write(f"cdtube, version {__version__}\n")
+        else:
+            sys.stdout.write(_group_help(prog_name))
+        sys.exit(0)
+    return rest
+
+
+def _group_help(prog_name):
+    commands = [(name, command.callback.__doc__.strip().split("\n")[0])
+                for name, command in sorted(main.commands.items())]
+    return _help_page(f"{prog_name} [OPTIONS] COMMAND [ARGS]...", _ABOUT,
+                      [("Options", [_VERSION.row(), _HELP.row()]),
+                       ("Commands", commands)])
+
+
+def _default_prog_name():
+    """``python -m cdtube`` under ``-m``, else the script's file name."""
+    package = getattr(sys.modules["__main__"], "__package__", None)
+    script = os.path.basename(sys.argv[0])
+    if not package:
+        return script
+    name = os.path.splitext(script)[0]
+    module = package if name == "__main__" else f"{package}.{name}"
+    return f"python -m {module.lstrip('.')}"
+
+
+def main(args=None, prog_name=None):
+    """Run the command line ``args`` (default ``sys.argv[1:]``); always
+    ends in :class:`SystemExit`.
+
+    Exit 0 on success.  A numerical failure (:class:`ConvergenceError`
+    or :class:`EvaluationError`) prints ``numerical failure: <message>``
+    and exits 3.  A command line that does not parse, and any other
+    :class:`CdtubeError`, print the usage line, a ``--help`` hint and
+    ``Error: <message>``, and exit 2.  numpy's overflow warnings are not
+    printed while a command runs: an integrand that overflows makes the
+    quadrature raise a DomainError that says so.
+
+    ``main.commands`` maps each command's name to its :class:`_Command`.
+    """
+    if args is None:
+        args = sys.argv[1:]
+    if prog_name is None:
+        prog_name = _default_prog_name()
+    if not args:
+        sys.stderr.write(_group_help(prog_name))
+        sys.exit(2)
+    path, usage = prog_name, "[OPTIONS] COMMAND [ARGS]..."
+    try:
+        rest = _group_options(args, prog_name)
+        if not rest:
+            raise _UsageError("Missing command.")
+        name = rest[0]
+        command = main.commands.get(name)
+        if command is None:
+            if name[:1] and not name[:1].isalnum():
+                _group_options(rest, prog_name)
+            raise _UsageError(_no_such("command", name, main.commands))
+        path, usage = f"{prog_name} {name}", "[OPTIONS]"
+        params = command.parse(rest[1:], path)
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "overflow encountered",
                                     RuntimeWarning)
-            try:
-                return super().invoke(ctx)
-            except (ConvergenceError, EvaluationError) as exc:
-                click.echo(f"numerical failure: {exc}", err=True)
-                sys.exit(3)
-            except CdtubeError as exc:
-                raise click.UsageError(str(exc), ctx) from exc
+            command.callback(**params)
+    except (ConvergenceError, EvaluationError) as exc:
+        sys.stderr.write(f"numerical failure: {exc}\n")
+        sys.exit(3)
+    except (CdtubeError, _UsageError) as exc:
+        sys.stderr.write(f"Usage: {path} {usage}\nTry '{path} --help' for "
+                         f"help.\n\nError: {exc}\n")
+        sys.exit(2)
+    except BrokenPipeError:
+        # The reader of stdout has gone: exit 1, and point stdout at
+        # /dev/null so that the flush at exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    except KeyboardInterrupt:
+        sys.stderr.write("\nAborted!\n")
+        sys.exit(1)
+    sys.exit(0)
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="cdtube")
-def main():
-    """Pressure-drop/flow-rate solver for power-law fluids in
-    converging-diverging capillaries."""
+main.commands = {}
 
 
-main.command_class = _Command
+def _command(*options):
+    """Register the decorated function as the command of its name, with
+    the option table ``options``; its docstring is the command's help."""
+    def register(callback):
+        main.commands[callback.__name__] = _Command(callback, options)
+        return callback
+    return register
 
 
-def _options(*decorators):
-    """One decorator applying ``decorators``, the first outermost."""
-    def apply(func):
-        for deco in reversed(decorators):
-            func = deco(func)
-        return func
-    return apply
-
-
-_geometry_options = _options(
-    click.option("--shape", type=click.Choice(SHAPE_NAMES), required=True,
-                 help="Tube profile."),
-    click.option("--rmin", type=float, required=True,
-                 help="Throat radius (m)."),
-    click.option("--rmax", type=float, required=True,
-                 help="Entry/exit radius (m)."),
-    click.option("--length", type=float, required=True,
-                 help="Length of one corrugation unit (m)."),
+_GEOMETRY = (
+    _Option("--shape", _Choice(*SHAPE_NAMES), required=True,
+            help="Tube profile."),
+    _Option("--rmin", _FLOAT, required=True, help="Throat radius (m)."),
+    _Option("--rmax", _FLOAT, required=True, help="Entry/exit radius (m)."),
+    _Option("--length", _FLOAT, required=True,
+            help="Length of one corrugation unit (m)."),
 )
-_fluid_options = _options(
-    click.option("--n", type=float, required=True,
-                 help="Flow behavior index (dimensionless)."),
-    click.option("--consistency", type=float, required=True,
-                 help="Consistency factor C (Pa*s^n)."),
+_FLUID = (
+    _Option("--n", _FLOAT, required=True,
+            help="Flow behavior index (dimensionless)."),
+    _Option("--consistency", _FLOAT, required=True,
+            help="Consistency factor C (Pa*s^n)."),
 )
-_output_options = _options(
-    click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-                 default="json", show_default=True),
-    click.option("--output", type=click.Path(dir_okay=False), default=None,
-                 help="Write to this path instead of stdout."),
+_FORMAT = _Choice("csv", "json")
+_OUTPUT = (
+    _Option("--format", _FORMAT, dest="fmt", default="json"),
+    _Option("--output", _FILE, help="Write to this path instead of stdout."),
 )
 
 
-@main.command()
-@_geometry_options
-@_fluid_options
-@click.option("--flow-rate", type=float, default=None,
-              help="Volumetric flow rate (m^3/s); solves for pressure drop.")
-@click.option("--pressure", type=float, default=None,
-              help="Total pressure drop (Pa); solves for flow rate.")
-@click.option("--periods", type=click.IntRange(min=1), default=1,
-              show_default=True,
-              help="Number of corrugation units in series.")
-@click.option("--validate", is_flag=True,
-              help="Co-evaluate the quadrature oracle and report the "
-                   "relative deviation.")
-@click.option("--rel-tol", type=float, default=DEFAULT_REL_TOL,
-              show_default=True, help="Oracle relative tolerance.")
-@click.option("--max-subdivisions", type=click.IntRange(min=1),
-              default=MAX_PANELS, show_default=True,
-              help="Panel cap for quadrature fallback runs.")
-@_output_options
+@_command(
+    *_GEOMETRY, *_FLUID,
+    _Option("--flow-rate", _FLOAT,
+            help="Volumetric flow rate (m^3/s); solves for pressure drop."),
+    _Option("--pressure", _FLOAT,
+            help="Total pressure drop (Pa); solves for flow rate."),
+    _Option("--periods", _AtLeast(1), default=1,
+            help="Number of corrugation units in series."),
+    _Option("--validate", help="Co-evaluate the quadrature oracle and "
+                               "report the relative deviation."),
+    _Option("--rel-tol", _FLOAT, default=DEFAULT_REL_TOL,
+            help="Oracle relative tolerance."),
+    _Option("--max-subdivisions", _AtLeast(1), default=MAX_PANELS,
+            help="Panel cap for quadrature fallback runs."),
+    *_OUTPUT,
+)
 def solve(shape, rmin, rmax, length, n, consistency, flow_rate, pressure,
           periods, validate, rel_tol, max_subdivisions, fmt, output):
     """Solve one operating point."""
     if (flow_rate is None) == (pressure is None):
-        raise click.UsageError(
+        raise DomainError(
             "exactly one of --flow-rate or --pressure is required"
         )
     if flow_rate is not None:
@@ -283,36 +593,31 @@ def solve(shape, rmin, rmax, length, n, consistency, flow_rate, pressure,
     _emit(fmt, output, config, SOLVE_COLUMNS, [row])
 
 
-@main.command()
-@_geometry_options
-@_fluid_options
-@click.option("--quantity", type=click.Choice(["flow-rate", "pressure"]),
-              default="flow-rate", show_default=True,
-              help="Which quantity the sweep varies.")
-@click.option("--start", type=float, required=True)
-@click.option("--stop", type=float, required=True)
-@click.option("--count", type=click.IntRange(min=2), required=True)
-@click.option("--spacing", type=click.Choice(["linear", "log"]),
-              default="linear", show_default=True)
-@click.option("--periods", type=click.IntRange(min=1), default=1,
-              show_default=True)
-@click.option("--validate", is_flag=True)
-@click.option("--rel-tol", type=float, default=DEFAULT_REL_TOL,
-              show_default=True)
-@click.option("--jobs", type=click.IntRange(min=1), default=1,
-              show_default=True,
-              help="Accepted for compatibility and ignored: every row "
-                   "reuses one K, so there is no work to share out.")
-@_output_options
+@_command(
+    *_GEOMETRY, *_FLUID,
+    _Option("--quantity", _Choice("flow-rate", "pressure"),
+            default="flow-rate", help="Which quantity the sweep varies."),
+    _Option("--start", _FLOAT, required=True),
+    _Option("--stop", _FLOAT, required=True),
+    _Option("--count", _AtLeast(2), required=True),
+    _Option("--spacing", _Choice("linear", "log"), default="linear"),
+    _Option("--periods", _AtLeast(1), default=1),
+    _Option("--validate"),
+    _Option("--rel-tol", _FLOAT, default=DEFAULT_REL_TOL),
+    _Option("--jobs", _AtLeast(1), default=1,
+            help="Accepted for compatibility and ignored: every row reuses "
+                 "one K, so there is no work to share out."),
+    *_OUTPUT,
+)
 def sweep(shape, rmin, rmax, length, n, consistency, quantity, start, stop,
           count, spacing, periods, validate, rel_tol, jobs, fmt, output):
     """Sweep flow rate or pressure over a range."""
     require_finite_non_negative("--start", start)
     require_finite_non_negative("--stop", stop)
     if not start < stop:
-        raise click.UsageError("--start must be less than --stop")
+        raise DomainError("--start must be less than --stop")
     if spacing == "log" and start <= 0:
-        raise click.UsageError("log spacing requires --start > 0")
+        raise DomainError("log spacing requires --start > 0")
     values = _spaced(start, stop, count, log=spacing == "log")
     config = {
         "subcommand": "sweep", "shape": shape, "n": n,
@@ -342,14 +647,13 @@ def sweep(shape, rmin, rmax, length, n, consistency, quantity, start, stop,
     _emit(fmt, output, config, SOLVE_COLUMNS, rows)
 
 
-@main.command()
-@click.option("--grid", type=click.Choice(["default", "quick"]),
-              default="default", show_default=True)
-@click.option("--rel-tol", type=float, default=DEFAULT_REL_TOL,
-              show_default=True, help="Oracle relative tolerance.")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-              default="csv", show_default=True)
-@click.option("--output", type=click.Path(dir_okay=False), default=None)
+@_command(
+    _Option("--grid", _Choice("default", "quick"), default="default"),
+    _Option("--rel-tol", _FLOAT, default=DEFAULT_REL_TOL,
+            help="Oracle relative tolerance."),
+    _Option("--format", _FORMAT, dest="fmt", default="csv"),
+    _Option("--output", _FILE),
+)
 def validate(grid, rel_tol, fmt, output):
     """Cross-validate every closed form against the quadrature oracle.
 
@@ -391,19 +695,13 @@ def validate(grid, rel_tol, fmt, output):
                 failures.append(row)
     _emit(fmt, output, config, VALIDATE_COLUMNS, rows)
     if failures:
-        click.echo(
-            f"validate: {len(failures)} of {len(rows)} grid points exceeded "
-            "their tolerance",
-            err=True,
-        )
+        sys.stderr.write(f"validate: {len(failures)} of {len(rows)} grid "
+                         "points exceeded their tolerance\n")
         sys.exit(3)
 
 
-@main.command()
-@_geometry_options
-@click.option("--samples", type=click.IntRange(min=2), default=101,
-              show_default=True)
-@_output_options
+@_command(*_GEOMETRY, _Option("--samples", _AtLeast(2), default=101),
+          *_OUTPUT)
 def profile(shape, rmin, rmax, length, samples, fmt, output):
     """Sample the tube radius along the axis as (x, r) pairs."""
     spec = TubeSpec(shape=shape, r_min=rmin, r_max=rmax, length=length)
@@ -415,21 +713,21 @@ def profile(shape, rmin, rmax, length, samples, fmt, output):
     _emit(fmt, output, config, PROFILE_COLUMNS, rows)
 
 
-@main.command()
-@_fluid_options
-@click.option("--gamma-min", type=float, default=1e-2, show_default=True,
-              help="Lowest strain rate (1/s).")
-@click.option("--gamma-max", type=float, default=1e3, show_default=True,
-              help="Highest strain rate (1/s).")
-@click.option("--samples", type=click.IntRange(min=2), default=61,
-              show_default=True)
-@_output_options
+@_command(
+    *_FLUID,
+    _Option("--gamma-min", _FLOAT, default=1e-2,
+            help="Lowest strain rate (1/s)."),
+    _Option("--gamma-max", _FLOAT, default=1e3,
+            help="Highest strain rate (1/s)."),
+    _Option("--samples", _AtLeast(2), default=61),
+    *_OUTPUT,
+)
 def rheology(n, consistency, gamma_min, gamma_max, samples, fmt, output):
     """Sample the fluid model on a log grid of strain rates."""
     require_finite_non_negative("--gamma-min", gamma_min)
     require_finite_non_negative("--gamma-max", gamma_max)
     if not 0 < gamma_min < gamma_max:
-        raise click.UsageError("require 0 < --gamma-min < --gamma-max")
+        raise DomainError("require 0 < --gamma-min < --gamma-max")
     fluid = PowerLawFluid(consistency=consistency, index=n)
     config = {"subcommand": "rheology", "n": n, "consistency": consistency,
               "gamma_min": gamma_min, "gamma_max": gamma_max,

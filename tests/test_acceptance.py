@@ -9,7 +9,6 @@ import math
 import time
 
 import pytest
-from click.testing import CliRunner
 
 from cdtube import (
     PowerLawFluid,
@@ -240,9 +239,8 @@ def test_acceptance_5_special_function_conformance():
     _announce("5 (special-function conformance)", failures)
 
 
-def test_acceptance_6_cli_contract():
+def test_acceptance_6_cli_contract(runner):
     failures = []
-    runner = CliRunner()
 
     examples = {
         "solve-conic": [

@@ -1,5 +1,6 @@
 import collections
 import csv
+import errno
 import io
 import json
 import math
@@ -12,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -32,11 +32,6 @@ from cdtube.cli import main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 VALIDATE_HEADER = "shape,n,C,r_min,r_max,length,Q,P_analytic,P_numeric,rel_err,method,branch"
-
-
-@pytest.fixture()
-def runner():
-    return CliRunner()
 
 
 def run(runner, args):
@@ -735,7 +730,7 @@ COSH_GEOMETRY = ["--shape", "cosh", "--rmin", "1", "--rmax", "2",
                  "--length", "1"]
 NEWTONIAN = ["--n", "1", "--consistency", "1"]
 
-# Per command: arguments that pass click's own checks but break a
+# Per command: arguments that pass the parser's own checks but break a
 # precondition of the package, and the message printed for it.
 DOMAIN_ERRORS = {
     "solve": (["solve", *COSH_GEOMETRY, *NEWTONIAN, "--flow-rate", "-1"],
@@ -801,3 +796,184 @@ def test_numerical_failure_exits_3_with_nothing_on_stdout(runner, monkeypatch,
     assert result.exit_code == 3
     assert result.stdout == ""
     assert result.stderr == "numerical failure: no route converged\n"
+
+
+# ---------------------------------------------------------------------------
+# the command-line parser
+# ---------------------------------------------------------------------------
+
+RUNNABLE = {
+    "solve": SOLVE_CONIC[1:],
+    "sweep": SWEEP_BASE[1:],
+    "validate": ["--grid", "quick"],
+    "profile": PROFILE_ARGS[1:],
+    "rheology": ["--n", "0.7", "--consistency", "1.5"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(RUNNABLE))
+def test_a_run_calls_the_callback_set_on_the_command(runner, monkeypatch,
+                                                    command):
+    # Tracing replaces main.commands[name].callback with setattr.
+    original = main.commands[command].callback
+    calls = []
+
+    def traced(*args, **kwargs):
+        calls.append(kwargs)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(main.commands[command], "callback", traced)
+    result = runner.invoke(main, [command, *RUNNABLE[command]])
+    assert result.exit_code == 0
+    assert len(calls) == 1
+    assert set(calls[0]) == {option.dest
+                             for option in main.commands[command].options}
+
+
+PARSE_ERRORS = [
+    # A value option takes the next token, even one that starts with "-".
+    (SWEEP_BASE + ["--start", "-1e-3"],
+     "--start must be finite and non-negative, got -0.001"),
+    (SOLVE_CONIC[:-2] + ["--flow-rate", "-inf"],
+     "--flow-rate must be finite and non-negative, got -inf"),
+    (SOLVE_CONIC + ["--rel-tol", "--validate"],
+     "Invalid value for '--rel-tol': '--validate' is not a valid float."),
+    # A flag is matched whole, never by a prefix.
+    (SOLVE_CONIC[:-2] + ["--flow", "1"],
+     "No such option '--flow'. Did you mean '--flow-rate'?"),
+    (SOLVE_CONIC + ["-f"], "No such option '-f'."),
+    (SOLVE_CONIC + ["--periods", "0"],
+     "Invalid value for '--periods': 0 is not in the range x>=1."),
+    (SOLVE_CONIC + ["--max-subdivisions", "0"],
+     "Invalid value for '--max-subdivisions': 0 is not in the range x>=1."),
+    (SWEEP_BASE + ["--count", "1"],
+     "Invalid value for '--count': 1 is not in the range x>=2."),
+    (PROFILE_ARGS + ["--samples", "1"],
+     "Invalid value for '--samples': 1 is not in the range x>=2."),
+    (["rheology", "--n", "1", "--consistency", "1", "--samples=2.5"],
+     "Invalid value for '--samples': '2.5' is not a valid integer range."),
+    (SOLVE_CONIC + ["--format", "xml"],
+     "Invalid value for '--format': 'xml' is not one of 'csv', 'json'."),
+    # Given options are read in command-line order, before missing ones.
+    (["solve", "--n", "fast", "--rmin", "slow"],
+     "Invalid value for '--n': 'fast' is not a valid float."),
+    (["solve", "--rmin", "1"],
+     "Missing option '--shape'. Choose from:\n\tconic,\n\tparabolic,\n\t"
+     "hyperbolic,\n\tcosh,\n\tsinusoidal"),
+    (SOLVE_CONIC[:5] + SOLVE_CONIC[7:], "Missing option '--consistency'."),
+    (SOLVE_CONIC + ["--validate=yes"],
+     "Option '--validate' does not take a value."),
+    (SOLVE_CONIC + ["--output"], "Option '--output' requires an argument."),
+    (SOLVE_CONIC + ["extra", "--", "--help"],
+     "Got unexpected extra arguments (extra --help)"),
+]
+
+
+@pytest.mark.parametrize("args,message", PARSE_ERRORS)
+def test_a_bad_command_line_exits_2_with_the_usage_line(runner, args,
+                                                       message):
+    result = runner.invoke(main, args)
+    command = args[0]
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == (f"Usage: cdtube {command} [OPTIONS]\n"
+                             f"Try 'cdtube {command} --help' for help.\n\n"
+                             f"Error: {message}\n")
+
+
+def test_a_directory_is_no_output_file(runner, tmp_path):
+    result = runner.invoke(main, SOLVE_CONIC + ["--output", str(tmp_path)])
+    assert result.exit_code == 2
+    assert result.stderr.endswith(
+        f"\nError: Invalid value for '--output': File {str(tmp_path)!r} is "
+        "a directory.\n")
+
+
+GROUP_USAGE = ("Usage: cdtube [OPTIONS] COMMAND [ARGS]...\n"
+               "Try 'cdtube --help' for help.\n\n")
+
+
+@pytest.mark.parametrize("args,message", [
+    (["bogus"], "No such command 'bogus'."),
+    (["Solve"], "No such command 'Solve'. Did you mean 'solve'?"),
+    (["--vers"], "No such option '--vers'. Did you mean '--version'?"),
+    (["--"], "Missing command."),
+])
+def test_a_bad_command_exits_2(runner, args, message):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stderr == f"{GROUP_USAGE}Error: {message}\n"
+
+
+def test_no_command_prints_the_help_on_stderr_and_exits_2(runner):
+    result = runner.invoke(main, [])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == runner.invoke(main, ["--help"]).stdout
+
+
+@pytest.mark.parametrize("args", [["--version"], ["--version", "bogus"],
+                                  ["--", "--version"]])
+def test_version(runner, args):
+    result = runner.invoke(main, args, prog_name="anything")
+    assert result.exit_code == 0
+    assert result.output == "cdtube, version 0.1.0\n"
+
+
+def test_group_help_names_every_command(runner):
+    result = runner.invoke(main, ["--help"])
+    assert result.exit_code == 0
+    assert result.stdout.startswith(
+        "Usage: cdtube [OPTIONS] COMMAND [ARGS]...\n\n  Pressure-drop/")
+    for name in ["--version", "--help", *main.commands]:
+        assert f"\n  {name} " in result.stdout
+
+
+@pytest.mark.parametrize("command", sorted(RUNNABLE))
+def test_command_help_names_every_option_in_its_table(runner, command):
+    # --help acts before the other options are read.
+    result = runner.invoke(main, [command, "--format", "xml", "--help"])
+    assert result.exit_code == 0
+    assert result.stderr == ""
+    assert result.stdout.startswith(f"Usage: cdtube {command} [OPTIONS]\n")
+    flags = [option.flag for option in main.commands[command].options]
+    for flag in [*flags, "--help"]:
+        assert f"\n  {flag} " in result.stdout or \
+            f"\n  {flag}\n" in result.stdout
+
+
+def test_the_program_name_under_python_m():
+    result = subprocess.run(
+        [sys.executable, "-m", "cdtube", "solve", "--flow", "1"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+        check=False,
+    )
+    assert result.returncode == 2
+    assert result.stderr.startswith(
+        "Usage: python -m cdtube solve [OPTIONS]\n"
+        "Try 'python -m cdtube solve --help' for help.\n\n")
+
+
+def test_a_closed_stdout_exits_1_quietly(monkeypatch, tmp_path):
+    # As when `cdtube sweep ... | head` stops reading.
+    with open(tmp_path / "stdout", "w") as target:
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+            def fileno(self):
+                return target.fileno()
+
+        monkeypatch.setattr(sys, "stdout", Closed())
+        with pytest.raises(SystemExit) as exit_info:
+            main(SOLVE_CONIC, prog_name="cdtube")
+    assert exit_info.value.code == 1
+    assert (tmp_path / "stdout").read_text() == ""
+
+
+def test_an_interrupt_exits_1(runner, monkeypatch):
+    def interrupted(**_kwargs):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(main.commands["solve"], "callback", interrupted)
+    result = runner.invoke(main, SOLVE_CONIC)
+    assert result.exit_code == 1
+    assert result.stderr == "\nAborted!\n"

@@ -1,5 +1,6 @@
 """A closed-form solve, a sweep and ``rheology`` run on scalar ``math``:
-they must not load numpy.
+they must not load numpy.  The command line is parsed by the standard
+library alone, so no probe loads a third-party parser either.
 
 Each probe runs in a fresh interpreter, because a module once imported
 stays in ``sys.modules`` for the life of the process.
@@ -20,7 +21,7 @@ import json
 import runpy
 import sys
 
-HEAVY = ("numpy", "numba", "multiprocessing")
+HEAVY = ("numpy", "numba", "multiprocessing", "click")
 loaded = {}
 
 

@@ -4,7 +4,6 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from cdtube import (
     ConvergenceError,
@@ -232,7 +231,7 @@ def test_oracle_over_the_envelope_against_mpmath(shape, ratio, exponent):
         assert true_err <= rel_tol * exact, rel_tol
 
 
-def test_default_validate_grid_panel_count(monkeypatch):
+def test_default_validate_grid_panel_count(runner, monkeypatch):
     # Most of the 240 integrals settle in their first 65-point panel.
     panels = []
 
@@ -247,9 +246,9 @@ def test_default_validate_grid_panel_count(monkeypatch):
 
     counted(quadrature)
     counted(flow_module)
-    result = CliRunner().invoke(main, ["validate", "--grid", "default",
-                                       "--format", "csv"],
-                                catch_exceptions=False)
+    result = runner.invoke(main, ["validate", "--grid", "default",
+                                  "--format", "csv"],
+                           catch_exceptions=False)
     assert result.exit_code == 0
     assert len(panels) == 240
     assert sum(panels) <= 300

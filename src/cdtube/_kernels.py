@@ -15,14 +15,12 @@ np = None
 
 def profile_radius(shape, a: float, b: float, k: float, x):
     """Radius at axial positions ``x`` (array) of the profile whose
-    :class:`~cdtube.geometry.TubeShape` value is ``shape`` (None: straight)."""
+    :class:`~cdtube.geometry.TubeShape` value is ``shape``."""
     global np
     if np is None:
         import numpy as np
 
-    if shape is None:  # straight tube: r = a
-        return a + 0.0 * x
-    elif shape == "conic":
+    if shape == "conic":
         return a + b * np.abs(x)
     elif shape == "parabolic":
         return a + b * x * x

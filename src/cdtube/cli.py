@@ -100,6 +100,8 @@ def _json_document(config: dict, rows) -> str:
 
 
 def _emit(fmt: str, output, config: dict, columns, rows) -> None:
+    """Write the rows to stdout, or to the file ``output``; a file that
+    cannot be opened is a usage error, and nothing is written."""
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -111,9 +113,14 @@ def _emit(fmt: str, output, config: dict, columns, rows) -> None:
         text = _json_document(config, rows)
     if output is None:
         sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        return
+    try:
+        fh = open(output, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise _UsageError(f"Invalid value for '--output': {output!r}: "
+                          f"{exc.strerror}") from None
+    with fh:
+        fh.write(text)
 
 
 def _spaced(start: float, stop: float, count: int, log: bool = False):
@@ -180,7 +187,8 @@ _ABOUT = ("Pressure-drop/flow-rate solver for power-law fluids in "
 
 
 class _UsageError(Exception):
-    """A command line that does not parse: exit 2 under the usage line."""
+    """A command line that does not parse, or an ``--output`` that cannot
+    be written: exit 2 under the usage line."""
 
 
 class _Float:

@@ -24,7 +24,7 @@ from .errors import (
     EvaluationError,
     require_finite_non_negative,
 )
-from .fluid import PowerLawFluid, straight_tube_conductance
+from .fluid import PowerLawFluid, _overflow, straight_tube_conductance
 from .geometry import TubeShape, TubeSpec
 from .quadrature import (
     DEFAULT_REL_TOL,
@@ -101,20 +101,15 @@ def _geometric_integral(spec: TubeSpec, n: float):
     three_n = 3.0 * n
     m = three_n + 1.0
     d = (r_max - r_min) / r_min
+    shape = spec.shape
 
-    if spec.shape is TubeShape.CONIC:
+    if shape is TubeShape.CONIC:
         # 1 - ratio^-3n without cancellation at small contrast
         value = (length * -math.expm1(-three_n * math.log1p(d))
                  * r_min**-three_n / (three_n * (r_max - r_min)))
         return value, "conic closed form"
 
-    if spec.shape is TubeShape.PARABOLIC:
-        # r = r_min (1 + d y^2), y = 2x/L; u = sin(atan(sqrt(d) y))
-        h, rep = _beta(6.0 * n + 1.0, d / ratio, 1.0 / ratio)
-        value = length * h / (math.sqrt(d) * r_min**m)
-        return value, f"parabolic closed form: 2F1 {rep.summary()}"
-
-    if spec.shape is TubeShape.SINUSOIDAL:
+    if shape is TubeShape.SINUSOIDAL:
         # r = A - B cos(2 pi x / L) with A^2 - B^2 = r_min r_max.  Laplace's
         # integral for the Legendre function (DLMF 14.12, with P_nu =
         # P_{-nu-1}) gives L (r_min r_max)^(-m/2) P_{3n}(z), z = A /
@@ -128,24 +123,29 @@ def _geometric_integral(spec: TubeSpec, n: float):
         value = length * h * mean**-m
         return value, f"sinusoid closed form: Legendre 2F1 {rep.summary()}"
 
-    # Hyperbolic and cosh: sinh eta and tanh^2 eta of cosh eta = ratio.
-    sinh2 = d * (d + 2.0)  # ratio^2 - 1 without cancellation
-    if sinh2 < math.inf:
-        sinh, t2 = math.sqrt(sinh2), sinh2 / ratio**2
-    else:  # ratio^2 past the float range, from about 1.3e154
-        sinh = math.sqrt(d) * math.sqrt(d + 2.0)
-        t2 = (d / ratio) * ((d + 2.0) / ratio)
-    if spec.shape is TubeShape.HYPERBOLIC:
-        # r^2 = r_min^2 (1 + sinh^2 y^2); u = sin(atan(sinh y))
-        h, rep = _beta(three_n, t2, ratio**-2)
-        value = length * h / (sinh * r_min**m)
-        return value, f"hyperbolic closed form: 2F1 {rep.summary()}"
-
-    # Cosh: r = r_min cosh(eta y); u = tanh(eta y)
-    eta = math.log1p(d + sinh)  # acosh(ratio)
-    h, rep = _beta(m, t2, ratio**-2)
-    value = length * h / (eta * r_min**m)
-    return value, f"cosh closed form: 2F1 {rep.summary()}"
+    # The beta forms: K = L * _beta(q, t2, w) / (scale * r_min^m).
+    if shape is TubeShape.PARABOLIC:
+        # r = r_min (1 + d y^2), y = 2x/L; u = sin(atan(sqrt(d) y))
+        q, t2, w, scale = 6.0 * n + 1.0, d / ratio, 1.0 / ratio, math.sqrt(d)
+    else:
+        # Hyperbolic and cosh: sinh eta and tanh^2 eta of cosh eta = ratio.
+        sinh2 = d * (d + 2.0)  # ratio^2 - 1 without cancellation
+        if sinh2 < math.inf:
+            sinh, t2 = math.sqrt(sinh2), sinh2 / ratio**2
+        else:  # ratio^2 past the float range, from about 1.3e154
+            sinh = math.sqrt(d) * math.sqrt(d + 2.0)
+            t2 = (d / ratio) * ((d + 2.0) / ratio)
+        w = ratio**-2
+        if shape is TubeShape.HYPERBOLIC:
+            # r^2 = r_min^2 (1 + sinh^2 y^2); u = sin(atan(sinh y))
+            q, scale = three_n, sinh
+        else:
+            # Cosh: r = r_min cosh(eta y); u = tanh(eta y)
+            q, scale = m, math.log1p(d + sinh)  # eta = acosh(ratio)
+    h, rep = _beta(q, t2, w)
+    value = length * h / (scale * r_min**m)
+    # ``_value_`` holds what ``.value``, a Python-level property, returns.
+    return value, f"{shape._value_} closed form: 2F1 {rep.summary()}"
 
 
 def _conductance(fluid: PowerLawFluid, spec: TubeSpec,
@@ -216,9 +216,8 @@ def _operating_point(fluid: PowerLawFluid, cond, given: float,
     except OverflowError:
         in_range = False
     if not in_range:
-        solved = "flow rate" if pressure_given else "pressure drop"
-        raise DomainError(f"{solved} at {given!r} overflows the float range "
-                          f"(K={k!r})")
+        raise _overflow("flow rate" if pressure_given else "pressure drop",
+                        given, k)
     rel_error = None
     if oracle is not None:
         rel_error = (abs(p - oracle_value) / abs(oracle_value)

@@ -160,13 +160,14 @@ def _square(v: float) -> float:
 
 def _kernel_args(spec: TubeSpec):
     """``(shape, a, b, k)`` for :mod:`cdtube._kernels`: the shape's value,
-    None for the straight tube.  The one check of a profile's float range:
+    and for a straight tube of any shape the conic with zero slope, ``r =
+    r_min``.  The one check of a profile's float range:
     ``b``, and ``a`` where it is not ``r_min`` itself, must be normal
     floats, and ``k`` finite, or :class:`DomainError` is raised.  A
     subnormal coefficient has lost digits: at 1e-320 a relative 1e-4."""
     if spec.is_straight:
         # All shapes collapse to r(x) = r_min; avoids 0/0 in shape formulas.
-        return None, spec.r_min, 0.0, 0.0
+        return TubeShape.CONIC._value_, spec.r_min, 0.0, 0.0
     coef = coefficients(spec)
     # The sinusoid kernel starts from the throat, not the mean radius.
     a, b, k = ((spec.r_min, coef.b, coef.k)

@@ -65,15 +65,14 @@ ROUTE_ONE_MINUS_Z = "one_minus_z"
 
 @value_type
 class EvaluationReport:
-    """How a kernel evaluation that returned a value got it.
+    """How :func:`gauss_2f1` got the value it returned.
 
     ``terms_used`` counts the series terms summed.  ``route`` names the
-    transformation :func:`gauss_2f1` summed (one of the ``ROUTE_*``
-    names); it is empty where no route is recorded.
+    transformation summed, one of the ``ROUTE_*`` names.
     """
 
     terms_used: int
-    route: str = ""
+    route: str
 
     def summary(self) -> str:
         return f"converged after {self.terms_used} series terms"
@@ -178,14 +177,6 @@ def _series_checked(a, b, c, z, context):
             best_estimate=value,
         )
     return _finite_or_raise(value, context), terms
-
-
-def _returned(result: complex, terms: int, full_output: bool):
-    """``result`` of a continued or Appell kernel, with its report when
-    ``full_output``."""
-    if full_output:
-        return result, EvaluationReport(terms)
-    return result
 
 
 def _negative_argument(a, b, c, z):
@@ -328,13 +319,13 @@ def _continued_arg_1m1z(a, b, c, z, sign):
     w = 1.0 - 1.0 / z
     coef1 = math.gamma(c) * math.gamma(s) * _rgamma(c - a) * _rgamma(c - b)
     coef2 = math.gamma(c) * math.gamma(-s) * _rgamma(a) * _rgamma(b)
-    v1, t1 = _series_checked(a, a - c + 1.0, 1.0 - s, w, "continuation (1-1/z)")
-    v2, t2 = _series_checked(c - a, 1.0 - a, 1.0 + s, w, "continuation (1-1/z)")
+    v1, _ = _series_checked(a, a - c + 1.0, 1.0 - s, w, "continuation (1-1/z)")
+    v2, _ = _series_checked(c - a, 1.0 - a, 1.0 + s, w, "continuation (1-1/z)")
     # (1 - z)^s = (z - 1)^s * exp(i*pi*s*sign)
     mag = (z - 1.0) ** s * z ** (a - c) * coef2 * v2
     re = coef1 * z ** (-a) * v1 + mag * math.cos(math.pi * s)
     im = mag * math.sin(math.pi * s) * sign
-    return re, im, t1 + t2
+    return re, im
 
 
 def _continued_arg_1z(a, b, c, z, sign):
@@ -342,18 +333,18 @@ def _continued_arg_1z(a, b, c, z, sign):
     u = 1.0 / z
     coef1 = math.gamma(c) * math.gamma(b - a) * _rgamma(b) * _rgamma(c - a)
     coef2 = math.gamma(c) * math.gamma(a - b) * _rgamma(a) * _rgamma(c - b)
-    v1, t1 = _series_checked(a, 1.0 - c + a, 1.0 - b + a, u, "continuation (1/z)")
-    v2, t2 = _series_checked(b, 1.0 - c + b, 1.0 - a + b, u, "continuation (1/z)")
+    v1, _ = _series_checked(a, 1.0 - c + a, 1.0 - b + a, u, "continuation (1/z)")
+    v2, _ = _series_checked(b, 1.0 - c + b, 1.0 - a + b, u, "continuation (1/z)")
     # (-z)^(-p) = z^(-p) * exp(-i*pi*p*sign)
     m1 = coef1 * z ** (-a) * v1
     m2 = coef2 * z ** (-b) * v2
     re = m1 * math.cos(math.pi * a) + m2 * math.cos(math.pi * b)
     im = -sign * (m1 * math.sin(math.pi * a) + m2 * math.sin(math.pi * b))
-    return re, im, t1 + t2
+    return re, im
 
 
 def gauss_2f1_continued(a: float, b: float, c: float, z: float,
-                        branch: str = BRANCH_ABOVE, full_output: bool = False):
+                        branch: str = BRANCH_ABOVE) -> complex:
     """Gauss hypergeometric function continued onto the cut ``z > 1``.
 
     ``branch`` selects the limit ``z + i0`` ("above") or ``z - i0``
@@ -370,8 +361,8 @@ def gauss_2f1_continued(a: float, b: float, c: float, z: float,
     if z <= 1.0:
         raise DomainError(f"gauss_2f1_continued requires z > 1, got {z}")
     if _terminates(a, b, c):
-        value, terms = _series_checked(a, b, c, z, "gauss_2f1_continued")
-        return _returned(complex(value), terms, full_output)
+        value, _ = _series_checked(a, b, c, z, "gauss_2f1_continued")
+        return complex(value)
     if _is_nonpos_int(c):
         raise DegenerateParameterError(
             f"gauss_2f1_continued is undefined for non-positive integer c={c}"
@@ -404,15 +395,14 @@ def gauss_2f1_continued(a: float, b: float, c: float, z: float,
     last_error = None
     for route in routes:
         try:
-            re, im, terms = route(a, b, c, z, sign)
+            re, im = route(a, b, c, z, sign)
         except ConvergenceError as exc:
             last_error = exc
             continue
-        result = complex(
+        return complex(
             _finite_or_raise(re, "gauss_2f1_continued"),
             _finite_or_raise(im, "gauss_2f1_continued"),
         )
-        return _returned(result, terms, full_output)
     raise last_error
 
 
@@ -425,17 +415,15 @@ def _appell_series(a, b1, b2, c, x, y):
     """
     coeff = 1.0
     total = 0.0
-    terms = 0
     consec = 0
     for m in range(MAX_TERMS):
-        inner, t = _series_checked(a + m, b2, c + m, y, "appell_f1 (inner)")
+        inner, _ = _series_checked(a + m, b2, c + m, y, "appell_f1 (inner)")
         term = coeff * inner
         total += term
-        terms += t + 1
         if abs(term) <= 1e-16 * max(abs(total), 1e-300):
             consec += 1
             if consec >= 3:
-                return total, terms
+                return total
         else:
             consec = 0
         coeff *= (a + m) * (b1 + m) / ((c + m) * (m + 1.0)) * x
@@ -446,7 +434,7 @@ def _appell_series(a, b1, b2, c, x, y):
 
 
 def appell_f1(a: float, b1: float, b2: float, c: float, x: float, y: float,
-              branch: str = BRANCH_ABOVE, full_output: bool = False):
+              branch: str = BRANCH_ABOVE) -> complex:
     """Appell hypergeometric function of two real arguments.
 
     Supported domains:
@@ -468,13 +456,9 @@ def appell_f1(a: float, b1: float, b2: float, c: float, x: float, y: float,
         )
 
     if b2 == 0.0 and abs(x) < 1.0:
-        value, rep = gauss_2f1(a, b1, c, x, full_output=True)
-        result = complex(value)
-        return (result, rep) if full_output else result
+        return complex(gauss_2f1(a, b1, c, x))
     if b1 == 0.0 and abs(y) < 1.0:
-        value, rep = gauss_2f1(a, b2, c, y, full_output=True)
-        result = complex(value)
-        return (result, rep) if full_output else result
+        return complex(gauss_2f1(a, b2, c, y))
 
     if x == 1.0:
         s = c - a - b1
@@ -490,24 +474,21 @@ def appell_f1(a: float, b1: float, b2: float, c: float, x: float, y: float,
         coef = (math.gamma(c) * math.gamma(s)
                 * _rgamma(c - a) * _rgamma(c - b1))
         if y < 1.0:
-            inner, rep = gauss_2f1(a, b2, c - b1, y, full_output=True)
-            result = complex(coef * inner)
+            result = complex(coef * gauss_2f1(a, b2, c - b1, y))
         elif y == 1.0:
             raise DomainError("appell_f1 corner x = y = 1 is not supported")
         else:
-            inner, rep = gauss_2f1_continued(a, b2, c - b1, y, branch,
-                                             full_output=True)
+            inner = gauss_2f1_continued(a, b2, c - b1, y, branch)
             # Not ``coef * inner``: that subtracts ``0.0 * inner.imag``
             # from the real part, which can flip the sign of a zero.
             result = complex(coef * inner.real, coef * inner.imag)
         _finite_or_raise(result.real, "appell_f1")
         _finite_or_raise(result.imag, "appell_f1")
-        return _returned(result, rep.terms_used, full_output)
+        return result
 
     if abs(x) < 1.0 and abs(y) < 1.0:
-        value, terms = _appell_series(a, b1, b2, c, x, y)
-        result = complex(_finite_or_raise(value, "appell_f1"))
-        return _returned(result, terms, full_output)
+        value = _appell_series(a, b1, b2, c, x, y)
+        return complex(_finite_or_raise(value, "appell_f1"))
 
     raise DomainError(
         f"appell_f1 arguments (x={x}, y={y}) outside the supported domain: "

@@ -489,6 +489,19 @@ def test_validate_quick_grid(runner):
         assert float(row["rel_err"]) <= expected
 
 
+def test_validate_exits_3_after_the_full_report(runner, monkeypatch):
+    args = ["validate", "--grid", "quick", "--format", "csv"]
+    report = run(runner, args).stdout
+    # No relative error is below a negative tolerance: every row that is
+    # neither conic nor a fallback misses.
+    monkeypatch.setattr(cli_module, "TOL_DEFAULT", -1.0)
+    result = run(runner, args)
+    assert result.exit_code == 3
+    assert result.stdout == report
+    assert result.stderr == ("validate: 12 of 15 grid points exceeded "
+                             "their tolerance\n")
+
+
 def test_sweep_and_validate_compute_each_tube_once(runner, monkeypatch):
     calls = collections.Counter()
 
@@ -886,6 +899,23 @@ def test_a_directory_is_no_output_file(runner, tmp_path):
     assert result.stderr.endswith(
         f"\nError: Invalid value for '--output': File {str(tmp_path)!r} is "
         "a directory.\n")
+
+
+@pytest.mark.parametrize("missing_dir", [True, False], ids=["missing-dir",
+                                                          "empty"])
+@pytest.mark.parametrize("command", sorted(RUNNABLE))
+def test_an_output_that_cannot_be_written_exits_2(runner, tmp_path, command,
+                                                  missing_dir):
+    path = str(tmp_path / "missing" / "out.json") if missing_dir else ""
+    result = runner.invoke(main, [command, *RUNNABLE[command],
+                                  "--output", path])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == (
+        f"Usage: cdtube {command} [OPTIONS]\nTry 'cdtube {command} --help' "
+        f"for help.\n\nError: Invalid value for '--output': {path!r}: "
+        "No such file or directory\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 GROUP_USAGE = ("Usage: cdtube [OPTIONS] COMMAND [ARGS]...\n"

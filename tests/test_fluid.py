@@ -10,7 +10,9 @@ from cdtube import (
     TubeShape,
     TubeSpec,
     apparent_viscosity,
+    pressure_drop,
     pressure_drop_numeric,
+    straight_tube_conductance,
     straight_tube_flow_rate,
     straight_tube_pressure_drop,
 )
@@ -92,6 +94,47 @@ def test_straight_tube_rejects_negative_and_non_finite_inputs():
             straight_tube_pressure_drop(fluid, 0.3, 2.0, bad)
         with pytest.raises(DomainError):
             straight_tube_flow_rate(fluid, 0.3, 2.0, bad)
+
+
+NEWTONIAN = PowerLawFluid(consistency=1.0, index=1.0)
+
+
+def _unvalidated(consistency, index):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return PowerLawFluid(consistency, index)
+
+
+@pytest.mark.parametrize("call", [
+    # (3n + 1)^n raises OverflowError
+    lambda: straight_tube_conductance(_unvalidated(1.0, 150.0), 1.0, 1.0),
+    # radius^(3n + 1) underflows to zero
+    lambda: straight_tube_conductance(NEWTONIAN, 1e-300, 1.0),
+    # a radius or length that is not finite: K would be 0 or inf
+    lambda: straight_tube_conductance(NEWTONIAN, math.inf, 1.0),
+    lambda: straight_tube_conductance(NEWTONIAN, 1.0, math.inf),
+    lambda: straight_tube_flow_rate(NEWTONIAN, math.inf, 1.0, 1.0),
+    # Q^n raises OverflowError
+    lambda: straight_tube_pressure_drop(PowerLawFluid(1.0, 2.0), 1.0, 1.0,
+                                        1e300),
+    # P / K is inf
+    lambda: straight_tube_flow_rate(NEWTONIAN, 1e-3, 1e-300, 1e300),
+], ids=["index", "radius-underflow", "radius-inf", "length-inf",
+        "flow-rate-radius-inf", "pressure-drop-overflow",
+        "flow-rate-overflow"])
+def test_straight_tube_out_of_range_is_a_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_straight_tube_overflow_matches_the_general_path():
+    fluid = PowerLawFluid(1.0, 2.0)
+    spec = TubeSpec(TubeShape.CONIC, 1.0, 1.0, 1.0)
+    with pytest.raises(DomainError) as general:
+        pressure_drop(fluid, spec, 1e300)
+    with pytest.raises(DomainError) as straight:
+        straight_tube_pressure_drop(fluid, 1.0, 1.0, 1e300)
+    assert str(straight.value) == str(general.value)
 
 
 def test_straight_tube_derived_value_and_quadrature_cross_check():

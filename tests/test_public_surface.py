@@ -61,10 +61,9 @@ ROUTES = {
 def test_continued_kernels_return_builtin_complex(route):
     kernel, args = ROUTES[route]
     assert type(kernel(*args)) is complex
-    value, report = kernel(*args, full_output=True)
-    assert type(value) is complex
-    assert type(report) is EvaluationReport
-    assert report.terms_used > 0
+    # Only gauss_2f1 reports how it got its value.
+    with pytest.raises(TypeError, match="full_output"):
+        kernel(*args, full_output=True)
 
 
 def test_evaluation_report_summary():

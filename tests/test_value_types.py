@@ -117,7 +117,8 @@ def test_copy_and_deepcopy(case):
 
 def test_defaults():
     assert ProfileCoefficients(1.0, 2.0).k is None
-    assert EvaluationReport(3).route == ""
+    with pytest.raises(TypeError):  # every report names its route
+        EvaluationReport(3)
     result = FlowResult(1.0, None, "analytic", "")
     assert (result.oracle_value, result.rel_error) == (None, None)
 

@@ -12,13 +12,7 @@ from .errors import (
     DomainError,
     EvaluationError,
 )
-from .fluid import (
-    PowerLawFluid,
-    apparent_viscosity,
-    straight_tube_conductance,
-    straight_tube_flow_rate,
-    straight_tube_pressure_drop,
-)
+from .fluid import PowerLawFluid, apparent_viscosity
 from .geometry import (
     ProfileCoefficients,
     TubeShape,
@@ -45,6 +39,9 @@ from .flow import (
     conductance_coefficient,
     flow_rate,
     pressure_drop,
+    straight_tube_conductance,
+    straight_tube_flow_rate,
+    straight_tube_pressure_drop,
 )
 
 __all__ = [

@@ -9,7 +9,12 @@ positive terms at an argument of at most 1/2.  For the sinusoid it is a
 Legendre function, one ``gauss_2f1`` at a negative argument.  Should a
 closed form raise :class:`DegenerateParameterError` or
 :class:`ConvergenceError`, the quadrature oracle takes over and the
-result records the fallback.
+result records the fallback.  A straight capillary is a
+:class:`TubeSpec` with equal radii, of any shape, and K is the
+Hagen-Poiseuille form of the power-law fluid; the ``straight_tube_*``
+helpers solve ``TubeSpec(TubeShape.CONIC, radius, radius, length)``.
+Every route ends in one check: a K that is not a positive finite float
+raises :class:`DomainError`.
 """
 
 import functools
@@ -24,7 +29,7 @@ from .errors import (
     EvaluationError,
     require_finite_non_negative,
 )
-from .fluid import PowerLawFluid, _overflow, straight_tube_conductance
+from .fluid import PowerLawFluid
 from .geometry import TubeShape, TubeSpec
 from .quadrature import (
     DEFAULT_REL_TOL,
@@ -40,6 +45,9 @@ __all__ = [
     "conductance_coefficient",
     "flow_rate",
     "pressure_drop",
+    "straight_tube_conductance",
+    "straight_tube_flow_rate",
+    "straight_tube_pressure_drop",
 ]
 
 METHOD_ANALYTIC = "analytic"
@@ -151,19 +159,24 @@ def _geometric_integral(spec: TubeSpec, n: float):
 def _conductance(fluid: PowerLawFluid, spec: TubeSpec,
                  max_panels: int = MAX_PANELS):
     """``(K, method, diagnostics)`` for the fluid and tube; ``method`` is
-    ``METHOD_ANALYTIC`` or ``METHOD_FALLBACK``."""
+    ``METHOD_ANALYTIC`` or ``METHOD_FALLBACK``.
+
+    Raises :class:`DomainError` if K, by any route, is not a positive
+    finite float.
+    """
     n = fluid.index
     try:
         if spec.is_straight:
-            k = straight_tube_conductance(fluid, spec.r_min, spec.length)
-            return k, METHOD_ANALYTIC, "degenerate: straight tube"
-        geom, diag = _geometric_integral(spec, n)
-    except (OverflowError, ZeroDivisionError) as exc:
-        # A power of r_min past the float range, or one underflowing to 0.
-        raise DomainError(
-            "conductance K is outside the float range "
-            f"(r_min={spec.r_min!r}, n={n!r})"
-        ) from exc
+            k = (2.0 * fluid.consistency * (3.0 * n + 1.0) ** n * spec.length
+                 / (math.pi**n * n**n * spec.r_min ** (3.0 * n + 1.0)))
+            diag = "degenerate: straight tube"
+        else:
+            geom, diag = _geometric_integral(spec, n)
+            k = master_prefactor(fluid, 1.0) * geom
+        method = METHOD_ANALYTIC
+    except (OverflowError, ZeroDivisionError):
+        # A power past the float range, or one of r_min underflowing to 0.
+        k = math.inf
     except (DegenerateParameterError, ConvergenceError) as exc:
         try:
             base = integrate_inverse_radius_power(
@@ -174,13 +187,14 @@ def _conductance(fluid: PowerLawFluid, spec: TubeSpec,
                 f"analytic route failed ({exc}) and the quadrature fallback "
                 f"did not converge ({quad_exc})"
             ) from quad_exc
-        geom = base.value
-        k = master_prefactor(fluid, 1.0) * geom
-        return (k, METHOD_FALLBACK,
-                f"fallback to quadrature ({base.subdivisions} panels, "
+        k = master_prefactor(fluid, 1.0) * base.value
+        method = METHOD_FALLBACK
+        diag = (f"fallback to quadrature ({base.subdivisions} panels, "
                 f"rel_tol={FALLBACK_REL_TOL}): {exc}")
-    k = master_prefactor(fluid, 1.0) * geom
-    return k, METHOD_ANALYTIC, diag
+    if not 0.0 < k < math.inf:
+        raise DomainError("conductance K is outside the float range "
+                          f"(r_min={spec.r_min!r}, n={n!r})")
+    return k, method, diag
 
 
 def conductance_coefficient(fluid: PowerLawFluid, spec: TubeSpec) -> float:
@@ -199,12 +213,9 @@ def _operating_point(fluid: PowerLawFluid, cond, given: float,
     :func:`pressure_drop`, :func:`flow_rate` and the CLI sweep, which
     computes K once for all its rows, share this step.
 
-    Raises :class:`DomainError` if K is not a positive finite float, or if
-    the result or the oracle's P overflows.
+    Raises :class:`DomainError` if the result or the oracle's P overflows.
     """
     k, method, diagnostics = cond
-    if not 0.0 < k < math.inf:
-        raise DomainError(f"conductance K={k!r} is outside the float range")
     try:
         if pressure_given:
             p, q = given, (given / k) ** (1.0 / fluid.index)
@@ -216,8 +227,9 @@ def _operating_point(fluid: PowerLawFluid, cond, given: float,
     except OverflowError:
         in_range = False
     if not in_range:
-        raise _overflow("flow rate" if pressure_given else "pressure drop",
-                        given, k)
+        solved = "flow rate" if pressure_given else "pressure drop"
+        raise DomainError(f"{solved} at {given!r} overflows the float range "
+                          f"(K={k!r})")
     rel_error = None
     if oracle is not None:
         rel_error = (abs(p - oracle_value) / abs(oracle_value)
@@ -258,3 +270,27 @@ def flow_rate(fluid: PowerLawFluid, spec: TubeSpec, pressure_drop: float,
                                 rel_tol=oracle_rel_tol, max_panels=max_panels)
               if validate else None)
     return _operating_point(fluid, cond, pressure_drop, True, oracle)
+
+
+def straight_tube_conductance(fluid: PowerLawFluid, radius: float,
+                              length: float) -> float:
+    """K of a constant-radius capillary: :func:`conductance_coefficient`
+    of the straight ``TubeSpec(TubeShape.CONIC, radius, radius, length)``."""
+    return conductance_coefficient(
+        fluid, TubeSpec(TubeShape.CONIC, radius, radius, length))
+
+
+def straight_tube_pressure_drop(fluid: PowerLawFluid, radius: float,
+                                length: float, flow_rate: float) -> float:
+    """Pressure drop in Pa across a constant-radius capillary: the
+    :func:`pressure_drop` of the straight :class:`TubeSpec`."""
+    return pressure_drop(fluid, TubeSpec(TubeShape.CONIC, radius, radius,
+                                         length), flow_rate).pressure_drop
+
+
+def straight_tube_flow_rate(fluid: PowerLawFluid, radius: float,
+                            length: float, pressure_drop: float) -> float:
+    """Flow rate in m^3/s through a constant-radius capillary: the
+    :func:`flow_rate` of the straight :class:`TubeSpec`."""
+    return flow_rate(fluid, TubeSpec(TubeShape.CONIC, radius, radius,
+                                     length), pressure_drop).flow_rate

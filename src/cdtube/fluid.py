@@ -1,22 +1,18 @@
-"""Power-law rheology and the constant-radius capillary solutions.
+"""Power-law rheology: the fluid model and its apparent viscosity.
 
-The straight-tube relations anchor every limit check in the package: all
-five corrugated geometries collapse onto them when the radius contrast
-goes to one.
+The straight-capillary relations live in :mod:`cdtube.flow`, where a
+constant radius is a :class:`~cdtube.geometry.TubeSpec` with equal radii.
 """
 
 import math
 import warnings
 
 from ._frozen import slot_setters, value_type
-from .errors import DomainError, require_finite_non_negative
+from .errors import DomainError
 
 __all__ = [
     "PowerLawFluid",
     "apparent_viscosity",
-    "straight_tube_conductance",
-    "straight_tube_flow_rate",
-    "straight_tube_pressure_drop",
 ]
 
 # Flow behavior indices outside this range still compute, but K is checked
@@ -78,66 +74,3 @@ def apparent_viscosity(fluid: PowerLawFluid, strain_rate: float) -> float:
         raise DomainError(f"apparent viscosity at strain rate {strain_rate!r} "
                           f"is outside the float range (n={fluid.index!r})")
     return viscosity
-
-
-def straight_tube_conductance(fluid: PowerLawFluid, radius: float,
-                              length: float) -> float:
-    """Coefficient K with P = K * Q^n for a constant-radius capillary.
-
-    Raises :class:`DomainError` for a radius or length that is not
-    positive and finite, and for a K outside the positive float range.
-    """
-    if not 0.0 < radius < math.inf:
-        raise DomainError(f"radius must be positive, got {radius}")
-    if not 0.0 < length < math.inf:
-        raise DomainError(f"length must be positive, got {length}")
-    n = fluid.index
-    try:
-        k = (2.0 * fluid.consistency * (3.0 * n + 1.0) ** n * length
-             / (math.pi**n * n**n * radius ** (3.0 * n + 1.0)))
-    except (OverflowError, ZeroDivisionError):
-        # A power past the float range, or one underflowing to 0.
-        k = math.inf
-    if not 0.0 < k < math.inf:
-        raise DomainError("conductance K is outside the float range "
-                          f"(radius={radius!r}, n={n!r})")
-    return k
-
-
-def _overflow(solved: str, given: float, k: float) -> DomainError:
-    return DomainError(f"{solved} at {given!r} overflows the float range "
-                       f"(K={k!r})")
-
-
-def straight_tube_pressure_drop(fluid: PowerLawFluid, radius: float,
-                                length: float, flow_rate: float) -> float:
-    """Pressure drop in Pa across a straight capillary at ``flow_rate``.
-
-    Zero flow returns exactly zero pressure drop.  A pressure drop past
-    the float range raises :class:`DomainError`.
-    """
-    require_finite_non_negative("flow_rate", flow_rate)
-    k = straight_tube_conductance(fluid, radius, length)
-    try:
-        p = k * flow_rate**fluid.index
-    except OverflowError:
-        p = math.inf
-    if p == math.inf:
-        raise _overflow("pressure drop", flow_rate, k)
-    return p
-
-
-def straight_tube_flow_rate(fluid: PowerLawFluid, radius: float,
-                            length: float, pressure_drop: float) -> float:
-    """Flow rate in m^3/s through a straight capillary; exact inverse of
-    :func:`straight_tube_pressure_drop`.  A flow rate past the float range
-    raises :class:`DomainError`."""
-    require_finite_non_negative("pressure_drop", pressure_drop)
-    k = straight_tube_conductance(fluid, radius, length)
-    try:
-        q = (pressure_drop / k) ** (1.0 / fluid.index)
-    except OverflowError:
-        q = math.inf
-    if q == math.inf:
-        raise _overflow("flow rate", pressure_drop, k)
-    return q

@@ -87,6 +87,10 @@ def gauss_series(a: float, b: float, c: float, z: float):
     towards the stop only once ``c + k`` is positive: a negative ``c``
     near an integer divides a later term by ``c + k`` near zero, and a
     numerator parameter near an integer can make the terms before it tiny.
+    A polynomial that truncates no later than an exactly non-positive
+    integer ``c`` meets ``c + k = 0`` past its last term, or at a vanishing
+    numerator (DLMF 15.2.5 for ``a = c``); its sum is then complete and is
+    returned.
 
     Returns ``(value, terms_used, converged)``.
     """
@@ -97,23 +101,29 @@ def gauss_series(a: float, b: float, c: float, z: float):
     term = total = 1.0
     consec = 0
     k = 0.0
-    while k < cap:
-        k1 = k + 1.0
-        term *= (a + k) * (b + k) / ((c + k) * k1) * z
-        total += term
-        # rtol * |total|: rounding is symmetric in sign
-        floor = rtol * total
-        if floor < 0.0:
-            floor = -floor
-        if floor < 1e-300:
-            floor = 1e-300
-        if -floor <= term <= floor and k > neg_c:
-            consec += 1
-            if consec >= run:
-                return total, int(k1), True
-        else:
-            consec = 0
-        k = k1
+    try:
+        while k < cap:
+            k1 = k + 1.0
+            term *= (a + k) * (b + k) / ((c + k) * k1) * z
+            total += term
+            # rtol * |total|: rounding is symmetric in sign
+            floor = rtol * total
+            if floor < 0.0:
+                floor = -floor
+            if floor < 1e-300:
+                floor = 1e-300
+            if -floor <= term <= floor and k > neg_c:
+                consec += 1
+                if consec >= run:
+                    return total, int(k1), True
+            else:
+                consec = 0
+            k = k1
+    except ZeroDivisionError:
+        # c + k = 0.  Outside the loop, a try costs nothing per term.
+        if term != 0.0 and a + k != 0.0 and b + k != 0.0:
+            raise
+        return total, int(k), True
     return total, MAX_TERMS, False
 
 
@@ -426,6 +436,9 @@ def _appell_series(a, b1, b2, c, x, y):
                 return total
         else:
             consec = 0
+        if a + m == 0.0:
+            # (a)_m truncates the outer sum, no later than any pole of (c)_m.
+            return total
         coeff *= (a + m) * (b1 + m) / ((c + m) * (m + 1.0)) * x
     raise ConvergenceError(
         f"appell_f1 double series did not converge within {MAX_TERMS} outer terms",

@@ -489,6 +489,39 @@ def test_validate_quick_grid(runner):
         assert float(row["rel_err"]) <= expected
 
 
+def test_validate_checks_fallback_rows_against_a_tight_oracle(runner,
+                                                             monkeypatch):
+    geometric_integral = flow_module._geometric_integral
+
+    def no_cosh_closed_form(spec, n):
+        if spec.shape is TubeShape.COSH:
+            raise ConvergenceError("closed form stubbed out")
+        return geometric_integral(spec, n)
+
+    oracle_tols = collections.Counter()
+    oracle = cli_module.pressure_drop_oracle
+
+    def recorded_oracle(fluid, spec, rel_tol, **kwargs):
+        oracle_tols[spec.shape.value, rel_tol] += 1
+        return oracle(fluid, spec, rel_tol, **kwargs)
+
+    monkeypatch.setattr(flow_module, "_geometric_integral",
+                        no_cosh_closed_form)
+    monkeypatch.setattr(cli_module, "pressure_drop_oracle", recorded_oracle)
+    result = run(runner, ["validate", "--grid", "quick", "--format", "csv"])
+    assert result.exit_code == 0
+    rows = parse_csv(result.stdout)
+    assert {row["method"] for row in rows if row["shape"] == "cosh"} == {
+        "quadrature_fallback"}
+    assert {row["method"] for row in rows if row["shape"] != "cosh"} == {
+        "analytic"}
+    # One oracle per tube: 3 indices per shape in the quick grid.
+    assert oracle_tols == {
+        (shape, cli_module.ORACLE_TIGHT if shape == "cosh"
+         else cli_module.DEFAULT_REL_TOL): 3
+        for shape in cli_module.SHAPE_NAMES}
+
+
 def test_validate_exits_3_after_the_full_report(runner, monkeypatch):
     args = ["validate", "--grid", "quick", "--format", "csv"]
     report = run(runner, args).stdout
@@ -891,6 +924,15 @@ def test_a_bad_command_line_exits_2_with_the_usage_line(runner, args,
     assert result.stderr == (f"Usage: cdtube {command} [OPTIONS]\n"
                              f"Try 'cdtube {command} --help' for help.\n\n"
                              f"Error: {message}\n")
+
+
+def test_an_existing_output_file_is_overwritten(runner, tmp_path):
+    target = tmp_path / "out.json"
+    target.write_text("an earlier run's output, longer than the new one " * 99)
+    result = run(runner, SOLVE_CONIC + ["--output", str(target)])
+    assert result.exit_code == 0
+    assert result.stdout == ""
+    assert target.read_text() == run(runner, SOLVE_CONIC).stdout
 
 
 def test_a_directory_is_no_output_file(runner, tmp_path):

@@ -19,6 +19,7 @@ from cdtube import (
     pressure_drop,
     pressure_drop_numeric,
     straight_tube_conductance,
+    straight_tube_flow_rate,
     straight_tube_pressure_drop,
 )
 from cdtube import flow as flow_module
@@ -45,6 +46,42 @@ def test_straight_degenerate_conductance_matches_closed_form():
     assert conductance_coefficient(fluid, spec) == straight_tube_conductance(
         fluid, 1.2, 3.0
     )
+
+
+@given(
+    n=st.floats(min_value=0.2, max_value=2.0),
+    c=st.floats(min_value=1e-3, max_value=1e3),
+    radius=st.floats(min_value=1e-7, max_value=1e-1),
+    length=st.floats(min_value=1e-5, max_value=10.0),
+    q=st.floats(min_value=0.0, max_value=1e-2),
+    p=st.floats(min_value=0.0, max_value=1e7),
+)
+def test_straight_tube_helpers_are_the_general_solver(n, c, radius, length,
+                                                      q, p):
+    fluid = fluid_of(n, c)
+    spec = TubeSpec(TubeShape.CONIC, radius, radius, length)
+    k = conductance_coefficient(fluid, spec)
+    assert straight_tube_conductance(fluid, radius, length).hex() == k.hex()
+    assert (straight_tube_pressure_drop(fluid, radius, length, q).hex()
+            == pressure_drop(fluid, spec, q).pressure_drop.hex())
+    assert (straight_tube_flow_rate(fluid, radius, length, p).hex()
+            == flow_rate(fluid, spec, p).flow_rate.hex())
+    for shape in ALL_SHAPES:
+        straight = TubeSpec(shape, radius, radius, length)
+        assert conductance_coefficient(fluid, straight).hex() == k.hex()
+
+
+@pytest.mark.parametrize("fluid,spec", [
+    (fluid_of(1.0), TubeSpec(TubeShape.SINUSOIDAL, 1e155, 1e161, 1e300)),
+    (fluid_of(0.2), TubeSpec(TubeShape.CONIC, 1e-8, 2e-8, 5e-324)),
+    (fluid_of(0.2), TubeSpec(TubeShape.CONIC, 5e-324, 1e-323, 1.0)),
+], ids=["nan", "zero", "inf"])
+def test_conductance_outside_the_float_range_raises(fluid, spec):
+    # Each closed form computes without an exception, but its product
+    # rounds to nan, 0 or inf.
+    with pytest.raises(DomainError, match=r"^conductance K is outside the "
+                       r"float range \(r_min="):
+        conductance_coefficient(fluid, spec)
 
 
 def test_conic_conductance_spot_value():

@@ -1,4 +1,8 @@
-"""The package's public names, and the types its kernels return."""
+"""The package's public names, the types its kernels return, and no
+private name left unread."""
+
+import ast
+from pathlib import Path
 
 import pytest
 
@@ -69,3 +73,43 @@ def test_continued_kernels_return_builtin_complex(route):
 def test_evaluation_report_summary():
     assert (EvaluationReport(17, "pfaff").summary()
             == "converged after 17 series terms")
+
+
+SOURCE = Path(cdtube.__file__).parent
+
+
+def _module_level_names(tree):
+    """Names that a module's top-level statements bind."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0]
+
+
+def test_every_private_module_name_is_read_somewhere():
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(SOURCE.glob("*.py"))}
+    loaded = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+    unread = sorted(
+        f"{module}:{name}"
+        for module, tree in trees.items()
+        for name in _module_level_names(tree)
+        if name.startswith("_") and not name.endswith("__")
+        and name not in loaded)
+    assert unread == []

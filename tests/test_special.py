@@ -153,6 +153,44 @@ def test_terminating_survives_nonpositive_c():
     )
 
 
+# The series truncates at k = -a, and c is a non-positive integer past the
+# truncation: the loop meets c + k = 0 after its last non-zero term.
+POLYNOMIAL_PAST_THE_TRUNCATION = {
+    "2f1": (gauss_2f1, mpmath.hyp2f1, (-2.0, 3.84, -3.0, 0.5)),
+    "2f1-a-zero": (gauss_2f1, mpmath.hyp2f1, (0.0, 1.5, -3.0, 0.5)),
+    "2f1-negative-z": (gauss_2f1, mpmath.hyp2f1, (-2.0, 3.84, -3.0, -5.0)),
+    "continued": (gauss_2f1_continued, mpmath.hyp2f1,
+                  (-2.0, 3.84, -3.0, 36.5)),
+    "appell": (appell_f1, mpmath.appellf1, (-2.0, 0.5, 0.5, -3.0, 0.3, 0.4)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(POLYNOMIAL_PAST_THE_TRUNCATION))
+def test_polynomial_with_nonpositive_c_past_the_truncation(case):
+    kernel, reference, args = POLYNOMIAL_PAST_THE_TRUNCATION[case]
+    expected = complex(reference(*args))
+    assert abs(kernel(*args) - expected) <= 1e-15 * abs(expected)
+
+
+def test_polynomial_whose_truncation_meets_the_pole():
+    # a = c = -3: (a)_k / (c)_k is 1 up to k = 3, where the series stops
+    # (DLMF 15.2.5), so 2F1 sums (b)_k z^k / k! and F1 the x^j y^k terms
+    # with j + k <= 3.
+    assert gauss_2f1(-3.0, 7.5, -3.0, 0.5) == 25.3359375
+    x, y = -0.5, 0.6
+    expected = sum(math.prod(range(2, 2 + j)) * math.prod(range(2, 2 + k))
+                   * x**j * y**k / (math.factorial(j) * math.factorial(k))
+                   for j in range(4) for k in range(4 - j))
+    assert appell_f1(-3.0, 2.0, 2.0, -3.0, x, y) == pytest.approx(
+        expected, rel=1e-15, abs=0.0)
+
+
+def test_polynomial_with_a_pole_before_the_truncation_raises():
+    # (c)_k vanishes at k = 3, before the series truncates at k = 5
+    with pytest.raises(DegenerateParameterError):
+        gauss_2f1(-5.0, 1.0, -3.0, 0.5)
+
+
 def test_nearly_terminating_parameter_is_not_a_polynomial():
     # b = 2e-16 is inside the pole-detection window but must not take the
     # truncated-series shortcut: the tiny tail diverges for |z| > 1, while
@@ -473,6 +511,16 @@ def test_continuation_raises_the_last_routes_error(monkeypatch):
     monkeypatch.setattr(special, "_continued_arg_1z", _failing("second"))
     with pytest.raises(ConvergenceError, match="^second$"):
         gauss_2f1_continued(0.3, 1.9, 2.4, 1.7)
+
+
+def test_continuation_degenerate_at_a_nonpositive_integer_c():
+    with pytest.raises(DegenerateParameterError):
+        gauss_2f1_continued(0.5, 0.3, -2.0, 3.0)
+
+
+def test_continuation_rejects_an_unknown_branch():
+    with pytest.raises(DomainError, match="branch must be"):
+        gauss_2f1_continued(0.3, 1.9, 2.4, 1.7, branch="left")
 
 
 def test_continuation_degenerate_when_both_routes_blocked():

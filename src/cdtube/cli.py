@@ -21,6 +21,7 @@ are both generated from it, with the standard library alone.
 """
 
 import csv
+import functools
 import io
 import itertools
 import json
@@ -31,7 +32,7 @@ import stat
 import sys
 import warnings
 
-from . import __version__, flow
+from . import __version__, flow, quadrature
 from .errors import (
     CdtubeError,
     ConvergenceError,
@@ -147,20 +148,18 @@ def _spaced(start: float, stop: float, count: int, log: bool = False):
     return values
 
 
-def _solve_row(fluid, spec, periods, given_flow, given_pressure, solve_unit):
+def _solve_row(fluid, spec, periods, given, pressure_given, solve_unit):
     """One row in SOLVE_COLUMNS order.
 
-    ``solve_unit(value, pressure_given)`` solves one corrugation unit at
-    that Q, or at that P when ``pressure_given``.
+    ``solve_unit(value)`` solves one corrugation unit at the flow rate
+    ``given``, or at its share ``given / periods`` when ``pressure_given``.
     """
-    if given_flow is not None:
-        result = solve_unit(given_flow, False)
-        q_val = given_flow
-        p_val = periods * result.pressure_drop
+    if pressure_given:
+        result = solve_unit(given / periods)
+        q_val, p_val = result.flow_rate, given
     else:
-        result = solve_unit(given_pressure / periods, True)
-        q_val = result.flow_rate
-        p_val = given_pressure
+        result = solve_unit(given)
+        q_val, p_val = given, periods * result.pressure_drop
     oracle = (None if result.oracle_value is None
               else periods * result.oracle_value)
     if not math.isfinite(p_val) or (oracle is not None
@@ -220,6 +219,10 @@ class _AtLeast:
                 f"{text!r} is not a valid integer range.") from None
         if value < self.minimum:
             raise ValueError(f"{value} is not in the range {self.bounds}.")
+        try:
+            float(value)  # every count and period is used as a float
+        except OverflowError:
+            raise ValueError(f"{value} is outside the float range.") from None
         return value
 
 
@@ -574,14 +577,15 @@ _OUTPUT = (
 def solve(shape, rmin, rmax, length, n, consistency, flow_rate, pressure,
           periods, validate, rel_tol, max_subdivisions, fmt, output):
     """Solve one operating point."""
+    quadrature._require_rel_tol(rel_tol)
     if (flow_rate is None) == (pressure is None):
         raise DomainError(
             "exactly one of --flow-rate or --pressure is required"
         )
-    if flow_rate is not None:
-        require_finite_non_negative("--flow-rate", flow_rate)
-    if pressure is not None:
-        require_finite_non_negative("--pressure", pressure)
+    pressure_given = pressure is not None
+    given = pressure if pressure_given else flow_rate
+    require_finite_non_negative(
+        "--pressure" if pressure_given else "--flow-rate", given)
     config = {
         "subcommand": "solve", "shape": shape, "n": n,
         "consistency": consistency, "r_min": rmin, "r_max": rmax,
@@ -591,13 +595,11 @@ def solve(shape, rmin, rmax, length, n, consistency, flow_rate, pressure,
     }
     fluid = PowerLawFluid(consistency=consistency, index=n)
     spec = TubeSpec(shape=shape, r_min=rmin, r_max=rmax, length=length)
-
-    def solve_unit(value, pressure_given):
-        solver = solve_flow_rate if pressure_given else solve_pressure_drop
-        return solver(fluid, spec, value, validate=validate,
-                      oracle_rel_tol=rel_tol, max_panels=max_subdivisions)
-
-    row = _solve_row(fluid, spec, periods, flow_rate, pressure, solve_unit)
+    solve_unit = functools.partial(
+        solve_flow_rate if pressure_given else solve_pressure_drop,
+        fluid, spec, validate=validate, oracle_rel_tol=rel_tol,
+        max_panels=max_subdivisions)
+    row = _solve_row(fluid, spec, periods, given, pressure_given, solve_unit)
     _emit(fmt, output, config, SOLVE_COLUMNS, [row])
 
 
@@ -620,6 +622,7 @@ def solve(shape, rmin, rmax, length, n, consistency, flow_rate, pressure,
 def sweep(shape, rmin, rmax, length, n, consistency, quantity, start, stop,
           count, spacing, periods, validate, rel_tol, jobs, fmt, output):
     """Sweep flow rate or pressure over a range."""
+    quadrature._require_rel_tol(rel_tol)
     require_finite_non_negative("--start", start)
     require_finite_non_negative("--stop", stop)
     if not start < stop:
@@ -641,17 +644,14 @@ def sweep(shape, rmin, rmax, length, n, consistency, quantity, start, stop,
     cond = flow._conductance(fluid, spec)
     oracle = pressure_drop_oracle(fluid, spec, rel_tol) if validate else None
 
-    def solve_unit(value, pressure_given):
+    pressure_given = quantity == "pressure"
+
+    def solve_unit(value):
         return flow._operating_point(fluid, cond, value, pressure_given,
                                      oracle)
 
-    rows = [
-        _solve_row(fluid, spec, periods,
-                   v if quantity == "flow-rate" else None,
-                   v if quantity == "pressure" else None,
-                   solve_unit)
-        for v in values
-    ]
+    rows = [_solve_row(fluid, spec, periods, v, pressure_given, solve_unit)
+            for v in values]
     _emit(fmt, output, config, SOLVE_COLUMNS, rows)
 
 
@@ -668,6 +668,7 @@ def validate(grid, rel_tol, fmt, output):
     Exits 3 if any grid point misses its tolerance (1e-8 for the conic
     and for fallback rows, 1e-6 otherwise).
     """
+    quadrature._require_rel_tol(rel_tol)
     grid_def = DEFAULT_GRID if grid == "default" else QUICK_GRID
     config = {"subcommand": "validate", "grid": grid, "rel_tol": rel_tol,
               "format": fmt}

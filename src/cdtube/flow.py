@@ -161,18 +161,20 @@ def _conductance(fluid: PowerLawFluid, spec: TubeSpec,
     """``(K, method, diagnostics)`` for the fluid and tube; ``method`` is
     ``METHOD_ANALYTIC`` or ``METHOD_FALLBACK``.
 
-    Raises :class:`DomainError` if K, by any route, is not a positive
-    finite float.
+    Raises :class:`DomainError` from the prefactor, before any route, for
+    a flow index past about 120, and if K is not a positive finite float.
     """
     n = fluid.index
+    prefactor = master_prefactor(fluid, 1.0)
     try:
         if spec.is_straight:
+            # As written: prefactor * L / r_min^(3n+1) rounds differently.
             k = (2.0 * fluid.consistency * (3.0 * n + 1.0) ** n * spec.length
                  / (math.pi**n * n**n * spec.r_min ** (3.0 * n + 1.0)))
             diag = "degenerate: straight tube"
         else:
             geom, diag = _geometric_integral(spec, n)
-            k = master_prefactor(fluid, 1.0) * geom
+            k = prefactor * geom
         method = METHOD_ANALYTIC
     except (OverflowError, ZeroDivisionError):
         # A power past the float range, or one of r_min underflowing to 0.
@@ -187,7 +189,7 @@ def _conductance(fluid: PowerLawFluid, spec: TubeSpec,
                 f"analytic route failed ({exc}) and the quadrature fallback "
                 f"did not converge ({quad_exc})"
             ) from quad_exc
-        k = master_prefactor(fluid, 1.0) * base.value
+        k = prefactor * base.value
         method = METHOD_FALLBACK
         diag = (f"fallback to quadrature ({base.subdivisions} panels, "
                 f"rel_tol={FALLBACK_REL_TOL}): {exc}")
@@ -213,27 +215,28 @@ def _operating_point(fluid: PowerLawFluid, cond, given: float,
     :func:`pressure_drop`, :func:`flow_rate` and the CLI sweep, which
     computes K once for all its rows, share this step.
 
-    Raises :class:`DomainError` if the result or the oracle's P overflows.
+    Raises :class:`DomainError` if P or Q overflows, before the oracle
+    runs, or if the oracle's P does.
     """
     k, method, diagnostics = cond
+    oracle_value = rel_error = None
     try:
         if pressure_given:
             p, q = given, (given / k) ** (1.0 / fluid.index)
         else:
             p, q = k * given**fluid.index, given
-        oracle_value = None if oracle is None else oracle(q).value
-        in_range = (math.isfinite(p) and math.isfinite(q)
-                    and (oracle is None or math.isfinite(oracle_value)))
+        in_range = math.isfinite(p) and math.isfinite(q)
+        if in_range and oracle is not None:
+            oracle_value = oracle(q).value
+            in_range = math.isfinite(oracle_value)
+            rel_error = (abs(p - oracle_value) / abs(oracle_value)
+                         if oracle_value != 0.0 else 0.0)
     except OverflowError:
         in_range = False
     if not in_range:
         solved = "flow rate" if pressure_given else "pressure drop"
         raise DomainError(f"{solved} at {given!r} overflows the float range "
                           f"(K={k!r})")
-    rel_error = None
-    if oracle is not None:
-        rel_error = (abs(p - oracle_value) / abs(oracle_value)
-                     if oracle_value != 0.0 else 0.0)
     return FlowResult(None if pressure_given else p,
                       q if pressure_given else None,
                       method, diagnostics, oracle_value, rel_error)

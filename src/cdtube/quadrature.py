@@ -132,6 +132,15 @@ def _integrate_adaptive(f, lo: float, hi: float, rel_tol: float,
             total_e += e
 
 
+def _require_rel_tol(rel_tol: float) -> None:
+    """Raise :class:`DomainError` unless ``rel_tol`` is in REL_TOL_RANGE."""
+    lo_tol, hi_tol = REL_TOL_RANGE
+    if not lo_tol <= rel_tol <= hi_tol:
+        raise DomainError(
+            f"rel_tol must be within [{lo_tol}, {hi_tol}], got {rel_tol}"
+        )
+
+
 def integrate_inverse_radius_power(spec: TubeSpec, exponent: float,
                                    rel_tol: float = DEFAULT_REL_TOL,
                                    *, max_panels: int = MAX_PANELS) -> QuadratureResult:
@@ -151,11 +160,7 @@ def integrate_inverse_radius_power(spec: TubeSpec, exponent: float,
     """
     if not exponent > 0.0:
         raise DomainError(f"exponent must be positive, got {exponent}")
-    lo_tol, hi_tol = REL_TOL_RANGE
-    if not lo_tol <= rel_tol <= hi_tol:
-        raise DomainError(
-            f"rel_tol must be within [{lo_tol}, {hi_tol}], got {rel_tol}"
-        )
+    _require_rel_tol(rel_tol)
 
     shape, a, b, k = geometry._kernel_args(spec)
 

@@ -211,18 +211,14 @@ def _negative_argument(a, b, c, z):
                 and abs(v1) + abs(v2) <= _CANCELLATION_LIMIT * abs(value)):
             return value, t1 + t2, ROUTE_INV_ONE_MINUS_Z
         spent = t1 + t2
-    # Pfaff on the larger upper parameter: w = z/(z-1) lies in (0, 1/2]
-    # for z >= -1 and in (1/2, 1) below it.  With c = a + 1, an integer
-    # b - a > 0 makes c - b a non-positive integer and the Pfaff series a
-    # polynomial.
+    # Pfaff on the larger upper parameter, (1-z)^-lo F(lo, c-hi; c; w):
+    # w = z/(z-1) lies in (0, 1/2] for z >= -1 and in (1/2, 1) below it.
+    # With c = a + 1, an integer b - a > 0 makes c - b a non-positive
+    # integer and the Pfaff series a polynomial.
     w = z / (z - 1.0)
-    if b > a:
-        inner, terms = _series_checked(a, c - b, c, w, "gauss_2f1 (Pfaff)")
-        value = (1.0 - z) ** (-a) * inner
-    else:
-        inner, terms = _series_checked(c - a, b, c, w, "gauss_2f1 (Pfaff)")
-        value = (1.0 - z) ** (-b) * inner
-    return value, spent + terms, ROUTE_PFAFF
+    lo, hi = (a, b) if b > a else (b, a)
+    inner, terms = _series_checked(lo, c - hi, c, w, "gauss_2f1 (Pfaff)")
+    return (1.0 - z) ** (-lo) * inner, spent + terms, ROUTE_PFAFF
 
 
 def _inv_one_minus_z_term(a, b, c, w):

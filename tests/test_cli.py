@@ -281,14 +281,29 @@ def test_solve_overflow_exits_2(runner, args, fmt):
 @pytest.mark.parametrize("n", ["120", "150"])
 def test_solve_large_index_exits_2(runner, n):
     # The prefactor (3n+1)^n / (pi n)^n leaves the float range; before, n =
-    # 120 blamed K = 0 and n = 150 exited 1 with an OverflowError.
-    with pytest.warns(UserWarning, match="guaranteed-accuracy"):
-        result = runner.invoke(main, [
-            "solve", "--shape", "conic", "--n", n, "--consistency", "1",
-            "--rmin", "1", "--rmax", "2", "--length", "1", "--flow-rate", "1",
-        ])
-    assert result.exit_code == 2
-    assert f"n={float(n)!r} is too large" in result.output
+    # 120 blamed K = 0 and n = 150 exited 1 with an OverflowError.  The
+    # straight tube (--rmax 1) blamed K at both.
+    for rmax in ("2", "1"):
+        with pytest.warns(UserWarning, match="guaranteed-accuracy"):
+            result = runner.invoke(main, [
+                "solve", "--shape", "conic", "--n", n, "--consistency", "1",
+                "--rmin", "1", "--rmax", rmax, "--length", "1",
+                "--flow-rate", "1",
+            ])
+        assert result.exit_code == 2
+        assert f"n={float(n)!r} is too large" in result.output
+
+
+def test_validated_solve_overflow_exits_2_with_the_plain_message(runner):
+    args = ["solve", "--shape", "conic", "--n", "1", "--consistency",
+            "1e-300", "--rmin", "1", "--rmax", "2", "--length", "1",
+            "--pressure", "1e300"]
+    plain = runner.invoke(main, args)
+    validated = runner.invoke(main, [*args, "--validate"])
+    assert plain.exit_code == validated.exit_code == 2
+    assert "Error: flow rate at 1e+300 overflows the float range" in \
+        plain.stderr
+    assert validated.stderr == plain.stderr
 
 
 @pytest.mark.parametrize("quantity,n,stop", [("flow-rate", "2", "1e200"),
@@ -803,6 +818,46 @@ def test_domain_error_exits_2_with_the_usage_line(runner, command):
     assert result.stdout == ""
     assert result.stderr.startswith(f"Usage: cdtube {command} [OPTIONS]\n")
     assert result.stderr.endswith(f"\nError: {message}\n")
+
+
+@pytest.mark.parametrize("rel_tol", ["nan", "inf", "0.5", "1e-15"])
+@pytest.mark.parametrize("command", [SOLVE_CONIC, SWEEP_BASE],
+                         ids=["solve", "sweep"])
+def test_rel_tol_out_of_range_exits_2_without_validate(runner, command,
+                                                       rel_tol):
+    # Checked on every command before any work, not only when --validate
+    # runs the oracle: "NaN" and "Infinity" are not JSON.
+    result = runner.invoke(main, [*command, "--rel-tol", rel_tol,
+                                  "--format", "json"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.endswith(
+        f"\nError: rel_tol must be within [1e-14, 0.01], "
+        f"got {float(rel_tol)}\n")
+
+
+PAST_FLOAT = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("args,option", [
+    ([*SOLVE_CONIC, "--periods", PAST_FLOAT], "--periods"),
+    ([*SOLVE_CONIC[:-2], "--pressure", "1", "--periods", PAST_FLOAT],
+     "--periods"),
+    ([*SWEEP_BASE, "--periods", PAST_FLOAT], "--periods"),
+    ([*SWEEP_BASE[:-2], "--count", PAST_FLOAT], "--count"),
+    (["rheology", *NEWTONIAN, "--samples", PAST_FLOAT], "--samples"),
+    ([*PROFILE_ARGS, "--samples", PAST_FLOAT], "--samples"),
+], ids=["solve", "solve-pressure", "sweep", "sweep-count", "rheology",
+        "profile"])
+def test_integer_past_the_float_range_exits_2(runner, args, option):
+    # Only values that float() cannot hold: they fail before any allocation.
+    result = runner.invoke(main, args, prog_name="cdtube")
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"Usage: cdtube {args[0]} [OPTIONS]\n")
+    assert result.stderr.endswith(
+        f"\nError: Invalid value for '{option}': {PAST_FLOAT} is outside "
+        "the float range.\n")
 
 
 def test_oracle_past_the_profile_float_range_exits_2(runner):

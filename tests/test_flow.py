@@ -438,8 +438,27 @@ def test_large_index_prefactor_rejected(n):
         fluid = fluid_of(n)
     with pytest.raises(DomainError, match=f"n={n!r}"):
         master_prefactor(fluid, 1.0)
-    with pytest.raises(DomainError, match=f"n={n!r}"):
-        pressure_drop(fluid, TubeSpec(TubeShape.CONIC, 1.0, 2.0, 1.0), 1.0)
+    # Every tube, the straight one included, and both directions raise the
+    # prefactor's error; a straight tube used to blame K instead.
+    for r_max in (2.0, 1.0):
+        spec = TubeSpec(TubeShape.CONIC, 1.0, r_max, 1.0)
+        for solve in (pressure_drop, flow_rate):
+            with pytest.raises(DomainError, match=f"n={n!r} is too large"):
+                solve(fluid, spec, 1.0)
+
+
+def test_validated_flow_rate_overflow_names_the_solve():
+    # Q = (P / K)^(1/n) overflows; the oracle is not asked about Q = inf,
+    # which blamed a flow_rate the caller never passed.
+    fluid = fluid_of(1.0, 1e-300)
+    spec = TubeSpec(TubeShape.CONIC, 1.0, 2.0, 1.0)
+    with pytest.raises(DomainError) as plain:
+        flow_rate(fluid, spec, 1e300)
+    with pytest.raises(DomainError) as validated:
+        flow_rate(fluid, spec, 1e300, validate=True)
+    assert str(plain.value).startswith(
+        "flow rate at 1e+300 overflows the float range (K=")
+    assert str(validated.value) == str(plain.value)
 
 
 def test_evaluation_error_when_both_routes_fail(monkeypatch):

@@ -1,0 +1,110 @@
+"""Every benchmark hook stays on the path it measures.
+
+The benchmark in ``perfbench/`` replaces module attributes of cdtube with
+tracing wrappers (``layertrace.HOOKS``).  A hook whose target still
+resolves but is no longer called records nothing, and its metrics read 0
+on working code.  Each test here runs one operation with the hooks in
+place and checks the spans it must record.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+import cdtube
+from cdtube import ConvergenceError, PowerLawFluid, TubeShape, TubeSpec
+from cdtube import cli as cli_module
+from cdtube import flow as flow_module
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import layertrace  # noqa: E402
+
+FLUID = PowerLawFluid(consistency=1.0, index=0.7)
+TUBE = ["--shape", "cosh", "--rmin", "1", "--rmax", "2", "--length", "1",
+        "--n", "0.7", "--consistency", "1"]
+
+
+def _traced(operation):
+    """The span names ``operation()`` records with every hook installed."""
+    tracer = layertrace.Tracer()
+    installed = layertrace.Installed(tracer)
+    try:
+        assert installed.absent == []
+        operation()
+    finally:
+        installed.remove()
+    return {span[layertrace.NAME] for span in tracer.spans}
+
+
+def _cli(runner, *args):
+    def invoke():
+        result = runner.invoke(cli_module.main, args)
+        assert result.exit_code == 0, result.output
+    return invoke
+
+
+def _closed_form_fails(spec, n):
+    raise ConvergenceError("closed form stubbed out")
+
+
+@pytest.fixture()
+def no_closed_form(monkeypatch):
+    monkeypatch.setattr(flow_module, "_geometric_integral", _closed_form_fails)
+
+
+def test_a_parabolic_pressure_drop():
+    spec = TubeSpec(TubeShape.PARABOLIC, 1.0, 3.0, 1.0)
+    names = _traced(lambda: cdtube.pressure_drop(FLUID, spec, 1.0))
+    assert names == {"flow.pressure_drop", "flow.conductance",
+                     "special.gauss_2f1", "kernels.gauss_series"}
+
+
+def test_a_validated_flow_rate():
+    spec = TubeSpec(TubeShape.HYPERBOLIC, 1.0, 3.0, 1.0)
+    names = _traced(lambda: cdtube.flow_rate(FLUID, spec, 1.0,
+                                             validate=True))
+    assert names >= {"flow.flow_rate", "flow.conductance",
+                     "quadrature.pressure_drop_numeric",
+                     "quadrature.integrate", "kernels.inverse_radius_power",
+                     "geometry.coefficients"}
+    assert "quadrature.fallback_integrate" not in names
+
+
+def test_a_solve_whose_closed_form_fails(no_closed_form):
+    spec = TubeSpec(TubeShape.COSH, 1.0, 3.0, 1.0)
+    names = _traced(lambda: cdtube.pressure_drop(FLUID, spec, 1.0))
+    assert names >= {"flow.pressure_drop", "flow.conductance",
+                     "quadrature.fallback_integrate",
+                     "kernels.inverse_radius_power"}
+    assert "quadrature.integrate" not in names
+
+
+def test_the_special_functions_that_compute_no_k():
+    names = _traced(lambda: (cdtube.special.gauss_2f1_continued(
+        0.3, 0.4, 1.2, 2.0, "above"), cdtube.special.appell_f1(
+        0.5, 0.2, 0.3, 1.5, 0.3, 0.4)))
+    assert names >= {"special.gauss_2f1_continued", "special.appell_f1",
+                     "kernels.gauss_series"}
+
+
+@pytest.mark.parametrize("args,spans", [
+    (["solve", *TUBE, "--flow-rate", "1"],
+     {"cli.command", "flow.pressure_drop", "flow.conductance", "cli.emit"}),
+    (["solve", *TUBE, "--pressure", "1"],
+     {"cli.command", "flow.flow_rate", "flow.conductance", "cli.emit"}),
+    (["sweep", *TUBE, "--start", "0", "--stop", "1", "--count", "3",
+      "--validate"],
+     {"cli.command", "flow.conductance", "quadrature.integrate",
+      "kernels.inverse_radius_power", "cli.emit"}),
+    (["validate", "--grid", "quick"],
+     {"cli.command", "flow.conductance", "special.gauss_2f1",
+      "quadrature.integrate", "cli.emit"}),
+], ids=["solve", "solve-pressure", "sweep", "validate"])
+def test_the_command_line(runner, args, spans):
+    names = _traced(_cli(runner, *args))
+    assert names >= spans
+    # sweep and validate reuse one K through flow's private steps: no
+    # per-row public solve.
+    if args[0] != "solve":
+        assert not names & {"flow.pressure_drop", "flow.flow_rate"}

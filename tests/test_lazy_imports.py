@@ -1,6 +1,8 @@
 """A closed-form solve, a sweep and ``rheology`` run on scalar ``math``:
 they must not load numpy.  The command line is parsed by the standard
-library alone, so no probe loads a third-party parser either.
+library alone, so no probe loads a third-party parser either.  The value
+types build their classes without ``dataclasses``, so no probe loads it,
+nor the ``inspect`` it imports, which add about 10 ms to every process.
 
 Each probe runs in a fresh interpreter, because a module once imported
 stays in ``sys.modules`` for the life of the process.
@@ -21,7 +23,8 @@ import json
 import runpy
 import sys
 
-HEAVY = ("numpy", "numba", "multiprocessing", "click")
+HEAVY = ("numpy", "numba", "multiprocessing", "click", "dataclasses",
+         "inspect")
 loaded = {}
 
 
@@ -137,3 +140,7 @@ def test_sweep_and_rheology_do_not_load_numpy(args):
 def test_validated_sweep_loads_numpy():
     loaded = _probe(COMMAND_PROBE % ([*SWEEP, "--validate"],))
     assert "numpy" in loaded["command"]
+
+
+def test_version_loads_neither_dataclasses_nor_inspect():
+    assert _probe(COMMAND_PROBE % (["--version"],)) == {"command": []}

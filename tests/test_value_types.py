@@ -8,7 +8,11 @@ import copy
 import dataclasses
 import inspect
 import math
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -172,3 +176,59 @@ def test_value_type_keeps_an_init_of_its_own():
     (store,) = slot_setters(Doubled)
     assert Doubled(1.5).value == 3.0
     assert dataclasses.replace(Doubled(1.0), value=4.0).value == 8.0
+
+
+# Each use of the dataclass contract loads ``dataclasses`` itself, in a
+# process that has not imported it: the package does not.
+FRESH_CONTRACT_PROBE = r"""
+import sys
+
+from cdtube import DomainError, PowerLawFluid, TubeShape, TubeSpec
+
+assert "dataclasses" not in sys.modules
+fluid = PowerLawFluid(1.5, 0.7)
+try:
+    fluid.index = 1.0
+except AttributeError as exc:
+    refused = exc
+import dataclasses
+assert type(refused) is dataclasses.FrozenInstanceError, type(refused)
+
+# On the class, before any TubeSpec exists.
+assert [f.name for f in dataclasses.fields(TubeSpec)] == [
+    "shape", "r_min", "r_max", "length"]
+assert dataclasses.is_dataclass(TubeSpec)
+spec = TubeSpec(TubeShape.COSH, 1e-5, 4e-5, 3e-4)
+assert dataclasses.is_dataclass(spec)
+try:
+    dataclasses.replace(spec, r_max=0.5e-5)
+except DomainError:
+    pass
+else:
+    raise AssertionError("replace took r_max < r_min")
+match spec:
+    case TubeSpec(shape, r0, r1, L):
+        assert (shape, r0, r1, L) == (TubeShape.COSH, 1e-5, 4e-5, 3e-4)
+    case _:
+        raise AssertionError("no match")
+if sys.version_info >= (3, 13):
+    import copy
+    assert copy.replace(spec, r_max=8e-5) == TubeSpec("cosh", 1e-5, 8e-5, 3e-4)
+    try:
+        copy.replace(spec, r_max=0.5e-5)
+    except DomainError:
+        pass
+    else:
+        raise AssertionError("copy.replace took r_max < r_min")
+print("ok")
+"""
+
+
+def test_contract_loads_dataclasses_on_first_use():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-c", FRESH_CONTRACT_PROBE],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"

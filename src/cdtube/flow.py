@@ -4,9 +4,11 @@ Every relation factors as ``P = K * Q^n`` with a geometry- and
 fluid-dependent conductance coefficient K, so the inverse problem
 ``Q(P)`` is a single root-free power.  K is elementary for the conic
 profile.  For the parabolic, hyperbolic and cosh profiles it is one
-incomplete beta function, a :func:`~cdtube.special.gauss_2f1` series of
-positive terms at an argument of at most 1/2.  For the sinusoid it is a
-Legendre function, one ``gauss_2f1`` at a negative argument.  Should a
+incomplete beta function, a Gauss 2F1 series of positive terms at an
+argument of at most 1/2, summed directly by the series kernel of
+:mod:`cdtube.special`.  For the sinusoid it is a Legendre function, one
+:func:`~cdtube.special.gauss_2f1` at a negative argument: the only K
+that goes through that function's route map.  Should a
 closed form raise :class:`DegenerateParameterError` or
 :class:`ConvergenceError`, the quadrature oracle takes over and the
 result records the fallback.  A straight capillary is a
@@ -53,6 +55,9 @@ __all__ = [
 METHOD_ANALYTIC = "analytic"
 METHOD_FALLBACK = "quadrature_fallback"
 
+# The beta forms' diagnostics: the shape, then gauss_2f1's series note.
+_BETA_NOTE = "%s closed form: 2F1 " + special.SERIES_NOTE
+
 
 @value_type
 class FlowResult:
@@ -73,25 +78,32 @@ class FlowResult:
 
 
 def _beta(q: float, t2: float, w: float):
-    """``int_0^sqrt(t2) (1 - u^2)^(q/2 - 1) du`` and the 2F1's report.
+    """``int_0^sqrt(t2) (1 - u^2)^(q/2 - 1) du`` and the series terms summed.
 
     An incomplete beta function (DLMF 8.17); ``w = 1 - t2`` comes formed
     by the caller, without cancellation.  Up to ``t2 = 1/2`` it is Euler's
     positive-term form ``sqrt(t2) w^(q/2) 2F1(1, (q+1)/2; 3/2; t2)``;
     above, the complete integral less the tail ``w^(q/2)/q 2F1(q/2, 1/2;
     q/2 + 1; w)``.  Either way the series runs at an argument of at most
-    1/2, and its terms do not alternate.
+    1/2 with ``c >= 1``, and its terms do not alternate.  That is the one
+    route :func:`~cdtube.special.gauss_2f1` would take, so the series is
+    summed directly, with ``gauss_2f1``'s error messages and no report.
     """
     half = 0.5 * q
     if t2 <= 0.5:
-        h, rep = special.gauss_2f1(1.0, half + 0.5, 1.5, t2, full_output=True)
-        return math.sqrt(t2) * w**half * h, rep
-    h, rep = special.gauss_2f1(half, 0.5, half + 1.0, w, full_output=True)
+        h, terms = special._series_checked(1.0, half + 0.5, 1.5, t2,
+                                           "gauss_2f1")
+        return math.sqrt(t2) * w**half * h, terms
+    if w == 0.0:  # ratio^-2 underflows from ratio ~1.3e154: no term summed
+        h, terms = 1.0, 0
+    else:
+        h, terms = special._series_checked(half, 0.5, half + 1.0, w,
+                                           "gauss_2f1")
     if half < 170.0:
         gamma_ratio = math.gamma(half) / math.gamma(half + 0.5)
     else:  # Gamma(half + 1/2) past the float range
         gamma_ratio = math.exp(math.lgamma(half) - math.lgamma(half + 0.5))
-    return 0.5 * math.sqrt(math.pi) * gamma_ratio - w**half / q * h, rep
+    return 0.5 * math.sqrt(math.pi) * gamma_ratio - w**half / q * h, terms
 
 
 def _geometric_integral(spec: TubeSpec, n: float):
@@ -150,10 +162,10 @@ def _geometric_integral(spec: TubeSpec, n: float):
         else:
             # Cosh: r = r_min cosh(eta y); u = tanh(eta y)
             q, scale = m, math.log1p(d + sinh)  # eta = acosh(ratio)
-    h, rep = _beta(q, t2, w)
+    h, terms = _beta(q, t2, w)
     value = length * h / (scale * r_min**m)
     # ``_value_`` holds what ``.value``, a Python-level property, returns.
-    return value, f"{shape._value_} closed form: 2F1 {rep.summary()}"
+    return value, _BETA_NOTE % (shape._value_, terms)
 
 
 def _conductance(fluid: PowerLawFluid, spec: TubeSpec,

@@ -17,8 +17,10 @@ The module covers three evaluation regimes:
 Degenerate parameter combinations (poles of the gamma factors, vanishing
 series denominators) raise :class:`DegenerateParameterError` rather than
 return a value that has lost its digits.  The conductance forms in
-:mod:`cdtube.flow` call only ``gauss_2f1``, always with ``c >= 1``, so
-they never raise it.
+:mod:`cdtube.flow` never raise it, as their ``c >= 1``.  Only the
+sinusoid's goes through ``gauss_2f1`` and its route map; the parabolic,
+hyperbolic and cosh forms sum the defining series directly, at an
+argument of at most 1/2, with ``gauss_2f1``'s error messages.
 """
 
 import math
@@ -56,6 +58,10 @@ STAGNATION_RUN = 3
 BRANCH_ABOVE = "above"
 BRANCH_BELOW = "below"
 
+# The note of a summed series: EvaluationReport.summary() and the beta
+# forms' diagnostics in cdtube.flow, which sum the series without a report.
+SERIES_NOTE = "converged after %s series terms"
+
 # Route names recorded in EvaluationReport.route.
 ROUTE_SERIES = "series"
 ROUTE_PFAFF = "pfaff"
@@ -75,7 +81,7 @@ class EvaluationReport:
     route: str
 
     def summary(self) -> str:
-        return f"converged after {self.terms_used} series terms"
+        return SERIES_NOTE % self.terms_used
 
 
 def gauss_series(a: float, b: float, c: float, z: float):
@@ -254,9 +260,11 @@ def gauss_2f1(a: float, b: float, c: float, z: float, full_output: bool = False)
       integer, the connection in powers of ``1 - z`` (DLMF 15.8.4);
       otherwise the defining series.
 
-    Of the conductance forms in :mod:`cdtube.flow`, the parabolic,
-    hyperbolic and cosh ones call only the ``series`` route, at
-    ``0 < z <= 1/2``; the sinusoid's is the one at a negative argument.
+    Of the conductance forms in :mod:`cdtube.flow`, only the sinusoid's
+    calls this function, at a negative argument.  The parabolic,
+    hyperbolic and cosh ones could take only the ``series`` route, at
+    ``0 < z <= 1/2``, so they sum that series directly, without the
+    route checks and the report.
 
     With ``full_output`` the :class:`EvaluationReport` names the route.
 

@@ -56,8 +56,9 @@ def no_closed_form(monkeypatch):
 def test_a_parabolic_pressure_drop():
     spec = TubeSpec(TubeShape.PARABOLIC, 1.0, 3.0, 1.0)
     names = _traced(lambda: cdtube.pressure_drop(FLUID, spec, 1.0))
+    # The beta forms sum their series without gauss_2f1's route map.
     assert names == {"flow.pressure_drop", "flow.conductance",
-                     "special.gauss_2f1", "kernels.gauss_series"}
+                     "kernels.gauss_series"}
 
 
 def test_a_validated_flow_rate():

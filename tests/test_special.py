@@ -21,7 +21,7 @@ from cdtube import (
     master_prefactor,
     pressure_drop,
 )
-from cdtube import special
+from cdtube import flow, special
 from cdtube.special import (
     MAX_TERMS,
     STAGNATION_RTOL,
@@ -826,18 +826,18 @@ def test_ratio_past_the_square_root_of_the_float_range(shape, ratio, n):
     assert abs(result.pressure_drop - ref) <= 1e-13 * ref
 
 
-def _recording_gauss_2f1(monkeypatch):
-    """Patch the 2F1 the conductance forms call; return the list that
-    collects ``(z, route, terms)`` of each call."""
+def _recording_gauss_series(monkeypatch):
+    """Patch the series kernel the beta forms sum; return the list that
+    collects ``(z, terms)`` of each call."""
     calls = []
-    inner = special.gauss_2f1
+    inner = special.gauss_series
 
-    def record(a, b, c, z, full_output=False):
-        value, report = inner(a, b, c, z, full_output=True)
-        calls.append((z, report.route, report.terms_used))
-        return (value, report) if full_output else value
+    def record(a, b, c, z):
+        value, terms, converged = inner(a, b, c, z)
+        calls.append((z, terms))
+        return value, terms, converged
 
-    monkeypatch.setattr(special, "gauss_2f1", record)
+    monkeypatch.setattr(special, "gauss_series", record)
     return calls
 
 
@@ -853,15 +853,81 @@ TERM_BOUND_INDICES = tuple(
 def test_beta_forms_take_one_short_series(shape, monkeypatch):
     # Each K is one series at an argument of at most 1/2 in at most 80
     # terms; the measured maximum is 75 (parabolic).
-    calls = _recording_gauss_2f1(monkeypatch)
+    calls = _recording_gauss_series(monkeypatch)
     for n, ratio in itertools.product(TERM_BOUND_INDICES, ENVELOPE_RATIOS):
         calls.clear()
         k = conductance_coefficient(PowerLawFluid(1.0, n),
                                     TubeSpec(shape, 1.0, ratio, 1.0))
         assert 0.0 < k < math.inf
-        [(z, route, terms)] = calls
-        assert (route, 0.0 < z <= 0.5, terms <= 80) == ("series", True, True), (
-            n, ratio, z, route, terms)
+        [(z, terms)] = calls
+        assert (0.0 < z <= 0.5, terms <= 80) == (True, True), (
+            n, ratio, z, terms)
+
+
+def _route_map_beta(q, t2, w):
+    """``flow._beta`` as it was through the public 2F1: each series goes
+    through ``gauss_2f1(..., full_output=True)`` and comes back with an
+    :class:`EvaluationReport`."""
+    half = 0.5 * q
+    if t2 <= 0.5:
+        h, rep = gauss_2f1(1.0, half + 0.5, 1.5, t2, full_output=True)
+        return math.sqrt(t2) * w**half * h, rep
+    h, rep = gauss_2f1(half, 0.5, half + 1.0, w, full_output=True)
+    if half < 170.0:
+        gamma_ratio = math.gamma(half) / math.gamma(half + 0.5)
+    else:
+        gamma_ratio = math.exp(math.lgamma(half) - math.lgamma(half + 0.5))
+    return 0.5 * math.sqrt(math.pi) * gamma_ratio - w**half / q * h, rep
+
+
+def _through_the_route_map(monkeypatch, compute):
+    """``compute()`` with the beta forms' series from :func:`_route_map_beta`;
+    returns its result and each report's ``summary()``."""
+    summaries = []
+
+    def beta(q, t2, w):
+        h, rep = _route_map_beta(q, t2, w)
+        summaries.append(rep.summary())
+        return h, rep.terms_used
+
+    with monkeypatch.context() as patch:
+        patch.setattr(flow, "_beta", beta)
+        return compute(), summaries
+
+
+@pytest.mark.parametrize("shape", BETA_SHAPES)
+def test_beta_forms_match_the_route_map(shape, monkeypatch):
+    # Summing the series directly changes no bit of K and no byte of the
+    # note.  Past ratio ~1.3e154 the hyperbolic and cosh w = ratio^-2
+    # underflows to 0, where gauss_2f1 sums no term.
+    for n, ratio in itertools.product(
+            TERM_BOUND_INDICES, ENVELOPE_RATIOS + (1e154, 1e200, 1e300)):
+        spec = TubeSpec(shape, 1.0, ratio, 1.0)
+        value, note = flow._geometric_integral(spec, n)
+        (expected, _), [summary] = _through_the_route_map(
+            monkeypatch, lambda: flow._geometric_integral(spec, n))
+        assert (value.hex(), note) == (
+            expected.hex(), f"{shape.value} closed form: 2F1 {summary}"), (
+            n, ratio)
+        if shape is not TubeShape.PARABOLIC and ratio >= 1e200:
+            assert note.endswith(" converged after 0 series terms"), note
+
+
+@pytest.mark.parametrize("shape", BETA_SHAPES)
+def test_beta_fallback_quotes_the_route_map_message(shape, monkeypatch):
+    # A series capped at 5 terms raises gauss_2f1's ConvergenceError, and
+    # the fallback's note quotes it byte for byte.
+    monkeypatch.setattr(special, "MAX_TERMS", 5)
+    fluid, spec = PowerLawFluid(1.0, 0.7), TubeSpec(shape, 1.0, 3.0, 1.0)
+    result = pressure_drop(fluid, spec, 1.0)
+    expected, summaries = _through_the_route_map(
+        monkeypatch, lambda: pressure_drop(fluid, spec, 1.0))
+    assert summaries == []
+    assert result.method == expected.method == "quadrature_fallback"
+    assert result.diagnostics == expected.diagnostics
+    assert ": gauss_2f1: series for (a=" in result.diagnostics
+    assert "did not converge within 5 terms" in result.diagnostics
+    assert result.pressure_drop.hex() == expected.pressure_drop.hex()
 
 
 @pytest.mark.parametrize("n", ENVELOPE_INDICES)

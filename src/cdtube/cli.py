@@ -26,7 +26,6 @@ import io
 import itertools
 import json
 import math
-import operator
 import os
 import stat
 import sys
@@ -49,13 +48,6 @@ from .quadrature import DEFAULT_REL_TOL, MAX_PANELS, pressure_drop_oracle
 SCHEMA_VERSION = 1
 
 SHAPE_NAMES = [shape.value for shape in TubeShape]
-
-SOLVE_COLUMNS = ["shape", "n", "C", "r_min", "r_max", "length", "periods",
-                 "Q", "P", "method", "branch", "note", "oracle", "rel_err"]
-VALIDATE_COLUMNS = ["shape", "n", "C", "r_min", "r_max", "length", "Q",
-                    "P_analytic", "P_numeric", "rel_err", "method", "branch"]
-PROFILE_COLUMNS = ["x", "r"]
-RHEOLOGY_COLUMNS = ["strain_rate", "viscosity", "stress"]
 
 # Acceptance-style validation grid (r_min = 1 m, C = 1 Pa*s^n).
 DEFAULT_GRID = {
@@ -100,15 +92,19 @@ def _json_document(config: dict, rows) -> str:
     return f"{head[:-4]}[\n    {body}\n  ]\n}}\n"
 
 
-def _emit(fmt: str, output, config: dict, columns, rows) -> None:
+def _emit(fmt: str, output, config: dict, rows) -> None:
     """Write the rows to stdout, or to the file ``output``; a file that
-    cannot be opened is a usage error, and nothing is written."""
+    cannot be opened is a usage error, and nothing is written.
+
+    ``rows`` is never empty, and a row's keys, in order, are its table's
+    columns: the CSV header is the first row's keys.
+    """
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
+        writer.writerow(rows[0])
         # csv writes None as "" and a float as its shortest repr.
-        writer.writerows(map(operator.itemgetter(*columns), rows))
+        writer.writerows(map(dict.values, rows))
         text = buf.getvalue()
     else:
         text = _json_document(config, rows)
@@ -149,7 +145,7 @@ def _spaced(start: float, stop: float, count: int, log: bool = False):
 
 
 def _solve_row(fluid, spec, periods, given, pressure_given, solve_unit):
-    """One row in SOLVE_COLUMNS order.
+    """One row of the ``solve``/``sweep`` table, whose columns are its keys.
 
     ``solve_unit(value)`` solves one corrugation unit at the flow rate
     ``given``, or at its share ``given / periods`` when ``pressure_given``.
@@ -241,13 +237,23 @@ class _Choice:
 
 
 class _File:
-    """A path to write: not a directory, nor a file that cannot be read."""
+    """A path to write: not a directory, nor a file that cannot be read,
+    nor a new file in a directory that does not exist (or ``""``), so a
+    command with such an ``--output`` exits 2 before any work.  Whatever
+    else cannot be opened, ``_emit`` reports after the work."""
 
     metavar = "FILE"
 
     def parse(self, text):
         try:
             mode = os.stat(text).st_mode
+        except FileNotFoundError:
+            # A name that ends in "/" is a directory, which open() reports.
+            if not text or not os.path.exists(
+                    os.path.dirname(text.rstrip("/")) or "."):
+                raise ValueError(
+                    f"{text!r}: No such file or directory") from None
+            return text
         except OSError:
             return text
         if stat.S_ISDIR(mode):
@@ -600,7 +606,7 @@ def solve(shape, rmin, rmax, length, n, consistency, flow_rate, pressure,
         fluid, spec, validate=validate, oracle_rel_tol=rel_tol,
         max_panels=max_subdivisions)
     row = _solve_row(fluid, spec, periods, given, pressure_given, solve_unit)
-    _emit(fmt, output, config, SOLVE_COLUMNS, [row])
+    _emit(fmt, output, config, [row])
 
 
 @_command(
@@ -652,7 +658,7 @@ def sweep(shape, rmin, rmax, length, n, consistency, quantity, start, stop,
 
     rows = [_solve_row(fluid, spec, periods, v, pressure_given, solve_unit)
             for v in values]
-    _emit(fmt, output, config, SOLVE_COLUMNS, rows)
+    _emit(fmt, output, config, rows)
 
 
 @_command(
@@ -702,7 +708,7 @@ def validate(grid, rel_tol, fmt, output):
             rows.append(row)
             if not result.rel_error <= tol:
                 failures.append(row)
-    _emit(fmt, output, config, VALIDATE_COLUMNS, rows)
+    _emit(fmt, output, config, rows)
     if failures:
         sys.stderr.write(f"validate: {len(failures)} of {len(rows)} grid "
                          "points exceeded their tolerance\n")
@@ -718,8 +724,8 @@ def profile(shape, rmin, rmax, length, samples, fmt, output):
     config = {"subcommand": "profile", "shape": shape, "r_min": rmin,
               "r_max": rmax, "length": length, "samples": samples,
               "format": fmt}
-    rows = [{"x": float(x), "r": float(r)} for x, r in zip(xs, rs)]
-    _emit(fmt, output, config, PROFILE_COLUMNS, rows)
+    rows = [{"x": x, "r": r} for x, r in zip(xs.tolist(), rs.tolist())]
+    _emit(fmt, output, config, rows)
 
 
 @_command(
@@ -750,7 +756,7 @@ def rheology(n, consistency, gamma_min, gamma_max, samples, fmt, output):
                               "the float range")
         rows.append({"strain_rate": rate, "viscosity": visc,
                      "stress": stress})
-    _emit(fmt, output, config, RHEOLOGY_COLUMNS, rows)
+    _emit(fmt, output, config, rows)
 
 
 if __name__ == "__main__":

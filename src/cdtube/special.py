@@ -87,18 +87,24 @@ class EvaluationReport:
 def gauss_series(a: float, b: float, c: float, z: float):
     """Sum the Gauss hypergeometric series at ``z``.
 
-    Terms follow the ratio recurrence; summation stops once the absolute
-    term stays below ``STAGNATION_RTOL`` times the partial sum for
-    ``STAGNATION_RUN`` consecutive terms, or at ``MAX_TERMS``.  Terms count
-    towards the stop only once ``c + k`` is positive: a negative ``c``
-    near an integer divides a later term by ``c + k`` near zero, and a
-    numerator parameter near an integer can make the terms before it tiny.
-    A polynomial that truncates no later than an exactly non-positive
-    integer ``c`` meets ``c + k = 0`` past its last term, or at a vanishing
-    numerator (DLMF 15.2.5 for ``a = c``); its sum is then complete and is
-    returned.
+    Terms follow the ratio recurrence.  The sum ends in one of four ways:
 
-    Returns ``(value, terms_used, converged)``.
+    * it stagnates: the absolute term stays below ``STAGNATION_RTOL``
+      times the partial sum for ``STAGNATION_RUN`` consecutive terms.
+      Terms count towards this only once ``c + k`` is positive: a negative
+      ``c`` near an integer divides a later term by ``c + k`` near zero,
+      and a numerator parameter near an integer can make the terms before
+      it tiny.  An infinite partial sum stagnates within
+      ``STAGNATION_RUN`` terms, as every term is below its infinite floor;
+    * a partial sum is NaN, which every later one would be too;
+    * it is complete: a polynomial that truncates no later than an exactly
+      non-positive integer ``c`` meets ``c + k = 0`` past its last term,
+      or at a vanishing numerator (DLMF 15.2.5 for ``a = c``);
+    * it reaches ``MAX_TERMS`` terms, and has not converged.
+
+    Returns ``(value, terms_used, converged)``; ``converged`` is False only
+    at ``MAX_TERMS``.  A non-finite value is returned as it is, for the
+    caller to report.
     """
     # A float counter: ``a + k`` and ``k > -c`` give what an int counter
     # gives (k stays far below 2**53), without an int-to-float conversion.
@@ -114,7 +120,10 @@ def gauss_series(a: float, b: float, c: float, z: float):
             total += term
             # rtol * |total|: rounding is symmetric in sign
             floor = rtol * total
-            if floor < 0.0:
+            if not floor >= 0.0:
+                if floor != floor:
+                    # A NaN partial sum stays NaN: the sum ends here.
+                    return total, int(k1), True
                 floor = -floor
             if floor < 1e-300:
                 floor = 1e-300
@@ -434,9 +443,12 @@ def _appell_series(a, b1, b2, c, x, y):
         inner, _ = _series_checked(a + m, b2, c + m, y, "appell_f1 (inner)")
         term = coeff * inner
         total += term
-        if abs(term) <= 1e-16 * max(abs(total), 1e-300):
+        if not math.isfinite(total):
+            # appell_f1 reports the non-finite value.
+            return total
+        if abs(term) <= STAGNATION_RTOL * max(abs(total), 1e-300):
             consec += 1
-            if consec >= 3:
+            if consec >= STAGNATION_RUN:
                 return total
         else:
             consec = 0

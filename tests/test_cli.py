@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import warnings
@@ -1001,11 +1002,22 @@ def test_a_directory_is_no_output_file(runner, tmp_path):
 @pytest.mark.parametrize("missing_dir", [True, False], ids=["missing-dir",
                                                           "empty"])
 @pytest.mark.parametrize("command", sorted(RUNNABLE))
-def test_an_output_that_cannot_be_written_exits_2(runner, tmp_path, command,
+def test_an_output_that_cannot_be_written_exits_2(runner, monkeypatch,
+                                                  tmp_path, command,
                                                   missing_dir):
+    # The path is checked before the command's work, none of which runs.
+    work = []
+    for module, name in [(flow_module, "_conductance"),
+                         (cli_module, "pressure_drop_oracle"),
+                         (cli_module, "sample_profile"),
+                         (cli_module, "apparent_viscosity")]:
+        monkeypatch.setattr(module, name,
+                            lambda *args, _name=name, **kwargs:
+                            work.append(_name))
     path = str(tmp_path / "missing" / "out.json") if missing_dir else ""
     result = runner.invoke(main, [command, *RUNNABLE[command],
                                   "--output", path])
+    assert work == []
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr == (
@@ -1013,6 +1025,28 @@ def test_an_output_that_cannot_be_written_exits_2(runner, tmp_path, command,
         f"for help.\n\nError: Invalid value for '--output': {path!r}: "
         "No such file or directory\n")
     assert list(tmp_path.iterdir()) == []
+
+
+def _documented_columns():
+    """The README's CSV column list of each command."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    columns = {}
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        match = re.fullmatch(r"\* (`\w+`(?:/`\w+`)*): `([\w,]+)`", line)
+        if match:
+            for command in re.findall(r"`(\w+)`", match[1]):
+                columns[command] = match[2]
+    return columns
+
+
+@pytest.mark.parametrize("command", sorted(RUNNABLE))
+def test_each_table_is_the_documented_one(runner, command):
+    args = [command, *RUNNABLE[command]]
+    header = run(runner, args + ["--format", "csv"]).stdout.split("\n")[0]
+    assert header == _documented_columns()[command]
+    rows = json.loads(run(runner, args + ["--format", "json"]).stdout)[
+        "results"]
+    assert rows and all(",".join(row) == header for row in rows)
 
 
 GROUP_USAGE = ("Usage: cdtube [OPTIONS] COMMAND [ARGS]...\n"

@@ -338,7 +338,8 @@ def test_series_keeps_terms_past_a_near_zero_denominator(offset):
 
 def reference_gauss_series(a, b, c, z):
     """The summation loop as it stood with an int counter and ``abs``
-    calls; :func:`gauss_series` must reproduce it bit for bit."""
+    calls, ending at the first NaN partial sum; :func:`gauss_series` must
+    reproduce it bit for bit."""
     term = 1.0
     total = 1.0
     consec = 0
@@ -346,6 +347,8 @@ def reference_gauss_series(a, b, c, z):
     while k < MAX_TERMS:
         term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
         total += term
+        if math.isnan(total):
+            return total, k + 1, True
         floor = STAGNATION_RTOL * abs(total)
         if floor < 1e-300:
             floor = 1e-300
@@ -377,7 +380,7 @@ def test_series_loop_matches_the_reference_loop_bit_for_bit():
         (0.5, 7.0, 1.5, -0.5),        # the parabolic route's first call
         (-2.4, 3.4, 1.0, -0.3),       # the sinusoid's Legendre series
         (1.0, 1.0, 2.0, 0.9999999),   # converges slowly past 1e4 terms
-        (math.nan, 1.0, 1.0, 0.5),    # never converges
+        (math.nan, 1.0, 1.0, 0.5),    # a NaN partial sum ends the sum
         (1.0, 1.0, 1.0, 0.0),         # every term is zero
     ]
     seen = set()
@@ -388,6 +391,26 @@ def test_series_loop_matches_the_reference_loop_bit_for_bit():
         seen.add((ref[2], ref[0] < 0.0))
     # converged, capped, and a negative sum all occur
     assert {(True, False), (True, True), (False, False)} <= seen
+
+
+def test_a_nan_partial_sum_ends_the_series(monkeypatch):
+    # The sinusoid's degree-3 polynomial at n = 1 and ratio 1e300: its
+    # third term overflows to inf, and the fourth, inf * 0, is NaN.
+    calls = _recording_gauss_series(monkeypatch)
+    with pytest.raises(ConvergenceError,
+                       match=r"^gauss_2f1 produced a non-finite value$"):
+        gauss_2f1(-3.0, 4.0, 1.0, -2.5e149)
+    assert calls and sum(terms for _, terms in calls) <= 5
+
+
+def test_a_non_finite_sinusoid_series_falls_back_and_says_so():
+    result = pressure_drop(PowerLawFluid(1.0, 1.0),
+                           TubeSpec(TubeShape.SINUSOIDAL, 1.0, 1e300, 1.0),
+                           1.0)
+    assert result.method == flow.METHOD_FALLBACK
+    assert result.pressure_drop.hex() == "0x1.4d6cc19e63bc2p-499"
+    assert result.diagnostics.endswith(
+        ": gauss_2f1 produced a non-finite value")
 
 
 # (a, b, c) with one of a, b, c - a, c - b at pole + offset; c - a - b is
@@ -599,6 +622,23 @@ def test_appell_boundary_with_continued_argument_is_complex():
     flipped = appell_f1(-1.2, 0.5, 0.5, -0.2, 1.0, 3.0, branch="above")
     assert got.imag != 0.0
     assert got.imag == -flipped.imag
+
+
+def test_appell_outer_sum_ends_at_its_first_non_finite_partial_sum(
+        monkeypatch):
+    # The partial sum reaches -inf at outer term 223.
+    inner_series = []
+    checked = special._series_checked
+
+    def count(*args):
+        inner_series.append(args)
+        return checked(*args)
+
+    monkeypatch.setattr(special, "_series_checked", count)
+    with pytest.raises(ConvergenceError,
+                       match=r"^appell_f1 produced a non-finite value$"):
+        appell_f1(300.0, 300.0, 0.5, 1.0, -0.99, 0.5)
+    assert len(inner_series) <= 230
 
 
 def test_appell_degenerate_parameters():

@@ -228,6 +228,37 @@ def test_overflow_warning_filter_ends_with_the_command(runner):
     assert [w.category for w in record] == [UserWarning]
 
 
+@pytest.mark.parametrize("n, args", [
+    (2.5, ["solve", "--shape", "conic", "--n", "2.5", "--consistency", "1",
+           "--rmin", "0.5", "--rmax", "1", "--length", "1",
+           "--flow-rate", "1"]),
+    (3.0, ["rheology", "--n", "3", "--consistency", "1"]),
+], ids=["solve", "rheology"])
+def test_a_warning_prints_its_message_alone(n, args):
+    # No install path, no line number of cli.py and no source line.
+    result = subprocess.run(
+        [sys.executable, "-m", "cdtube", *args],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+        check=False,
+    )
+    assert result.returncode == 0
+    assert result.stderr == (
+        f"Warning: flow index n={n} is outside the guaranteed-accuracy range "
+        "[0.2, 2.0]; results are computed but unvalidated\n")
+
+
+@pytest.mark.parametrize("args", [SOLVE_CONIC, OVERFLOWING_SOLVE],
+                         ids=["exit_0", "exit_2"])
+def test_main_leaves_the_warning_hooks_as_it_found_them(runner, args):
+    hooks = (warnings.formatwarning, warnings.showwarning,
+             list(warnings.filters))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        runner.invoke(main, args)
+    assert (warnings.formatwarning, warnings.showwarning,
+            list(warnings.filters)) == hooks
+
+
 @pytest.mark.parametrize("r_max", ["1e12", "1e15"])
 def test_sinusoid_fallback_converges_at_high_contrast(runner, r_max):
     # The n = 1/6 closed form caps its series here, so K comes from the
@@ -541,13 +572,29 @@ def test_validate_checks_fallback_rows_against_a_tight_oracle(runner,
 def test_validate_exits_3_after_the_full_report(runner, monkeypatch):
     args = ["validate", "--grid", "quick", "--format", "csv"]
     report = run(runner, args).stdout
-    # No relative error is below a negative tolerance: every row that is
-    # neither conic nor a fallback misses.
-    monkeypatch.setattr(cli_module, "TOL_DEFAULT", -1.0)
+    # No relative error is below a negative tolerance: every row misses.
+    monkeypatch.setattr(cli_module, "TOL", -1.0)
     result = run(runner, args)
     assert result.exit_code == 3
     assert result.stdout == report
-    assert result.stderr == ("validate: 12 of 15 grid points exceeded "
+    assert result.stderr == ("validate: 15 of 15 grid points exceeded "
+                             "their tolerance\n")
+
+
+def test_validate_holds_every_shape_to_one_tolerance(runner, monkeypatch):
+    # A curved-shape K 1e-7 off its oracle fails, as a conic one would.
+    geometric_integral = flow_module._geometric_integral
+
+    def drifted(spec, n):
+        value, diagnostics = geometric_integral(spec, n)
+        if spec.shape is TubeShape.HYPERBOLIC:
+            value *= 1.0 + 1e-7
+        return value, diagnostics
+
+    monkeypatch.setattr(flow_module, "_geometric_integral", drifted)
+    result = run(runner, ["validate", "--grid", "quick", "--format", "csv"])
+    assert result.exit_code == 3
+    assert result.stderr == ("validate: 3 of 15 grid points exceeded "
                              "their tolerance\n")
 
 

@@ -904,6 +904,54 @@ def test_beta_forms_take_one_short_series(shape, monkeypatch):
             n, ratio, z, terms)
 
 
+# Within this distance of a half-odd 3n, b - a = 6n + 1 of the sinusoid's
+# 2F1(-3n, 3n + 1; 1; x) is an integer or nearly so, and its sum may take
+# hundreds of terms: 565 at 3n = 1.5 and ratio 1e6.  This window is left
+# to a toroidal route (P_3n from the complete elliptic integrals).
+HALF_ODD_WINDOW = 1e-4
+
+
+def _near_half_odd(n):
+    three_n = 3.0 * n
+    return abs(three_n - math.floor(three_n) - 0.5) <= HALF_ODD_WINDOW
+
+
+def test_sinusoid_takes_one_bounded_2f1_outside_the_half_odd_window(
+        monkeypatch):
+    # At most 120 terms.  The measured maximum is 111, at 3n just past the
+    # window at 3.5 and ratio 34, where x is near -1 and the 1/(1 - x) of
+    # the connection near 1/2.
+    reports = []
+    inner = special.gauss_2f1
+
+    def record(a, b, c, z, full_output=False):
+        value, report = inner(a, b, c, z, full_output=True)
+        reports.append(report)
+        return (value, report) if full_output else value
+
+    monkeypatch.setattr(special, "gauss_2f1", record)
+    edges = tuple((k + 0.5 + side * 1.01e-4) / 3.0
+                  for k in range(1, 6) for side in (-1.0, 1.0))
+    ratios = ENVELOPE_RATIOS + (30.0, 32.0, 33.97, 34.0, 35.0, 38.0, 40.0)
+    rng = random.Random(2)
+    low = math.log10(1.0 + 1e-4)
+    points = [*itertools.product(TERM_BOUND_INDICES + edges, ratios),
+              *((rng.uniform(0.2, 2.0), rng.uniform(30.0, 40.0))
+                for _ in range(300)),
+              *((rng.uniform(0.2, 2.0), 10.0 ** rng.uniform(low, 6.0))
+                for _ in range(600))]
+    for n, ratio in points:
+        if _near_half_odd(n):
+            continue
+        reports.clear()
+        k = conductance_coefficient(PowerLawFluid(1.0, n),
+                                    TubeSpec(TubeShape.SINUSOIDAL, 1.0, ratio,
+                                             1.0))
+        assert 0.0 < k < math.inf
+        [report] = reports
+        assert report.terms_used <= 120, (n, ratio, report)
+
+
 def _route_map_beta(q, t2, w):
     """``flow._beta`` as it was through the public 2F1: each series goes
     through ``gauss_2f1(..., full_output=True)`` and comes back with an

@@ -1,12 +1,5 @@
-"""Command-line front end.
-
-Subcommands
------------
-solve     one operating point (flow rate -> pressure drop, or the inverse)
-sweep     a range of operating points, through one conductance K
-validate  analytic-vs-quadrature report over a parameter grid
-profile   (x, r) samples of a tube profile
-rheology  viscosity/stress samples of the fluid model on a log grid
+"""Command-line front end: the ``solve``, ``sweep``, ``validate``,
+``profile`` and ``rheology`` commands, which ``--help`` lists.
 
 Output is CSV or JSON on stdout (or ``--output``), deterministic across
 repeated invocations: fixed column order, shortest round-trip float
@@ -76,29 +69,40 @@ ORACLE_TIGHT = 1e-12
 # without ``indent``, it keeps ``json`` on its C encoder.
 _ROW_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "))
 
+# Marks a cell of an ``_emit`` template row that holds a float per row.
+_VARIES = object()
 
-def _json_document(config: dict, rows) -> str:
+
+def _json_document(config: dict, rows, floats=None) -> str:
     """The output document as ``json.dumps(doc, indent=2)`` writes it, and
     a final newline, with the rows written by the C encoder.
 
     ``rows`` is a non-empty list of non-empty dicts of scalars, as every
-    subcommand emits.
+    subcommand emits; with ``floats``, it is ``_emit``'s template row.
     """
     head = json.dumps({"schema_version": SCHEMA_VERSION, "config": config,
                        "results": []}, indent=2)
     body = ",\n    ".join("{\n      " + _ROW_ENCODER.encode(row)[1:-1]
                            + "\n    }" for row in rows)
+    if floats is not None:
+        body = ",\n    ".join(map(body.replace('"%r"', "%r").__mod__, floats))
     # head ends with the empty list: '[]\n}'
     return f"{head[:-4]}[\n    {body}\n  ]\n}}\n"
 
 
-def _emit(fmt: str, output, config: dict, rows) -> None:
+def _emit(fmt: str, output, config: dict, rows, floats=None) -> None:
     """Write the rows to stdout, or to the file ``output``; a file that
     cannot be opened is a usage error, and nothing is written.
 
     ``rows`` is never empty, and a row's keys, in order, are its table's
-    columns: the CSV header is the first row's keys.
+    columns: the CSV header is the first row's keys.  With ``floats``,
+    ``rows`` is one template row, encoded once: each tuple of ``floats``
+    is a row, whose floats fill the template's ``_VARIES`` cells.
     """
+    if floats is not None:  # "%r" for a float, "%%" for a constant's "%"
+        rows = [{key: "%r" if cell is _VARIES else cell.replace("%", "%%")
+                 if isinstance(cell, str) else cell
+                 for key, cell in rows[0].items()}]
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -106,8 +110,11 @@ def _emit(fmt: str, output, config: dict, rows) -> None:
         # csv writes None as "" and a float as its shortest repr.
         writer.writerows(map(dict.values, rows))
         text = buf.getvalue()
+        if floats is not None:
+            head, _, line = text.partition("\n")
+            text = head + "\n" + "".join(map(line.__mod__, floats))
     else:
-        text = _json_document(config, rows)
+        text = _json_document(config, rows, floats)
     if output is None:
         sys.stdout.write(text)
         return
@@ -144,33 +151,30 @@ def _spaced(start: float, stop: float, count: int, log: bool = False):
     return values
 
 
-def _solve_row(fluid, spec, periods, given, pressure_given, solve_unit):
-    """One row of the ``solve``/``sweep`` table, whose columns are its keys.
-
-    ``solve_unit(value)`` solves one corrugation unit at the flow rate
-    ``given``, or at its share ``given / periods`` when ``pressure_given``.
+def _solve_table(fluid, spec, periods, values, pressure_given, solve_unit):
+    """``_emit``'s ``rows, floats`` for the ``solve``/``sweep`` table, with
+    Q, P, and any oracle and rel_err varying.  ``solve_unit`` solves one
+    corrugation unit at each flow rate, or at each pressure / ``periods``.
     """
-    if pressure_given:
-        result = solve_unit(given / periods)
-        q_val, p_val = result.flow_rate, given
-    else:
-        result = solve_unit(given)
-        q_val, p_val = given, periods * result.pressure_drop
-    oracle = (None if result.oracle_value is None
-              else periods * result.oracle_value)
-    if not math.isfinite(p_val) or (oracle is not None
-                                    and not math.isfinite(oracle)):
-        raise DomainError(
-            f"pressure drop over {periods} periods overflows the float range"
-        )
-    return {
+    floats = []
+    for given in values:
+        result = solve_unit(given / periods if pressure_given else given)
+        row = ((result.flow_rate, given) if pressure_given
+               else (given, periods * result.pressure_drop))
+        if result.oracle_value is not None:
+            row += (periods * result.oracle_value, result.rel_error)
+        if not all(map(math.isfinite, row[1:3])):  # P, and the oracle's
+            raise DomainError(f"pressure drop over {periods} periods "
+                              "overflows the float range")
+        floats.append(row)
+    checked = _VARIES if len(row) == 4 else None
+    return [{
         "shape": spec.shape.value, "n": fluid.index, "C": fluid.consistency,
         "r_min": spec.r_min, "r_max": spec.r_max, "length": spec.length,
-        "periods": periods,
-        "Q": q_val, "P": p_val, "method": result.method,
-        "branch": None, "note": result.diagnostics,
-        "oracle": oracle, "rel_err": result.rel_error,
-    }
+        "periods": periods, "Q": _VARIES, "P": _VARIES,
+        "method": result.method, "branch": None, "note": result.diagnostics,
+        "oracle": checked, "rel_err": checked,
+    }], floats
 
 
 # ---------------------------------------------------------------------------
@@ -617,8 +621,8 @@ def solve(shape, rmin, rmax, length, n, consistency, flow_rate, pressure,
         solve_flow_rate if pressure_given else solve_pressure_drop,
         fluid, spec, validate=validate, oracle_rel_tol=rel_tol,
         max_panels=max_subdivisions)
-    row = _solve_row(fluid, spec, periods, given, pressure_given, solve_unit)
-    _emit(fmt, output, config, [row])
+    _emit(fmt, output, config, *_solve_table(
+        fluid, spec, periods, [given], pressure_given, solve_unit))
 
 
 @_command(
@@ -661,16 +665,12 @@ def sweep(shape, rmin, rmax, length, n, consistency, quantity, start, stop,
     # are computed once.
     cond = flow._conductance(fluid, spec)
     oracle = pressure_drop_oracle(fluid, spec, rel_tol) if validate else None
-
     pressure_given = quantity == "pressure"
-
-    def solve_unit(value):
-        return flow._operating_point(fluid, cond, value, pressure_given,
-                                     oracle)
-
-    rows = [_solve_row(fluid, spec, periods, v, pressure_given, solve_unit)
-            for v in values]
-    _emit(fmt, output, config, rows)
+    solve_unit = functools.partial(flow._operating_point, fluid, cond,
+                                   pressure_given=pressure_given,
+                                   oracle=oracle)
+    _emit(fmt, output, config, *_solve_table(
+        fluid, spec, periods, values, pressure_given, solve_unit))
 
 
 @_command(

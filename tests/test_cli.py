@@ -1,4 +1,5 @@
 import collections
+import contextlib
 import csv
 import errno
 import io
@@ -338,17 +339,70 @@ def test_validated_solve_overflow_exits_2_with_the_plain_message(runner):
     assert validated.stderr == plain.stderr
 
 
-@pytest.mark.parametrize("quantity,n,stop", [("flow-rate", "2", "1e200"),
-                                             ("pressure", "0.5", "1e300")])
-def test_sweep_overflow_exits_2(runner, quantity, n, stop):
-    result = runner.invoke(main, [
-        "sweep", "--shape", "conic", "--n", n, "--consistency", "1",
-        "--rmin", "0.5", "--rmax", "1", "--length", "1",
-        "--quantity", quantity, "--start", "0", "--stop", stop,
-        "--count", "3", "--format", "json",
-    ])
+@pytest.mark.parametrize("quantity,n,stop,solved", [
+    pytest.param("flow-rate", "2", "1e200", "pressure drop at 5e+199",
+                 id="flow-rate-2-1e200"),
+    pytest.param("pressure", "0.5", "1e300", "flow rate at 5e+299",
+                 id="pressure-0.5-1e300"),
+])
+def test_sweep_overflow_exits_2(runner, quantity, n, stop, solved):
+    # The middle row is the first to overflow; the message names it and K,
+    # with the oracle or without.
+    k = flow_module.conductance_coefficient(
+        PowerLawFluid(consistency=1.0, index=float(n)),
+        TubeSpec(TubeShape.CONIC, 0.5, 1.0, 1.0))
+    for validate in ([], ["--validate"]):
+        result = runner.invoke(main, [
+            "sweep", "--shape", "conic", "--n", n, "--consistency", "1",
+            "--rmin", "0.5", "--rmax", "1", "--length", "1",
+            "--quantity", quantity, "--start", "0", "--stop", stop,
+            "--count", "3", "--format", "json", *validate,
+        ])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.endswith(
+            f"\n\nError: {solved} overflows the float range (K={k!r})\n")
+
+
+PERIODS_CONIC = ["--shape", "conic", "--n", "1", "--consistency", "1",
+                 "--rmin", "0.5", "--rmax", "1", "--length", "1",
+                 "--periods", "2"]
+
+
+@pytest.mark.parametrize("args", [
+    ["solve", *PERIODS_CONIC, "--flow-rate", "1e307"],
+    ["sweep", *PERIODS_CONIC, "--start", "0", "--stop", "1e307",
+     "--count", "3"],
+], ids=["solve", "sweep"])
+@pytest.mark.parametrize("validate", [[], ["--validate"]])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_periods_overflow_exits_2(runner, args, validate, fmt):
+    # P of one unit at Q = 1e307 is finite; over two periods it is not.
+    result = runner.invoke(main, [*args, *validate, "--format", fmt])
     assert result.exit_code == 2
-    assert "overflows the float range" in result.output
+    assert result.stdout == ""
+    assert result.stderr.endswith("\n\nError: pressure drop over 2 periods "
+                                  "overflows the float range\n")
+
+
+def test_an_oracle_past_the_float_range_over_the_periods_exits_2(
+        runner, monkeypatch):
+    # 2 P is finite at Q = 5e306; an oracle that reads 2 P is finite too,
+    # but not over two periods.
+    oracle = cli_module.pressure_drop_oracle
+
+    def doubled(*args):
+        at = oracle(*args)
+        return lambda q: quadrature.QuadratureResult(2.0 * at(q).value,
+                                                     0.0, 0)
+    monkeypatch.setattr(cli_module, "pressure_drop_oracle", doubled)
+    result = runner.invoke(main, ["sweep", *PERIODS_CONIC, "--start", "0",
+                                  "--stop", "5e306", "--count", "2",
+                                  "--validate"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.endswith("\n\nError: pressure drop over 2 periods "
+                                  "overflows the float range\n")
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +540,114 @@ def test_sweep_rows_match_library_solves(runner, shape, n, quantity):
                     "rel_err": res.rel_error}
         assert {key: row[key] for key in expected} == {
             key: _cell(v) for key, v in expected.items()}
+
+
+def _per_row_document(fmt, config, rows):
+    """The document as the per-row writers make it: each row's dict
+    through ``csv.writer``, or ``json.dumps(doc, indent=2)``."""
+    if fmt == "json":
+        return json.dumps({"schema_version": 1, "config": config,
+                           "results": rows}, indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(rows[0])
+    writer.writerows(row.values() for row in rows)
+    return buf.getvalue()
+
+
+SWEEP_OPTIONS = [  # quantity, spacing, periods, validate
+    ("flow-rate", "linear", 1, False),
+    ("pressure", "log", 2, True),
+    ("flow-rate", "log", 3, True),
+    ("pressure", "linear", 4, False),
+]
+
+
+@pytest.mark.parametrize("shape,n,r_max", [
+    *((shape.value, 0.7, 3.0) for shape in TubeShape),
+    ("cosh", 1.3, 1.0),  # a straight tube
+    # K falls back to quadrature: its note holds a comma, which CSV quotes
+    ("sinusoidal", 0.16666666666666666, 1e12),
+])
+@pytest.mark.parametrize("quantity,spacing,periods,validate", SWEEP_OPTIONS)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_output_is_the_per_row_encoding(runner, shape, n, r_max,
+                                              quantity, spacing, periods,
+                                              validate, fmt):
+    # A sweep encodes its constant cells once; the bytes must be those of
+    # one dict per row, from the library solve of each point, through the
+    # writers.  A linear sweep from 0 has a Q = 0 (or P = 0) row.
+    start, stop, count = (0.0 if spacing == "linear" else 0.01), 7.0, 6
+    config = {
+        "subcommand": "sweep", "shape": shape, "n": n, "consistency": 1.5,
+        "r_min": 1.0, "r_max": r_max, "length": 2.0, "periods": periods,
+        "quantity": quantity, "start": start, "stop": stop, "count": count,
+        "spacing": spacing, "validate": validate,
+        "rel_tol": quadrature.DEFAULT_REL_TOL, "format": fmt,
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # n = 1/6
+        fluid = PowerLawFluid(consistency=1.5, index=n)
+        result = run(runner, [
+            "sweep", "--shape", shape, "--n", repr(n), "--consistency",
+            "1.5", "--rmin", "1", "--rmax", repr(r_max), "--length", "2",
+            "--quantity", quantity, "--start", repr(start), "--stop",
+            repr(stop), "--count", str(count), "--spacing", spacing,
+            "--periods", str(periods), "--format", fmt,
+            *(["--validate"] if validate else []),
+        ])
+    assert result.exit_code == 0
+    spec = TubeSpec(TubeShape(shape), 1.0, r_max, 2.0)
+    rows = []
+    for value in cli_module._spaced(start, stop, count, spacing == "log"):
+        if quantity == "pressure":
+            res = flow_rate(fluid, spec, value / periods, validate=validate)
+            q, p = res.flow_rate, value
+        else:
+            res = pressure_drop(fluid, spec, value, validate=validate)
+            q, p = value, periods * res.pressure_drop
+        rows.append({
+            "shape": shape, "n": n, "C": 1.5, "r_min": 1.0, "r_max": r_max,
+            "length": 2.0, "periods": periods, "Q": q, "P": p,
+            "method": res.method, "branch": None, "note": res.diagnostics,
+            "oracle": periods * res.oracle_value if validate else None,
+            "rel_err": res.rel_error,
+        })
+    assert result.stdout == _per_row_document(fmt, config, rows)
+    if fmt == "csv" and r_max == 1e12:
+        assert ',"fallback to quadrature (' in result.stdout
+
+
+# Column names are words, as every table's are; a constant cell may hold
+# "%" and anything else a writer quotes or escapes.
+_COLUMNS = st.lists(st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1),
+                    min_size=1, max_size=8, unique=True)
+_CONSTANT = st.one_of(st.none(), st.booleans(), st.integers(),
+                      st.floats(allow_nan=False), st.text(),
+                      st.sampled_from(["%", "%r", "%%r", '"%r"', "%s%d",
+                                       "a,%r", "b\n%", ""]))
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(columns=_COLUMNS, data=st.data())
+def test_a_template_row_is_written_as_its_rows_would_be(columns, data):
+    varies = data.draw(st.lists(st.booleans(), min_size=len(columns),
+                                max_size=len(columns)))
+    template = {column: cli_module._VARIES if vary else data.draw(_CONSTANT)
+                for column, vary in zip(columns, varies)}
+    floats = data.draw(st.lists(st.tuples(*[_FINITE] * sum(varies)),
+                                min_size=1, max_size=4))
+    rows = []
+    for values in floats:
+        values = iter(values)
+        rows.append({column: next(values) if cell is cli_module._VARIES
+                     else cell for column, cell in template.items()})
+    config = {"subcommand": "%r"}
+    for fmt in ("csv", "json"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli_module._emit(fmt, None, config, [template], floats)
+        assert out.getvalue() == _per_row_document(fmt, config, rows)
 
 
 def test_sweep_bad_range_exits_2(runner):

@@ -13,18 +13,16 @@ Each command declares one table of options; the parser and ``--help``
 are both generated from it, with the standard library alone.
 """
 
-import csv
 import functools
 import io
 import itertools
-import json
 import math
 import os
 import stat
 import sys
 import warnings
 
-from . import __version__, flow, quadrature
+from . import __version__, flow
 from .errors import (
     CdtubeError,
     ConvergenceError,
@@ -32,11 +30,16 @@ from .errors import (
     EvaluationError,
     require_finite_non_negative,
 )
-from .fluid import PowerLawFluid, apparent_viscosity
+from .fluid import (
+    DEFAULT_REL_TOL,
+    MAX_PANELS,
+    PowerLawFluid,
+    _require_rel_tol,
+    apparent_viscosity,
+)
 from .flow import METHOD_FALLBACK, flow_rate as solve_flow_rate
 from .flow import pressure_drop as solve_pressure_drop
 from .geometry import TubeShape, TubeSpec, sample_profile
-from .quadrature import DEFAULT_REL_TOL, MAX_PANELS, pressure_drop_oracle
 
 SCHEMA_VERSION = 1
 
@@ -65,12 +68,18 @@ TOL = 1e-8
 ORACLE_TIGHT = 1e-12
 
 
-# Separates the fields of one result row in the ``indent=2`` layout.  Set
-# without ``indent``, it keeps ``json`` on its C encoder.
-_ROW_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "))
-
 # Marks a cell of an ``_emit`` template row that holds a float per row.
 _VARIES = object()
+
+
+@functools.cache
+def _row_encoder():
+    """The encoder of one result row: it separates the fields in the
+    ``indent=2`` layout.  Set without ``indent``, it keeps ``json`` on its
+    C encoder."""
+    import json
+
+    return json.JSONEncoder(separators=(",\n      ", ": "))
 
 
 def _json_document(config: dict, rows, floats=None) -> str:
@@ -80,9 +89,12 @@ def _json_document(config: dict, rows, floats=None) -> str:
     ``rows`` is a non-empty list of non-empty dicts of scalars, as every
     subcommand emits; with ``floats``, it is ``_emit``'s template row.
     """
+    import json
+
     head = json.dumps({"schema_version": SCHEMA_VERSION, "config": config,
                        "results": []}, indent=2)
-    body = ",\n    ".join("{\n      " + _ROW_ENCODER.encode(row)[1:-1]
+    encode = _row_encoder().encode
+    body = ",\n    ".join("{\n      " + encode(row)[1:-1]
                            + "\n    }" for row in rows)
     if floats is not None:
         body = ",\n    ".join(map(body.replace('"%r"', "%r").__mod__, floats))
@@ -104,6 +116,8 @@ def _emit(fmt: str, output, config: dict, rows, floats=None) -> None:
                  if isinstance(cell, str) else cell
                  for key, cell in rows[0].items()}]
     if fmt == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(rows[0])
@@ -159,11 +173,18 @@ def _solve_table(fluid, spec, periods, values, pressure_given, solve_unit):
     floats = []
     for given in values:
         result = solve_unit(given / periods if pressure_given else given)
-        row = ((result.flow_rate, given) if pressure_given
-               else (given, periods * result.pressure_drop))
+        if pressure_given:
+            p = given
+            row = (result.flow_rate, p)
+        else:
+            p = periods * result.pressure_drop
+            row = (given, p)
+        finite = math.isfinite(p)
         if result.oracle_value is not None:
-            row += (periods * result.oracle_value, result.rel_error)
-        if not all(map(math.isfinite, row[1:3])):  # P, and the oracle's
+            oracle_p = periods * result.oracle_value
+            row += (oracle_p, result.rel_error)
+            finite = finite and math.isfinite(oracle_p)
+        if not finite:
             raise DomainError(f"pressure drop over {periods} periods "
                               "overflows the float range")
         floats.append(row)
@@ -175,6 +196,26 @@ def _solve_table(fluid, spec, periods, values, pressure_given, solve_unit):
         "method": result.method, "branch": None, "note": result.diagnostics,
         "oracle": checked, "rel_err": checked,
     }], floats
+
+
+def _oracle(fluid, spec, rel_tol):
+    """``pressure_drop_oracle`` of the fluid and tube at ``rel_tol``."""
+    try:
+        make = pressure_drop_oracle
+    except NameError:  # the first oracle of the process
+        make = __getattr__("pressure_drop_oracle")
+    return make(fluid, spec, rel_tol)
+
+
+def __getattr__(name):
+    """``pressure_drop_oracle``, bound here from :mod:`cdtube.quadrature`
+    on first use: only ``--validate`` and ``validate`` run the oracle."""
+    if name != "pressure_drop_oracle":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .quadrature import pressure_drop_oracle
+
+    globals()[name] = pressure_drop_oracle
+    return pressure_drop_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +640,7 @@ _OUTPUT = (
 def solve(shape, rmin, rmax, length, n, consistency, flow_rate, pressure,
           periods, validate, rel_tol, max_subdivisions, fmt, output):
     """Solve one operating point."""
-    quadrature._require_rel_tol(rel_tol)
+    _require_rel_tol(rel_tol)
     if (flow_rate is None) == (pressure is None):
         raise DomainError(
             "exactly one of --flow-rate or --pressure is required"
@@ -644,7 +685,7 @@ def solve(shape, rmin, rmax, length, n, consistency, flow_rate, pressure,
 def sweep(shape, rmin, rmax, length, n, consistency, quantity, start, stop,
           count, spacing, periods, validate, rel_tol, jobs, fmt, output):
     """Sweep flow rate or pressure over a range."""
-    quadrature._require_rel_tol(rel_tol)
+    _require_rel_tol(rel_tol)
     require_finite_non_negative("--start", start)
     require_finite_non_negative("--stop", stop)
     if not start < stop:
@@ -664,11 +705,13 @@ def sweep(shape, rmin, rmax, length, n, consistency, quantity, start, stop,
     # Only Q or P varies along the sweep: K, and the oracle's integral,
     # are computed once.
     cond = flow._conductance(fluid, spec)
-    oracle = pressure_drop_oracle(fluid, spec, rel_tol) if validate else None
+    oracle = _oracle(fluid, spec, rel_tol) if validate else None
     pressure_given = quantity == "pressure"
-    solve_unit = functools.partial(flow._operating_point, fluid, cond,
-                                   pressure_given=pressure_given,
-                                   oracle=oracle)
+
+    def solve_unit(given):
+        return flow._operating_point(fluid, cond, given, pressure_given,
+                                     oracle)
+
     _emit(fmt, output, config, *_solve_table(
         fluid, spec, periods, values, pressure_given, solve_unit))
 
@@ -686,7 +729,7 @@ def validate(grid, rel_tol, fmt, output):
     Exits 3 if any grid point's relative error exceeds 1e-8.  A row whose
     K fell back to quadrature is checked against an oracle at 1e-12.
     """
-    quadrature._require_rel_tol(rel_tol)
+    _require_rel_tol(rel_tol)
     grid_def = GRIDS[grid]
     config = {"subcommand": "validate", "grid": grid, "rel_tol": rel_tol,
               "format": fmt}
@@ -701,7 +744,7 @@ def validate(grid, rel_tol, fmt, output):
         cond = flow._conductance(fluid, spec)
         _, method, _ = cond
         oracle_tol = ORACLE_TIGHT if method == METHOD_FALLBACK else rel_tol
-        oracle = pressure_drop_oracle(fluid, spec, oracle_tol)
+        oracle = _oracle(fluid, spec, oracle_tol)
         for q in grid_def["flow_rate"]:
             result = flow._operating_point(fluid, cond, q, False, oracle)
             row = {

@@ -11,7 +11,10 @@ argument of at most 1/2, summed directly by the series kernel of
 that goes through that function's route map.  Should a
 closed form raise :class:`DegenerateParameterError` or
 :class:`ConvergenceError`, the quadrature oracle takes over and the
-result records the fallback.  A straight capillary is a
+result records the fallback.  The fallback and the validating oracle,
+``integrate_inverse_radius_power`` and ``pressure_drop_numeric``, are
+bound here from :mod:`cdtube.quadrature` by their first use, so a
+closed-form solve does not import it.  A straight capillary is a
 :class:`TubeSpec` with equal radii, of any shape, and K is the
 Hagen-Poiseuille form of the power-law fluid; the ``straight_tube_*``
 helpers solve ``TubeSpec(TubeShape.CONIC, radius, radius, length)``.
@@ -31,16 +34,14 @@ from .errors import (
     EvaluationError,
     require_finite_non_negative,
 )
-from .fluid import PowerLawFluid
-from .geometry import TubeShape, TubeSpec
-from .quadrature import (
+from .fluid import (
     DEFAULT_REL_TOL,
     FALLBACK_REL_TOL,
     MAX_PANELS,
-    integrate_inverse_radius_power,
+    PowerLawFluid,
     master_prefactor,
-    pressure_drop_numeric,
 )
+from .geometry import TubeShape, TubeSpec
 
 __all__ = [
     "FlowResult",
@@ -193,7 +194,11 @@ def _conductance(fluid: PowerLawFluid, spec: TubeSpec,
         k = math.inf
     except (DegenerateParameterError, ConvergenceError) as exc:
         try:
-            base = integrate_inverse_radius_power(
+            integrate = integrate_inverse_radius_power
+        except NameError:  # the first fallback of the process
+            integrate = __getattr__("integrate_inverse_radius_power")
+        try:
+            base = integrate(
                 spec, 3.0 * n + 1.0, FALLBACK_REL_TOL, max_panels=max_panels
             )
         except ConvergenceError as quad_exc:
@@ -214,6 +219,18 @@ def _conductance(fluid: PowerLawFluid, spec: TubeSpec,
 def conductance_coefficient(fluid: PowerLawFluid, spec: TubeSpec) -> float:
     """Coefficient K in ``P = K * Q^n`` for the given fluid and geometry."""
     return _conductance(fluid, spec)[0]
+
+
+def _oracle(fluid: PowerLawFluid, spec: TubeSpec, rel_tol: float,
+            max_panels: int):
+    """The validating oracle: ``pressure_drop_numeric`` of the fluid and
+    tube, as a function of Q."""
+    try:
+        numeric = pressure_drop_numeric
+    except NameError:  # the first oracle of the process
+        numeric = __getattr__("pressure_drop_numeric")
+    return functools.partial(numeric, fluid, spec, rel_tol=rel_tol,
+                             max_panels=max_panels)
 
 
 def _operating_point(fluid: PowerLawFluid, cond, given: float,
@@ -266,9 +283,8 @@ def pressure_drop(fluid: PowerLawFluid, spec: TubeSpec, flow_rate: float,
     """
     require_finite_non_negative("flow_rate", flow_rate)
     cond = _conductance(fluid, spec, max_panels=max_panels)
-    oracle = (functools.partial(pressure_drop_numeric, fluid, spec,
-                                rel_tol=oracle_rel_tol, max_panels=max_panels)
-              if validate else None)
+    oracle = (_oracle(fluid, spec, oracle_rel_tol, max_panels) if validate
+              else None)
     return _operating_point(fluid, cond, flow_rate, False, oracle)
 
 
@@ -281,9 +297,8 @@ def flow_rate(fluid: PowerLawFluid, spec: TubeSpec, pressure_drop: float,
     :class:`DomainError`."""
     require_finite_non_negative("pressure_drop", pressure_drop)
     cond = _conductance(fluid, spec, max_panels=max_panels)
-    oracle = (functools.partial(pressure_drop_numeric, fluid, spec,
-                                rel_tol=oracle_rel_tol, max_panels=max_panels)
-              if validate else None)
+    oracle = (_oracle(fluid, spec, oracle_rel_tol, max_panels) if validate
+              else None)
     return _operating_point(fluid, cond, pressure_drop, True, oracle)
 
 
@@ -309,3 +324,14 @@ def straight_tube_flow_rate(fluid: PowerLawFluid, radius: float,
     :func:`flow_rate` of the straight :class:`TubeSpec`."""
     return flow_rate(fluid, TubeSpec(TubeShape.CONIC, radius, radius,
                                      length), pressure_drop).flow_rate
+
+
+def __getattr__(name):
+    """``integrate_inverse_radius_power`` and ``pressure_drop_numeric``,
+    bound here from :mod:`cdtube.quadrature` on first use."""
+    if name not in ("integrate_inverse_radius_power",
+                    "pressure_drop_numeric"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import quadrature
+    value = globals()[name] = getattr(quadrature, name)
+    return value

@@ -13,6 +13,13 @@ analytic integrands, so most integrals settle in the first panel.  The
 split order is fixed and the returned sums are exactly rounded, so
 identical inputs give bit-identical results within one build.  numpy
 is imported, and the rule built, by the first integration.
+
+A closed-form solve does not import this module: :mod:`cdtube`,
+:mod:`cdtube.flow` and :mod:`cdtube.cli` import it on the first oracle
+or fallback.  What the package and every solve need without it,
+``QuadratureResult``, ``master_prefactor``, ``DEFAULT_REL_TOL``,
+``FALLBACK_REL_TOL``, ``MAX_PANELS`` and ``REL_TOL_RANGE``, lives in
+:mod:`cdtube.fluid`, and is re-exported here.
 """
 
 import functools
@@ -21,9 +28,17 @@ import itertools
 import math
 
 from . import _kernels, geometry
-from ._frozen import value_type
 from .errors import ConvergenceError, DomainError, require_finite_non_negative
-from .fluid import PowerLawFluid
+from .fluid import (
+    DEFAULT_REL_TOL,
+    FALLBACK_REL_TOL,
+    MAX_PANELS,
+    REL_TOL_RANGE,
+    PowerLawFluid,
+    QuadratureResult,
+    _require_rel_tol,
+    master_prefactor,
+)
 from .geometry import TubeSpec
 
 __all__ = [
@@ -32,12 +47,6 @@ __all__ = [
     "master_prefactor",
     "pressure_drop_numeric",
 ]
-
-MAX_PANELS = 10000
-REL_TOL_RANGE = (1e-14, 1e-2)
-DEFAULT_REL_TOL = 1e-10
-# Interactive fallback solves trade two digits for speed.
-FALLBACK_REL_TOL = 1e-8
 
 
 def _chebyshev_rule(npts: int):
@@ -69,15 +78,6 @@ def _rules():
     nodes_hi, weights_hi = _chebyshev_rule(65)
     _, weights_lo = _chebyshev_rule(33)
     return nodes_hi, weights_hi, weights_lo
-
-
-@value_type
-class QuadratureResult:
-    """Outcome of one adaptive integration."""
-
-    value: float
-    error_estimate: float
-    subdivisions: int
 
 
 def _integrate_adaptive(f, lo: float, hi: float, rel_tol: float,
@@ -132,15 +132,6 @@ def _integrate_adaptive(f, lo: float, hi: float, rel_tol: float,
             total_e += e
 
 
-def _require_rel_tol(rel_tol: float) -> None:
-    """Raise :class:`DomainError` unless ``rel_tol`` is in REL_TOL_RANGE."""
-    lo_tol, hi_tol = REL_TOL_RANGE
-    if not lo_tol <= rel_tol <= hi_tol:
-        raise DomainError(
-            f"rel_tol must be within [{lo_tol}, {hi_tol}], got {rel_tol}"
-        )
-
-
 def integrate_inverse_radius_power(spec: TubeSpec, exponent: float,
                                    rel_tol: float = DEFAULT_REL_TOL,
                                    *, max_panels: int = MAX_PANELS) -> QuadratureResult:
@@ -178,24 +169,6 @@ def integrate_inverse_radius_power(spec: TubeSpec, exponent: float,
             best_estimate=result,
         )
     return result
-
-
-def master_prefactor(fluid: PowerLawFluid, flow_rate: float) -> float:
-    """Prefactor ``2 C Q^n (3n+1)^n / (pi^n n^n)`` of the master integral.
-
-    Raises :class:`DomainError` when ``(3n+1)^n`` or ``pi^n n^n`` leaves
-    the float range, from about n = 120 on.
-    """
-    n = fluid.index
-    try:
-        rise = (3.0 * n + 1.0) ** n
-        fall = math.pi**n * n**n
-    except OverflowError:
-        rise = fall = math.inf
-    if max(rise, fall) == math.inf:
-        raise DomainError(f"flow index n={n!r} is too large: the prefactor "
-                          "(3n+1)^n / (pi n)^n is outside the float range")
-    return 2.0 * fluid.consistency * flow_rate**n * rise / fall
 
 
 def pressure_drop_numeric(fluid: PowerLawFluid, spec: TubeSpec,

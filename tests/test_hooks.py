@@ -89,6 +89,15 @@ def test_the_special_functions_that_compute_no_k():
                      "kernels.gauss_series"}
 
 
+def test_appell_past_the_cut_continues_through_special():
+    # x = 1 and y > 1: the boundary reduction calls gauss_2f1_continued,
+    # which the hook sees only when the call goes through cdtube.special.
+    names = _traced(lambda: cdtube.special.appell_f1(
+        -1.2, 0.5, 0.5, -0.2, 1.0, 3.0))
+    assert names == {"special.appell_f1", "special.gauss_2f1_continued",
+                     "kernels.gauss_series"}
+
+
 @pytest.mark.parametrize("args,spans", [
     (["solve", *TUBE, "--flow-rate", "1"],
      {"cli.command", "flow.pressure_drop", "flow.conductance", "cli.emit"}),

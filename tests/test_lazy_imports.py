@@ -3,12 +3,16 @@ they must not load numpy.  The command line is parsed by the standard
 library alone, so no probe loads a third-party parser either.  The value
 types build their classes without ``dataclasses``, so no probe loads it,
 nor the ``inspect`` it imports, which add about 10 ms to every process.
+Nor does a closed-form path compile what it does not run: the quadrature
+(with ``heapq``), the paper's continued kernels, or the writer of the
+other output format.
 
 Each probe runs in a fresh interpreter, because a module once imported
-stays in ``sys.modules`` for the life of the process.
+stays in ``sys.modules`` for the life of the process.  A probe prints its
+findings as a Python literal, so that it imports no writer itself.
 """
 
-import json
+import ast
 import os
 import subprocess
 import sys
@@ -19,7 +23,6 @@ import pytest
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 PROBE_HEADER = r"""
-import json
 import runpy
 import sys
 
@@ -52,7 +55,7 @@ try:
 except SystemExit as exc:
     assert not exc.code, exc.code
 record("python -m cdtube solve")
-print(json.dumps(loaded))
+print(repr(loaded))
 """
 
 ARRAY_PROBE = PROBE_HEADER + r"""
@@ -69,7 +72,7 @@ fluid = cdtube.PowerLawFluid(1.0, %r)
 spec = cdtube.TubeSpec(cdtube.TubeShape(%r), 1.0, 4.0, 1.0)
 result = cdtube.pressure_drop(fluid, spec, 1.0, validate=%r)
 record("solve")
-print(json.dumps({"loaded": loaded, "method": result.method}))
+print(repr({"loaded": loaded, "method": result.method}))
 """
 
 
@@ -84,7 +87,35 @@ with contextlib.redirect_stdout(io.StringIO()):
     except SystemExit as exc:
         assert not exc.code, exc.code
 record("command")
-print(json.dumps(loaded))
+print(repr(loaded))
+"""
+
+# Loaded only by the oracle, a fallback, or the continued kernels.
+FIRST_USE = ("cdtube.quadrature", "cdtube._continued", "heapq")
+
+FIRST_USE_PROBE = PROBE_HEADER + r"""
+import contextlib
+import io
+
+import cdtube
+record("import cdtube")
+import cdtube.cli
+record("import cdtube.cli")
+for args in [["--version"], %r]:
+    sys.argv = ["cdtube", *args]
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            runpy.run_module("cdtube", run_name="__main__")
+        except SystemExit as exc:
+            assert not exc.code, exc.code
+    record(args[0])
+fluid = cdtube.PowerLawFluid(1.3, 0.8)
+for shape in cdtube.TubeShape:
+    spec = cdtube.TubeSpec(shape, 1e-5, 4e-5, 3e-4)
+    for solve in (cdtube.pressure_drop, cdtube.flow_rate):
+        assert solve(fluid, spec, 2.5e-10).method == "analytic"
+    record(f"pressure_drop {shape.value}")
+print(repr(loaded))
 """
 
 SWEEP = ["sweep", "--shape", "cosh", "--n", "0.8", "--consistency", "1.3",
@@ -98,7 +129,7 @@ def _probe(code):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
 
 
 def test_closed_form_solves_do_not_load_numpy():
@@ -144,3 +175,76 @@ def test_validated_sweep_loads_numpy():
 
 def test_version_loads_neither_dataclasses_nor_inspect():
     assert _probe(COMMAND_PROBE % (["--version"],)) == {"command": []}
+
+
+SOLVE = ["solve", "--shape", "hyperbolic", "--n", "0.8", "--consistency",
+         "1.3", "--rmin", "1e-5", "--rmax", "4e-5", "--length", "3e-4",
+         "--flow-rate", "2.5e-10"]
+
+
+def _watching(watched, probe):
+    """``probe``, recording the modules ``watched`` in place of HEAVY."""
+    assert probe.startswith(PROBE_HEADER)
+    return f"{PROBE_HEADER}HEAVY = {watched!r}\n{probe[len(PROBE_HEADER):]}"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_closed_form_paths_compile_neither_the_oracle_nor_the_continued_forms(
+        fmt):
+    loaded = _probe(_watching(FIRST_USE, FIRST_USE_PROBE)
+                    % ([*SOLVE, "--format", fmt],))
+    assert list(loaded) == [
+        "import cdtube", "import cdtube.cli", "--version", "solve",
+        *(f"pressure_drop {shape}" for shape in
+          ("conic", "parabolic", "hyperbolic", "cosh", "sinusoidal"))]
+    assert loaded == dict.fromkeys(loaded, [])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_each_format_loads_only_its_own_writer(command, fmt):
+    args = SOLVE if command == "solve" else SWEEP
+    loaded = _probe(_watching(("csv", "json"), COMMAND_PROBE)
+                    % ([*args, "--format", fmt],))
+    assert loaded == {"command": [fmt]}
+
+
+@pytest.mark.parametrize("args", [
+    ["validate", "--grid", "quick"],
+    [*SOLVE, "--validate"],
+    [*SWEEP, "--validate", "--format", "csv"],
+], ids=["validate", "solve-validate", "sweep-validate"])
+def test_the_oracle_loads_the_quadrature(args):
+    loaded = _probe(_watching(FIRST_USE, COMMAND_PROBE) % (args,))
+    assert loaded == {"command": ["cdtube.quadrature", "heapq"]}
+
+
+def test_a_fallback_loads_the_quadrature():
+    fallback = _probe(_watching(FIRST_USE, ARRAY_PROBE)
+                      % (True, 1.0, "cosh", False))
+    assert fallback["method"] == "quadrature_fallback"
+    assert fallback["loaded"]["solve"] == ["cdtube.quadrature", "heapq"]
+
+
+def test_the_continued_kernels_load_on_first_use():
+    loaded = _probe(_watching(FIRST_USE, PROBE_HEADER + r"""
+import cdtube
+record("import cdtube")
+cdtube.appell_f1(-1.2, 0.5, 0.5, -0.2, 1.0, 3.0)
+record("appell_f1")
+print(repr(loaded))
+"""))
+    assert loaded == {"import cdtube": [], "appell_f1": ["cdtube._continued"]}
+
+
+def test_the_modules_read_on_every_solve_keep_no_module_getattr():
+    # A module __getattr__ (PEP 562) keeps CPython from specializing any
+    # attribute load on that module, which then costs about 25 ns more:
+    # cdtube.pressure_drop in a caller's loop, special._series_checked in
+    # every K.  So these modules import the continued kernels and the
+    # quadrature inside the functions that call them.
+    import cdtube
+    from cdtube import special
+
+    for module in (cdtube, special):
+        assert "__getattr__" not in vars(module), module.__name__

@@ -21,7 +21,7 @@ from cdtube import (
     master_prefactor,
     pressure_drop,
 )
-from cdtube import flow, special
+from cdtube import _continued, flow, special
 from cdtube.special import (
     MAX_TERMS,
     STAGNATION_RTOL,
@@ -523,15 +523,15 @@ def test_continuation_retries_on_the_second_route(monkeypatch):
     # c - a - b and b - a are not integers, and z < 2: the 1 - 1/z
     # connection is tried first, then the 1/z one.
     args = (0.3, 1.9, 2.4, 1.7)
-    second = complex(*special._continued_arg_1z(*args, -1.0))
+    second = complex(*_continued._continued_arg_1z(*args, -1.0))
     assert abs(gauss_2f1_continued(*args) - second) <= 1e-13 * abs(second)
-    monkeypatch.setattr(special, "_continued_arg_1m1z", _failing("first"))
+    monkeypatch.setattr(_continued, "_continued_arg_1m1z", _failing("first"))
     assert gauss_2f1_continued(*args) == second
 
 
 def test_continuation_raises_the_last_routes_error(monkeypatch):
-    monkeypatch.setattr(special, "_continued_arg_1m1z", _failing("first"))
-    monkeypatch.setattr(special, "_continued_arg_1z", _failing("second"))
+    monkeypatch.setattr(_continued, "_continued_arg_1m1z", _failing("first"))
+    monkeypatch.setattr(_continued, "_continued_arg_1z", _failing("second"))
     with pytest.raises(ConvergenceError, match="^second$"):
         gauss_2f1_continued(0.3, 1.9, 2.4, 1.7)
 

@@ -10,7 +10,9 @@ Exit codes: 0 success, 2 argument or validation errors, 3 numerical
 failure (neither the analytic route nor the quadrature oracle converged).
 
 Each command declares one table of options; the parser and ``--help``
-are both generated from it, with the standard library alone.
+are both generated from it, with the standard library alone.  The
+oracle of ``--validate`` and ``validate`` comes from :mod:`cdtube.flow`,
+which imports the quadrature on first use.
 """
 
 import functools
@@ -198,26 +200,6 @@ def _solve_table(fluid, spec, periods, values, pressure_given, solve_unit):
     }], floats
 
 
-def _oracle(fluid, spec, rel_tol):
-    """``pressure_drop_oracle`` of the fluid and tube at ``rel_tol``."""
-    try:
-        make = pressure_drop_oracle
-    except NameError:  # the first oracle of the process
-        make = __getattr__("pressure_drop_oracle")
-    return make(fluid, spec, rel_tol)
-
-
-def __getattr__(name):
-    """``pressure_drop_oracle``, bound here from :mod:`cdtube.quadrature`
-    on first use: only ``--validate`` and ``validate`` run the oracle."""
-    if name != "pressure_drop_oracle":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from .quadrature import pressure_drop_oracle
-
-    globals()[name] = pressure_drop_oracle
-    return pressure_drop_oracle
-
-
 # ---------------------------------------------------------------------------
 # Command-line parsing: one option table per command
 # ---------------------------------------------------------------------------
@@ -283,9 +265,10 @@ class _Choice:
 
 class _File:
     """A path to write: not a directory, nor a file that cannot be read,
-    nor a new file in a directory that does not exist (or ``""``), so a
-    command with such an ``--output`` exits 2 before any work.  Whatever
-    else cannot be opened, ``_emit`` reports after the work."""
+    nor a new file in a directory that does not exist (or ``""``), nor a
+    path under a regular file, so a command with such an ``--output``
+    exits 2 before any work.  Whatever else cannot be opened, ``_emit``
+    reports after the work."""
 
     metavar = "FILE"
 
@@ -299,6 +282,12 @@ class _File:
                 raise ValueError(
                     f"{text!r}: No such file or directory") from None
             return text
+        except NotADirectoryError as exc:
+            # A regular file taken for a directory: "afile/x.json".  A name
+            # that ends in "/" is a directory, which open() reports.
+            if text.endswith("/"):
+                return text
+            raise ValueError(f"{text!r}: {exc.strerror}") from None
         except OSError:
             return text
         if stat.S_ISDIR(mode):
@@ -634,7 +623,8 @@ _OUTPUT = (
     _Option("--rel-tol", _FLOAT, default=DEFAULT_REL_TOL,
             help="Oracle relative tolerance."),
     _Option("--max-subdivisions", _AtLeast(1), default=MAX_PANELS,
-            help="Panel cap for quadrature fallback runs."),
+            help="Panel cap for each quadrature run: the fallback and "
+                 "the --validate oracle."),
     *_OUTPUT,
 )
 def solve(shape, rmin, rmax, length, n, consistency, flow_rate, pressure,
@@ -705,12 +695,15 @@ def sweep(shape, rmin, rmax, length, n, consistency, quantity, start, stop,
     # Only Q or P varies along the sweep: K, and the oracle's integral,
     # are computed once.
     cond = flow._conductance(fluid, spec)
-    oracle = _oracle(fluid, spec, rel_tol) if validate else None
+    oracle = (flow.pressure_drop_oracle(fluid, spec, rel_tol) if validate
+              else None)
     pressure_given = quantity == "pressure"
+    # Read once: flow's module __getattr__ keeps CPython from specializing
+    # a load of it in every row.
+    operating_point = flow._operating_point
 
     def solve_unit(given):
-        return flow._operating_point(fluid, cond, given, pressure_given,
-                                     oracle)
+        return operating_point(fluid, cond, given, pressure_given, oracle)
 
     _emit(fmt, output, config, *_solve_table(
         fluid, spec, periods, values, pressure_given, solve_unit))
@@ -737,6 +730,7 @@ def validate(grid, rel_tol, fmt, output):
     failures = 0
     tubes = itertools.product(SHAPE_NAMES, grid_def["n"], grid_def["ratio"],
                               grid_def["length"])
+    operating_point = flow._operating_point
     for shape, n, ratio, length in tubes:
         fluid = PowerLawFluid(consistency=1.0, index=n)
         spec = TubeSpec(shape=shape, r_min=1.0, r_max=ratio, length=length)
@@ -744,9 +738,9 @@ def validate(grid, rel_tol, fmt, output):
         cond = flow._conductance(fluid, spec)
         _, method, _ = cond
         oracle_tol = ORACLE_TIGHT if method == METHOD_FALLBACK else rel_tol
-        oracle = _oracle(fluid, spec, oracle_tol)
+        oracle = flow.pressure_drop_oracle(fluid, spec, oracle_tol)
         for q in grid_def["flow_rate"]:
-            result = flow._operating_point(fluid, cond, q, False, oracle)
+            result = operating_point(fluid, cond, q, False, oracle)
             row = {
                 "shape": shape, "n": n, "C": 1.0, "r_min": 1.0,
                 "r_max": ratio, "length": length, "Q": q,

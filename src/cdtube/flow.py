@@ -11,13 +11,13 @@ argument of at most 1/2, summed directly by the series kernel of
 that goes through that function's route map.  Should a
 closed form raise :class:`DegenerateParameterError` or
 :class:`ConvergenceError`, the quadrature oracle takes over and the
-result records the fallback.  The fallback and the validating oracle,
-``integrate_inverse_radius_power`` and ``pressure_drop_numeric``, are
-bound here from :mod:`cdtube.quadrature` by their first use, so a
-closed-form solve does not import it.  A straight capillary is a
-:class:`TubeSpec` with equal radii, of any shape, and K is the
-Hagen-Poiseuille form of the power-law fluid; the ``straight_tube_*``
-helpers solve ``TubeSpec(TubeShape.CONIC, radius, radius, length)``.
+result records the fallback.  The quadrature's functions, for the
+solvers and the CLI alike, are bound here from :mod:`cdtube.quadrature`
+by their first use, so a closed-form solve does not import it.  A
+straight capillary is a :class:`TubeSpec` with equal radii, of any
+shape, and K is the Hagen-Poiseuille form of the power-law fluid; the
+``straight_tube_*`` helpers solve ``TubeSpec(TubeShape.CONIC, radius,
+radius, length)``.
 Every route ends in one check: a K that is not a positive finite float
 raises :class:`DomainError`.
 """
@@ -327,10 +327,11 @@ def straight_tube_flow_rate(fluid: PowerLawFluid, radius: float,
 
 
 def __getattr__(name):
-    """``integrate_inverse_radius_power`` and ``pressure_drop_numeric``,
-    bound here from :mod:`cdtube.quadrature` on first use."""
+    """``integrate_inverse_radius_power``, ``pressure_drop_numeric`` and
+    ``pressure_drop_oracle``, bound here from :mod:`cdtube.quadrature` on
+    first use."""
     if name not in ("integrate_inverse_radius_power",
-                    "pressure_drop_numeric"):
+                    "pressure_drop_numeric", "pressure_drop_oracle"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from . import quadrature
     value = globals()[name] = getattr(quadrature, name)

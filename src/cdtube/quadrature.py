@@ -14,12 +14,12 @@ split order is fixed and the returned sums are exactly rounded, so
 identical inputs give bit-identical results within one build.  numpy
 is imported, and the rule built, by the first integration.
 
-A closed-form solve does not import this module: :mod:`cdtube`,
-:mod:`cdtube.flow` and :mod:`cdtube.cli` import it on the first oracle
-or fallback.  What the package and every solve need without it,
-``QuadratureResult``, ``master_prefactor``, ``DEFAULT_REL_TOL``,
-``FALLBACK_REL_TOL``, ``MAX_PANELS`` and ``REL_TOL_RANGE``, lives in
-:mod:`cdtube.fluid`, and is re-exported here.
+A closed-form solve does not import this module.  :mod:`cdtube.flow`
+binds its names on the first oracle or fallback, for the solvers and the
+CLI alike, and the package's ``integrate_inverse_radius_power`` and
+``pressure_drop_numeric`` import it on their first call.  What every
+solve needs without it, ``QuadratureResult``, ``master_prefactor`` and
+the oracle's tolerances and panel cap, lives in :mod:`cdtube.fluid`.
 """
 
 import functools
@@ -31,9 +31,7 @@ from . import _kernels, geometry
 from .errors import ConvergenceError, DomainError, require_finite_non_negative
 from .fluid import (
     DEFAULT_REL_TOL,
-    FALLBACK_REL_TOL,
     MAX_PANELS,
-    REL_TOL_RANGE,
     PowerLawFluid,
     QuadratureResult,
     _require_rel_tol,

@@ -389,13 +389,13 @@ def test_an_oracle_past_the_float_range_over_the_periods_exits_2(
         runner, monkeypatch):
     # 2 P is finite at Q = 5e306; an oracle that reads 2 P is finite too,
     # but not over two periods.
-    oracle = cli_module.pressure_drop_oracle
+    oracle = flow_module.pressure_drop_oracle
 
     def doubled(*args):
         at = oracle(*args)
         return lambda q: quadrature.QuadratureResult(2.0 * at(q).value,
                                                      0.0, 0)
-    monkeypatch.setattr(cli_module, "pressure_drop_oracle", doubled)
+    monkeypatch.setattr(flow_module, "pressure_drop_oracle", doubled)
     result = runner.invoke(main, ["sweep", *PERIODS_CONIC, "--start", "0",
                                   "--stop", "5e306", "--count", "2",
                                   "--validate"])
@@ -708,7 +708,7 @@ def test_validate_checks_fallback_rows_against_a_tight_oracle(runner,
         return geometric_integral(spec, n)
 
     oracle_tols = collections.Counter()
-    oracle = cli_module.pressure_drop_oracle
+    oracle = flow_module.pressure_drop_oracle
 
     def recorded_oracle(fluid, spec, rel_tol, **kwargs):
         oracle_tols[spec.shape.value, rel_tol] += 1
@@ -716,7 +716,7 @@ def test_validate_checks_fallback_rows_against_a_tight_oracle(runner,
 
     monkeypatch.setattr(flow_module, "_geometric_integral",
                         no_cosh_closed_form)
-    monkeypatch.setattr(cli_module, "pressure_drop_oracle", recorded_oracle)
+    monkeypatch.setattr(flow_module, "pressure_drop_oracle", recorded_oracle)
     result = run(runner, ["validate", "--grid", "quick", "--format", "csv"])
     assert result.exit_code == 0
     rows = parse_csv(result.stdout)
@@ -1176,6 +1176,9 @@ PARSE_ERRORS = [
     (SOLVE_CONIC + ["--output"], "Option '--output' requires an argument."),
     (SOLVE_CONIC + ["extra", "--", "--help"],
      "Got unexpected extra arguments (extra --help)"),
+    (SOLVE_CONIC + ["--rmi", "2"],
+     "No such option '--rmi'. (Did you mean one of: '--format', '--rmax', "
+     "'--rmin'?)"),
 ]
 
 
@@ -1208,22 +1211,28 @@ def test_a_directory_is_no_output_file(runner, tmp_path):
         "a directory.\n")
 
 
-@pytest.mark.parametrize("missing_dir", [True, False], ids=["missing-dir",
-                                                          "empty"])
+@pytest.mark.parametrize("case", ["missing-dir", "empty", "under-a-file"])
 @pytest.mark.parametrize("command", sorted(RUNNABLE))
 def test_an_output_that_cannot_be_written_exits_2(runner, monkeypatch,
-                                                  tmp_path, command,
-                                                  missing_dir):
+                                                  tmp_path, command, case):
     # The path is checked before the command's work, none of which runs.
     work = []
     for module, name in [(flow_module, "_conductance"),
-                         (cli_module, "pressure_drop_oracle"),
+                         (flow_module, "pressure_drop_oracle"),
                          (cli_module, "sample_profile"),
                          (cli_module, "apparent_viscosity")]:
         monkeypatch.setattr(module, name,
                             lambda *args, _name=name, **kwargs:
                             work.append(_name))
-    path = str(tmp_path / "missing" / "out.json") if missing_dir else ""
+    reason = "No such file or directory"
+    if case == "missing-dir":
+        path = str(tmp_path / "missing" / "out.json")
+    elif case == "empty":
+        path = ""
+    else:
+        (tmp_path / "afile").write_text("kept")
+        path = str(tmp_path / "afile" / "out.json")
+        reason = "Not a directory"
     result = runner.invoke(main, [command, *RUNNABLE[command],
                                   "--output", path])
     assert work == []
@@ -1232,8 +1241,20 @@ def test_an_output_that_cannot_be_written_exits_2(runner, monkeypatch,
     assert result.stderr == (
         f"Usage: cdtube {command} [OPTIONS]\nTry 'cdtube {command} --help' "
         f"for help.\n\nError: Invalid value for '--output': {path!r}: "
-        "No such file or directory\n")
-    assert list(tmp_path.iterdir()) == []
+        f"{reason}\n")
+    assert {p.name: p.read_text() for p in tmp_path.iterdir()} == (
+        {"afile": "kept"} if case == "under-a-file" else {})
+
+
+def test_a_file_named_as_a_directory_is_reported_by_open(runner, tmp_path):
+    (tmp_path / "afile").write_text("kept")
+    path = str(tmp_path / "afile") + "/"
+    result = runner.invoke(main, SOLVE_CONIC + ["--output", path])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.endswith(
+        f"\nError: Invalid value for '--output': {path!r}: Is a directory\n")
+    assert (tmp_path / "afile").read_text() == "kept"
 
 
 def _documented_columns():

@@ -105,6 +105,11 @@ def test_profile_sampling_matches_quarter_period_points():
     assert rs == pytest.approx([3.0, 2.0, 1.0, 2.0, 3.0], rel=1e-12, abs=0.0)
 
 
+def test_a_profile_of_one_sample_is_a_domain_error():
+    with pytest.raises(DomainError, match=r"^samples must be >= 2, got 1$"):
+        sample_profile(spec_of(TubeShape.CONIC), 1)
+
+
 def test_domain_error_outside_tube():
     spec = spec_of(TubeShape.CONIC)
     with pytest.raises(DomainError):

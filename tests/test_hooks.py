@@ -7,6 +7,7 @@ on working code.  Each test here runs one operation with the hooks in
 place and checks the spans it must record.
 """
 
+import operator
 import sys
 from pathlib import Path
 
@@ -118,3 +119,20 @@ def test_the_command_line(runner, args, spans):
     # per-row public solve.
     if args[0] != "solve":
         assert not names & {"flow.pressure_drop", "flow.flow_rate"}
+
+
+def test_removing_the_hooks_restores_every_target():
+    from cdtube import quadrature
+
+    before = [layertrace._resolve(hook)[2] for hook in layertrace.HOOKS]
+    installed = layertrace.Installed(layertrace.Tracer())
+    assert installed.absent == []
+    during = [layertrace._resolve(hook)[2] for hook in layertrace.HOOKS]
+    assert not any(map(operator.is_, during, before))
+    installed.remove()
+    after = [layertrace._resolve(hook)[2] for hook in layertrace.HOOKS]
+    assert all(map(operator.is_, after, before))
+    # flow's module dict holds the quadrature's own functions again, so
+    # its __getattr__ did not bind them anew.
+    for name in ("integrate_inverse_radius_power", "pressure_drop_numeric"):
+        assert vars(flow_module)[name] is getattr(quadrature, name)

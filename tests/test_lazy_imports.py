@@ -101,7 +101,7 @@ import cdtube
 record("import cdtube")
 import cdtube.cli
 record("import cdtube.cli")
-for args in [["--version"], %r]:
+for args in [["--version"], *%r]:
     sys.argv = ["cdtube", *args]
     with contextlib.redirect_stdout(io.StringIO()):
         try:
@@ -191,10 +191,10 @@ def _watching(watched, probe):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_closed_form_paths_compile_neither_the_oracle_nor_the_continued_forms(
         fmt):
-    loaded = _probe(_watching(FIRST_USE, FIRST_USE_PROBE)
-                    % ([*SOLVE, "--format", fmt],))
+    commands = [[*SOLVE, "--format", fmt], [*SWEEP, "--format", fmt]]
+    loaded = _probe(_watching(FIRST_USE, FIRST_USE_PROBE) % (commands,))
     assert list(loaded) == [
-        "import cdtube", "import cdtube.cli", "--version", "solve",
+        "import cdtube", "import cdtube.cli", "--version", "solve", "sweep",
         *(f"pressure_drop {shape}" for shape in
           ("conic", "parabolic", "hyperbolic", "cosh", "sinusoidal"))]
     assert loaded == dict.fromkeys(loaded, [])
@@ -242,9 +242,10 @@ def test_the_modules_read_on_every_solve_keep_no_module_getattr():
     # attribute load on that module, which then costs about 25 ns more:
     # cdtube.pressure_drop in a caller's loop, special._series_checked in
     # every K.  So these modules import the continued kernels and the
-    # quadrature inside the functions that call them.
+    # quadrature inside the functions that call them, and the CLI reads
+    # the oracle through flow, which alone keeps one.
     import cdtube
-    from cdtube import special
+    from cdtube import cli, special
 
-    for module in (cdtube, special):
+    for module in (cdtube, special, cli):
         assert "__getattr__" not in vars(module), module.__name__

@@ -641,6 +641,17 @@ def test_appell_outer_sum_ends_at_its_first_non_finite_partial_sum(
     assert len(inner_series) <= 230
 
 
+def test_appell_outer_sum_raises_at_the_term_cap(monkeypatch):
+    # At x = 0.9 the outer sum needs more than 5 terms; at y = 0 each
+    # inner series is its first term.
+    monkeypatch.setattr(special, "MAX_TERMS", 5)
+    with pytest.raises(ConvergenceError,
+                       match=r"^appell_f1 double series did not converge "
+                             r"within 5 outer terms$") as caught:
+        appell_f1(0.5, 0.5, 0.5, 1.5, 0.9, 0.0)
+    assert math.isfinite(caught.value.best_estimate)
+
+
 def test_appell_degenerate_parameters():
     # integer 3n family: c = 1 - 3n is a non-positive integer
     with pytest.raises(DegenerateParameterError):

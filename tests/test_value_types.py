@@ -141,6 +141,9 @@ def test_replace_validates_like_the_constructor(name, changes):
     value, _ = VALUES[name]
     with pytest.raises(DomainError):
         dataclasses.replace(value, **changes)
+    # copy.replace (Python 3.13) calls __replace__.
+    with pytest.raises(DomainError):
+        value.__replace__(**changes)
     with pytest.raises(DomainError):
         type(value)(**{**_fields(value), **changes})
 

@@ -266,9 +266,10 @@ class _Choice:
 class _File:
     """A path to write: not a directory, nor a file that cannot be read,
     nor a new file in a directory that does not exist (or ``""``), nor a
-    path under a regular file, so a command with such an ``--output``
-    exits 2 before any work.  Whatever else cannot be opened, ``_emit``
-    reports after the work."""
+    path under a regular file, nor a name that ends in "/" and is no
+    directory, so a command with such an ``--output`` exits 2 before any
+    work.  Whatever else cannot be opened, ``_emit`` reports after the
+    work."""
 
     metavar = "FILE"
 
@@ -276,17 +277,18 @@ class _File:
         try:
             mode = os.stat(text).st_mode
         except FileNotFoundError:
-            # A name that ends in "/" is a directory, which open() reports.
             if not text or not os.path.exists(
                     os.path.dirname(text.rstrip("/")) or "."):
                 raise ValueError(
                     f"{text!r}: No such file or directory") from None
+            if text.endswith("/"):  # "newdir/": open() cannot create it
+                raise ValueError(f"{text!r}: Is a directory") from None
             return text
         except NotADirectoryError as exc:
-            # A regular file taken for a directory: "afile/x.json".  A name
-            # that ends in "/" is a directory, which open() reports.
-            if text.endswith("/"):
-                return text
+            # A regular file taken for a directory: "afile/x.json", or
+            # "afile/", which open() reports as a directory.
+            if text.endswith("/") and os.path.exists(text.rstrip("/")):
+                raise ValueError(f"{text!r}: Is a directory") from None
             raise ValueError(f"{text!r}: {exc.strerror}") from None
         except OSError:
             return text

@@ -6,9 +6,10 @@ fluid-dependent conductance coefficient K, so the inverse problem
 profile.  For the parabolic, hyperbolic and cosh profiles it is one
 incomplete beta function, a Gauss 2F1 series of positive terms at an
 argument of at most 1/2, summed directly by the series kernel of
-:mod:`cdtube.special`.  For the sinusoid it is a Legendre function, one
-:func:`~cdtube.special.gauss_2f1` at a negative argument: the only K
-that goes through that function's route map.  Should a
+:mod:`cdtube.special`.  For the sinusoid it is a Legendre function: one
+Pfaff series of positive terms up to ratio ``17 + 12 sqrt 2``, and the
+two series of its ring-function expansion above.  No K goes through
+:func:`~cdtube.special.gauss_2f1`'s route map.  Should a
 closed form raise :class:`DegenerateParameterError` or
 :class:`ConvergenceError`, the quadrature oracle takes over and the
 result records the fallback.  The quadrature's functions, for the
@@ -58,6 +59,11 @@ METHOD_FALLBACK = "quadrature_fallback"
 
 # The beta forms' diagnostics: the shape, then gauss_2f1's series note.
 _BETA_NOTE = "%s closed form: 2F1 " + special.SERIES_NOTE
+_SINUSOID_NOTE = "sinusoid closed form: Legendre 2F1 " + special.SERIES_NOTE
+
+# Above this ratio, (3 + 2 sqrt 2)^2, the sinusoid takes the ring-function
+# expansion; up to it the Pfaff variable tanh^2(xi/2) is at most 1/2.
+_RING_RATIO = 17.0 + 12.0 * math.sqrt(2.0)
 
 
 @value_type
@@ -107,6 +113,78 @@ def _beta(q: float, t2: float, w: float):
     return 0.5 * math.sqrt(math.pi) * gamma_ratio - w**half / q * h, terms
 
 
+def _legendre(r_min: float, r_max: float, nu: float):
+    """``(r_min r_max)^(-(nu+1)/2) P_nu(z)`` of the sinusoid, ``z = (r_min +
+    r_max) / (2 sqrt(r_min r_max))``, and the series terms summed.
+
+    With ``e^xi = sqrt(r_max/r_min)``, ``z = cosh xi``.  Neither form
+    builds ``P_nu(z)`` or a power of the mean radius, which leave the float
+    range at high ratio while K does not.
+
+    * Up to ratio ``17 + 12 sqrt 2`` it is the Pfaff form (DLMF 15.8.1)
+      ``s^(2 nu) / sqrt(r_min r_max) 2F1(-nu, -nu; 1; w)``, with ``s =
+      (r_min^-1/2 + r_max^-1/2)/2`` and ``w = tanh^2(xi/2) <= 1/2``.  Its
+      terms are never negative.
+    * Above, the expansion of the ring functions (DLMF 14.19, through the
+      connection formulas of DLMF 15.8) in ``y = r_min/r_max``:
+      ``(Gamma(nu+1/2)/Gamma(nu+1) r_min^-(nu+1/2) r_max^-1/2 2F1(1/2,
+      -nu; 1/2-nu; y) + Gamma(-nu-1/2)/Gamma(-nu) r_max^-(nu+1) 2F1(1/2,
+      nu+1; nu+3/2; y)) / sqrt(pi)``.  Near a half-odd ``nu`` its two
+      halves cancel.  The Pfaff series, at ``w`` above 1/2 there, serves
+      instead when they cancel to more than ``_CANCELLATION_LIMIT`` times
+      their sum, when the sum is not finite, and when a coefficient
+      cannot be formed: at an exact half-odd ``nu``, ``1/2 - nu`` is a
+      pole of the first series.
+    """
+    root_min, root_max = math.sqrt(r_min), math.sqrt(r_max)
+    spent = 0
+    if r_max > _RING_RATIO * r_min:
+        y = r_min / r_max
+        # Gamma(-nu-1/2)/Gamma(-nu) = tan(pi nu) Gamma(nu+1)/Gamma(nu+3/2)
+        # (reflection, DLMF 5.5.3).  tan(pi nu) is taken from the distance
+        # of nu to the nearest integer, where it is 0, or past 1/4 from it
+        # to the nearest half-odd value, its pole.  Both distances are
+        # exact, as is 1/2 - nu + k of the first series: near a half-odd nu
+        # the two halves carry the same pole.
+        frac = math.remainder(nu, 1.0)
+        try:
+            if abs(frac) <= 0.25:
+                tan = math.tan(math.pi * frac)
+            else:  # ZeroDivisionError at a half-odd nu
+                tan = -1.0 / math.tan(
+                    math.pi * (frac - math.copysign(0.5, frac)))
+            if nu < 170.0:
+                gamma_ratio = math.gamma(nu + 0.5) / math.gamma(nu + 1.0)
+            else:  # Gamma(nu + 1) past the float range
+                gamma_ratio = math.exp(math.lgamma(nu + 0.5)
+                                       - math.lgamma(nu + 1.0))
+            h1, t1 = special._series_checked(0.5, -nu, 0.5 - nu, y,
+                                             "gauss_2f1 (ring)")
+            h2, t2 = special._series_checked(0.5, nu + 1.0, nu + 1.5, y,
+                                             "gauss_2f1 (ring)")
+            # r_min^-(nu+1/2) r_max^-1/2 in two halves: at a nanometre
+            # throat and high ratio r_min^-(nu+1/2) alone overflows first.
+            half_power = r_min ** (-0.5 * nu - 0.25)
+            first = gamma_ratio * half_power * (half_power / root_max) * h1
+            second = (tan / ((nu + 0.5) * gamma_ratio)
+                      * r_max ** -(nu + 1.0) * h2)
+        except (ZeroDivisionError, OverflowError, ConvergenceError):
+            pass
+        else:
+            value = first + second
+            if (abs(first) + abs(second)
+                    <= special._CANCELLATION_LIMIT * abs(value) < math.inf):
+                return value / math.sqrt(math.pi), t1 + t2
+            spent = t1 + t2
+    # tanh(xi/2) = (sqrt r_max - sqrt r_min) / (sqrt r_max + sqrt r_min),
+    # its numerator formed without cancellation
+    roots = root_min + root_max
+    w = ((r_max - r_min) / roots / roots) ** 2
+    h, terms = special._series_checked(-nu, -nu, 1.0, w, "gauss_2f1 (Pfaff)")
+    s = 0.5 * (1.0 / root_min + 1.0 / root_max)
+    return s ** (2.0 * nu) / (root_min * root_max) * h, spent + terms
+
+
 def _geometric_integral(spec: TubeSpec, n: float):
     """Closed form of ``integral r(x)^-(3n+1) dx`` over the tube; returns
     ``(value, diagnostics)``.
@@ -118,31 +196,25 @@ def _geometric_integral(spec: TubeSpec, n: float):
     """
     length = spec.length
     r_min, r_max = spec.r_min, spec.r_max
-    ratio = r_max / r_min
     three_n = 3.0 * n
-    m = three_n + 1.0
-    d = (r_max - r_min) / r_min
     shape = spec.shape
 
+    if shape is TubeShape.SINUSOIDAL:
+        # r = A - B cos(2 pi x / L) with A^2 - B^2 = r_min r_max.  Laplace's
+        # integral for the Legendre function (DLMF 14.12, with P_nu =
+        # P_{-nu-1}) gives L (r_min r_max)^(-m/2) P_{3n}(z), m = 3n + 1,
+        # z = A / sqrt(r_min r_max).
+        h, terms = _legendre(r_min, r_max, three_n)
+        return length * h, _SINUSOID_NOTE % terms
+
+    ratio = r_max / r_min
+    m = three_n + 1.0
+    d = (r_max - r_min) / r_min
     if shape is TubeShape.CONIC:
         # 1 - ratio^-3n without cancellation at small contrast
         value = (length * -math.expm1(-three_n * math.log1p(d))
                  * r_min**-three_n / (three_n * (r_max - r_min)))
         return value, "conic closed form"
-
-    if shape is TubeShape.SINUSOIDAL:
-        # r = A - B cos(2 pi x / L) with A^2 - B^2 = r_min r_max.  Laplace's
-        # integral for the Legendre function (DLMF 14.12, with P_nu =
-        # P_{-nu-1}) gives L (r_min r_max)^(-m/2) P_{3n}(z), z = A /
-        # sqrt(r_min r_max), and P_{3n}(z) = 2F1(-3n, 3n + 1; 1; (1 - z)/2)
-        # (DLMF 14.3).
-        root_min, root_max = math.sqrt(r_min), math.sqrt(r_max)
-        mean = root_min * root_max
-        # (1 - z)/2 = -(sqrt(r_max) - sqrt(r_min))^2 / (4 sqrt(r_min r_max))
-        x = -((r_max - r_min) / (root_max + root_min)) ** 2 / (4.0 * mean)
-        h, rep = special.gauss_2f1(-three_n, m, 1.0, x, full_output=True)
-        value = length * h * mean**-m
-        return value, f"sinusoid closed form: Legendre 2F1 {rep.summary()}"
 
     # The beta forms: K = L * _beta(q, t2, w) / (scale * r_min^m).
     if shape is TubeShape.PARABOLIC:

@@ -19,15 +19,14 @@ The last two compute no conductance.  Their bodies live in
 closed-form solve does not compile them.  This module keeps no
 ``__getattr__`` (PEP 562): in CPython one keeps every attribute load on
 the module from being specialized, and :mod:`cdtube.flow` reads
-``special._series_checked`` or ``special.gauss_2f1`` on every K.
+``special._series_checked`` on every K.
 
 Degenerate parameter combinations (poles of the gamma factors, vanishing
 series denominators) raise :class:`DegenerateParameterError` rather than
-return a value that has lost its digits.  The conductance forms in
-:mod:`cdtube.flow` never raise it, as their ``c >= 1``.  Only the
-sinusoid's goes through ``gauss_2f1`` and its route map; the parabolic,
-hyperbolic and cosh forms sum the defining series directly, at an
-argument of at most 1/2, with ``gauss_2f1``'s error messages.
+return a value that has lost its digits.  No conductance form in
+:mod:`cdtube.flow` goes through ``gauss_2f1`` and its route map: each
+sums its series directly with :func:`gauss_series`, with ``gauss_2f1``'s
+error messages.
 """
 
 import math
@@ -53,9 +52,8 @@ INTEGER_WINDOW = 1e-9
 _NEAR_ONE = 0.9
 
 # Largest (|first half| + |second half|) / |sum| accepted from the 1/(1-z)
-# connection: about one digit lost to cancellation.  The sinusoid's
-# Legendre form, the only conductance form at a negative argument, stays
-# below 1.04 over n in [0.2, 2].
+# connection, and from the sinusoid's ring expansion in cdtube.flow: about
+# one digit lost to cancellation.
 _CANCELLATION_LIMIT = 16.0
 
 MAX_TERMS = 10000
@@ -65,8 +63,8 @@ STAGNATION_RUN = 3
 BRANCH_ABOVE = "above"
 BRANCH_BELOW = "below"
 
-# The note of a summed series: EvaluationReport.summary() and the beta
-# forms' diagnostics in cdtube.flow, which sum the series without a report.
+# The note of a summed series: EvaluationReport.summary() and the closed
+# forms' diagnostics in cdtube.flow, which sum their series without a report.
 SERIES_NOTE = "converged after %s series terms"
 
 # Route names recorded in EvaluationReport.route.
@@ -271,11 +269,13 @@ def gauss_2f1(a: float, b: float, c: float, z: float, full_output: bool = False)
       integer, the connection in powers of ``1 - z`` (DLMF 15.8.4);
       otherwise the defining series.
 
-    Of the conductance forms in :mod:`cdtube.flow`, only the sinusoid's
-    calls this function, at a negative argument.  The parabolic,
-    hyperbolic and cosh ones could take only the ``series`` route, at
-    ``0 < z <= 1/2``, so they sum that series directly, without the
-    route checks and the report.
+    No conductance form in :mod:`cdtube.flow` calls this function.  The
+    parabolic, hyperbolic and cosh ones could take only the ``series``
+    route, at ``0 < z <= 1/2``.  The sinusoid's Legendre function sums the
+    ``pfaff`` route's series up to ratio ``17 + 12 sqrt 2``, where its
+    variable reaches 1/2, and its ring-function expansion above, in
+    place of the ``inv_one_minus_z`` route.  Each sums its series
+    directly, without the route checks and the report.
 
     With ``full_output`` the :class:`EvaluationReport` names the route.
 

@@ -178,7 +178,7 @@ def test_numerical_failure_exits_3(runner):
     assert result.exit_code == 3
 
 
-# The closed form overflows, and so does the fallback's integrand
+# The closed form overflows, and so would the fallback's integrand
 # r^-(3n+1) at a 1 nm throat.
 OVERFLOWING_SOLVE = [
     "solve", "--shape", "sinusoidal", "--n", "13.982683376860116",
@@ -186,31 +186,70 @@ OVERFLOWING_SOLVE = [
     "--length", "1e-9", "--flow-rate", "1",
 ]
 
+# Run as ``python -c``: the command line, with every closed form stubbed
+# out, so that K comes from the quadrature fallback.
+WITHOUT_CLOSED_FORMS = """
+from cdtube import ConvergenceError, flow
+from cdtube.cli import main
+def closed_form(spec, n):
+    raise ConvergenceError("closed form stubbed out")
+flow._geometric_integral = closed_form
+main(prog_name="cdtube")
+"""
 
-def test_overflowing_fallback_exits_2_at_its_first_panel(runner,
-                                                        monkeypatch):
-    # The quadrature stops at the first non-finite panel estimate instead
-    # of splitting up to MAX_PANELS.
-    panels = 0
+
+@pytest.fixture()
+def no_sinusoid_closed_form(monkeypatch):
+    """The sinusoid's K from the quadrature fallback; the other shapes keep
+    their closed forms."""
+    closed_form = flow_module._geometric_integral
+
+    def stub(spec, n):
+        if spec.shape is TubeShape.SINUSOIDAL:
+            raise ConvergenceError("closed form stubbed out")
+        return closed_form(spec, n)
+    monkeypatch.setattr(flow_module, "_geometric_integral", stub)
+
+
+def _counted_panels(monkeypatch):
+    """Patch the integrand kernel; return the list its calls append to."""
+    panels = []
     integrand = _kernels.inverse_radius_power
 
     def counted(*args):
-        nonlocal panels
-        panels += 1
+        panels.append(args)
         return integrand(*args)
     monkeypatch.setattr(_kernels, "inverse_radius_power", counted)
+    return panels
+
+
+def test_an_overflowing_closed_form_exits_2_before_any_panel(runner,
+                                                             monkeypatch):
+    panels = _counted_panels(monkeypatch)
+    with pytest.warns(UserWarning, match="guaranteed-accuracy"):
+        result = runner.invoke(main, OVERFLOWING_SOLVE)
+    assert result.exit_code == 2
+    assert "conductance K is outside the float range" in result.output
+    assert panels == []
+
+
+def test_overflowing_fallback_exits_2_at_its_first_panel(
+        runner, monkeypatch, no_sinusoid_closed_form):
+    # The quadrature stops at the first non-finite panel estimate instead
+    # of splitting up to MAX_PANELS.
+    panels = _counted_panels(monkeypatch)
     with pytest.warns(UserWarning, match="guaranteed-accuracy"):
         result = runner.invoke(main, OVERFLOWING_SOLVE)
     assert result.exit_code == 2
     assert "the integrand leaves the float range" in result.output
-    assert panels == 1 < quadrature.MAX_PANELS
+    assert len(panels) == 1 < quadrature.MAX_PANELS
 
 
 def test_overflowing_fallback_prints_no_runtime_warning():
     # numpy warns of the overflow in r^-(3n+1); the usage error already
     # says the integrand leaves the float range.
     result = subprocess.run(
-        [sys.executable, "-m", "cdtube", *OVERFLOWING_SOLVE],
+        [sys.executable, "-c", WITHOUT_CLOSED_FORMS, *OVERFLOWING_SOLVE],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
         check=False,
     )
@@ -220,7 +259,8 @@ def test_overflowing_fallback_prints_no_runtime_warning():
     assert result.stdout == ""
 
 
-def test_overflow_warning_filter_ends_with_the_command(runner):
+def test_overflow_warning_filter_ends_with_the_command(
+        runner, no_sinusoid_closed_form):
     with pytest.warns(UserWarning, match="guaranteed-accuracy") as record:
         filters = list(warnings.filters)
         result = runner.invoke(main, OVERFLOWING_SOLVE)
@@ -250,7 +290,8 @@ def test_a_warning_prints_its_message_alone(n, args):
 
 @pytest.mark.parametrize("args", [SOLVE_CONIC, OVERFLOWING_SOLVE],
                          ids=["exit_0", "exit_2"])
-def test_main_leaves_the_warning_hooks_as_it_found_them(runner, args):
+def test_main_leaves_the_warning_hooks_as_it_found_them(
+        runner, no_sinusoid_closed_form, args):
     hooks = (warnings.formatwarning, warnings.showwarning,
              list(warnings.filters))
     with warnings.catch_warnings():
@@ -1211,7 +1252,19 @@ def test_a_directory_is_no_output_file(runner, tmp_path):
         "a directory.\n")
 
 
-@pytest.mark.parametrize("case", ["missing-dir", "empty", "under-a-file"])
+# An unwritable --output of each kind: its name under tmp_path and the
+# reason open() gives.  A name that ends in "/" is a directory to open().
+UNWRITABLE_OUTPUTS = {
+    "missing-dir": ("missing/out.json", "No such file or directory"),
+    "empty": ("", "No such file or directory"),
+    "under-a-file": ("afile/out.json", "Not a directory"),
+    "new-dir": ("newdir/", "Is a directory"),
+    "file-as-dir": ("afile/", "Is a directory"),
+    "dir-under-a-file": ("afile/x/", "Not a directory"),
+}
+
+
+@pytest.mark.parametrize("case", list(UNWRITABLE_OUTPUTS))
 @pytest.mark.parametrize("command", sorted(RUNNABLE))
 def test_an_output_that_cannot_be_written_exits_2(runner, monkeypatch,
                                                   tmp_path, command, case):
@@ -1224,15 +1277,10 @@ def test_an_output_that_cannot_be_written_exits_2(runner, monkeypatch,
         monkeypatch.setattr(module, name,
                             lambda *args, _name=name, **kwargs:
                             work.append(_name))
-    reason = "No such file or directory"
-    if case == "missing-dir":
-        path = str(tmp_path / "missing" / "out.json")
-    elif case == "empty":
-        path = ""
-    else:
+    name, reason = UNWRITABLE_OUTPUTS[case]
+    path = name and os.path.join(tmp_path, name)
+    if name.startswith("afile"):
         (tmp_path / "afile").write_text("kept")
-        path = str(tmp_path / "afile" / "out.json")
-        reason = "Not a directory"
     result = runner.invoke(main, [command, *RUNNABLE[command],
                                   "--output", path])
     assert work == []
@@ -1243,7 +1291,7 @@ def test_an_output_that_cannot_be_written_exits_2(runner, monkeypatch,
         f"for help.\n\nError: Invalid value for '--output': {path!r}: "
         f"{reason}\n")
     assert {p.name: p.read_text() for p in tmp_path.iterdir()} == (
-        {"afile": "kept"} if case == "under-a-file" else {})
+        {"afile": "kept"} if name.startswith("afile") else {})
 
 
 def test_a_file_named_as_a_directory_is_reported_by_open(runner, tmp_path):

@@ -109,7 +109,7 @@ def test_appell_past_the_cut_continues_through_special():
      {"cli.command", "flow.conductance", "quadrature.integrate",
       "kernels.inverse_radius_power", "cli.emit"}),
     (["validate", "--grid", "quick"],
-     {"cli.command", "flow.conductance", "special.gauss_2f1",
+     {"cli.command", "flow.conductance", "kernels.gauss_series",
       "quadrature.integrate", "cli.emit"}),
 ], ids=["solve", "solve-pressure", "sweep", "validate"])
 def test_the_command_line(runner, args, spans):

@@ -378,7 +378,7 @@ def _series_parameters(seed, count):
 def test_series_loop_matches_the_reference_loop_bit_for_bit():
     cases = _series_parameters(20261018, 400) + [
         (0.5, 7.0, 1.5, -0.5),        # the parabolic route's first call
-        (-2.4, 3.4, 1.0, -0.3),       # the sinusoid's Legendre series
+        (-2.4, 3.4, 1.0, -0.3),       # a Legendre series, P_2.4
         (1.0, 1.0, 2.0, 0.9999999),   # converges slowly past 1e4 terms
         (math.nan, 1.0, 1.0, 0.5),    # a NaN partial sum ends the sum
         (1.0, 1.0, 1.0, 0.0),         # every term is zero
@@ -394,8 +394,9 @@ def test_series_loop_matches_the_reference_loop_bit_for_bit():
 
 
 def test_a_nan_partial_sum_ends_the_series(monkeypatch):
-    # The sinusoid's degree-3 polynomial at n = 1 and ratio 1e300: its
-    # third term overflows to inf, and the fourth, inf * 0, is NaN.
+    # The Legendre polynomial P_3(z) = 2F1(-3, 4; 1; (1 - z)/2) of a
+    # sinusoid at ratio 1e300: its third term overflows to inf, and the
+    # fourth, inf * 0, is NaN.
     calls = _recording_gauss_series(monkeypatch)
     with pytest.raises(ConvergenceError,
                        match=r"^gauss_2f1 produced a non-finite value$"):
@@ -403,14 +404,22 @@ def test_a_nan_partial_sum_ends_the_series(monkeypatch):
     assert calls and sum(terms for _, terms in calls) <= 5
 
 
-def test_a_non_finite_sinusoid_series_falls_back_and_says_so():
-    result = pressure_drop(PowerLawFluid(1.0, 1.0),
-                           TubeSpec(TubeShape.SINUSOIDAL, 1.0, 1e300, 1.0),
-                           1.0)
+def test_a_non_finite_sinusoid_series_falls_back_and_says_so(monkeypatch):
+    # The n = 1, ratio 1e300 sinusoid is analytic; a series kernel whose
+    # sum turns non-finite sends it to the quadrature, which agrees.
+    fluid = PowerLawFluid(1.0, 1.0)
+    spec = TubeSpec(TubeShape.SINUSOIDAL, 1.0, 1e300, 1.0)
+    analytic = pressure_drop(fluid, spec, 1.0)
+    monkeypatch.setattr(special, "gauss_series",
+                        lambda a, b, c, z: (math.inf, 1, True))
+    result = pressure_drop(fluid, spec, 1.0)
     assert result.method == flow.METHOD_FALLBACK
     assert result.pressure_drop.hex() == "0x1.4d6cc19e63bc2p-499"
     assert result.diagnostics.endswith(
-        ": gauss_2f1 produced a non-finite value")
+        ": gauss_2f1 (Pfaff) produced a non-finite value")
+    assert analytic.method == flow.METHOD_ANALYTIC
+    assert abs(analytic.pressure_drop - result.pressure_drop) <= (
+        1e-8 * result.pressure_drop)
 
 
 # (a, b, c) with one of a, b, c - a, c - b at pole + offset; c - a - b is
@@ -915,10 +924,11 @@ def test_beta_forms_take_one_short_series(shape, monkeypatch):
             n, ratio, z, terms)
 
 
-# Within this distance of a half-odd 3n, b - a = 6n + 1 of the sinusoid's
-# 2F1(-3n, 3n + 1; 1; x) is an integer or nearly so, and its sum may take
-# hundreds of terms: 565 at 3n = 1.5 and ratio 1e6.  This window is left
-# to a toroidal route (P_3n from the complete elliptic integrals).
+# Within this distance of a half-odd 3n the two halves of the sinusoid's
+# ring expansion may cancel, and the Pfaff series that serves there runs
+# at a variable above 1/2: 883 terms at 3n = 1.5 and ratio 1e12.  This
+# window is left to a toroidal route (P_3n from the complete elliptic
+# integrals).
 HALF_ODD_WINDOW = 1e-4
 
 
@@ -927,40 +937,119 @@ def _near_half_odd(n):
     return abs(three_n - math.floor(three_n) - 0.5) <= HALF_ODD_WINDOW
 
 
-def test_sinusoid_takes_one_bounded_2f1_outside_the_half_odd_window(
+def test_sinusoid_sums_bounded_series_outside_the_half_odd_window(
         monkeypatch):
-    # At most 120 terms.  The measured maximum is 111, at 3n just past the
-    # window at 3.5 and ratio 34, where x is near -1 and the 1/(1 - x) of
-    # the connection near 1/2.
-    reports = []
-    inner = special.gauss_2f1
-
-    def record(a, b, c, z, full_output=False):
-        value, report = inner(a, b, c, z, full_output=True)
-        reports.append(report)
-        return (value, report) if full_output else value
-
-    monkeypatch.setattr(special, "gauss_2f1", record)
+    # No K goes through gauss_2f1.  Each sums one Pfaff series, or the two
+    # series of the ring expansion, in at most 40 terms together; the
+    # measured maximum is 36, at n = 0.2 and ratio 33.97, where the Pfaff
+    # variable is near 1/2.
+    calls = _recording_gauss_series(monkeypatch)
+    monkeypatch.setattr(special, "gauss_2f1", None)
     edges = tuple((k + 0.5 + side * 1.01e-4) / 3.0
                   for k in range(1, 6) for side in (-1.0, 1.0))
-    ratios = ENVELOPE_RATIOS + (30.0, 32.0, 33.97, 34.0, 35.0, 38.0, 40.0)
+    ratios = ENVELOPE_RATIOS + (30.0, 32.0, 33.97, 34.0, 35.0, 38.0, 40.0,
+                                1e12, 1e100, 1e300)
     rng = random.Random(2)
     low = math.log10(1.0 + 1e-4)
     points = [*itertools.product(TERM_BOUND_INDICES + edges, ratios),
               *((rng.uniform(0.2, 2.0), rng.uniform(30.0, 40.0))
                 for _ in range(300)),
               *((rng.uniform(0.2, 2.0), 10.0 ** rng.uniform(low, 6.0))
-                for _ in range(600))]
+                for _ in range(600)),
+              *((rng.uniform(0.2, 2.0), 10.0 ** rng.uniform(6.0, 300.0))
+                for _ in range(300))]
     for n, ratio in points:
         if _near_half_odd(n):
             continue
-        reports.clear()
+        calls.clear()
         k = conductance_coefficient(PowerLawFluid(1.0, n),
                                     TubeSpec(TubeShape.SINUSOIDAL, 1.0, ratio,
                                              1.0))
         assert 0.0 < k < math.inf
-        [report] = reports
-        assert report.terms_used <= 120, (n, ratio, report)
+        assert 1 <= len(calls) <= 3, (n, ratio, calls)
+        assert sum(terms for _, terms in calls) <= 40, (n, ratio, calls)
+
+
+@functools.cache
+def _mpmath_unit_sinusoid(n, ratio):
+    """The sinusoid's ``integral r(x)^-(3n+1) dx`` at ``r_min = L = 1``, in
+    50 digits: ``s^(2 nu) / sqrt(ratio) 2F1(-nu, -nu; 1; w)``, the Pfaff
+    form (DLMF 15.8.1) of ``ratio^(-(nu+1)/2) P_nu(z)``, with ``nu = 3n``,
+    ``s = (1 + ratio^-1/2)/2`` and ``w = tanh^2(xi/2)``.
+
+    It reaches ratio 1e300, past what the quadrature of
+    :func:`_mpmath_geometric_integral` resolves.  mpmath's ``legenp`` is no
+    reference there: at ratio 1e264 it was 1.4e-13 off this form and off
+    the ring expansion, which agree to 1e-61."""
+    with mpmath.workdps(50):
+        nu, big = 3 * mpmath.mpf(n), mpmath.mpf(ratio)
+        root = mpmath.sqrt(big)
+        w = ((root - 1) / (root + 1)) ** 2
+        return ((1 + 1 / root) / 2) ** (2 * nu) / root * mpmath.hyp2f1(
+            -nu, -nu, 1, w)
+
+
+def _sinusoid_reference(fluid, r_min, ratio, length):
+    """K of the sinusoid from :func:`_mpmath_unit_sinusoid`: ``L
+    r_min^-(3n+1)`` times the unit tube's integral, times the prefactor."""
+    n = fluid.index
+    with mpmath.workdps(50):
+        geometric = (length * mpmath.mpf(r_min) ** -(3 * mpmath.mpf(n) + 1)
+                     * _mpmath_unit_sinusoid(n, ratio))
+    return master_prefactor(fluid, 1.0) * float(geometric)
+
+
+@pytest.mark.parametrize("ratio", [1e15, 1e50, 1e100, 1e150, 1e200, 1e250,
+                                   1e300])
+def test_sinusoid_conductance_to_ratio_1e300_against_mpmath(ratio):
+    # Past the quadrature envelope of
+    # test_cosh_and_sinusoid_conductance_against_mpmath_quadrature.  Neither
+    # P_3n(z) nor the mean radius's power is formed, so nothing overflows
+    # and every K here is analytic, exact half-odd 3n included.
+    misses = []
+    for (r_min, length), n in itertools.product(THROATS, ENVELOPE_INDICES):
+        fluid = PowerLawFluid(1.0, n)
+        result = pressure_drop(
+            fluid, TubeSpec(TubeShape.SINUSOIDAL, r_min, r_min * ratio,
+                            length), 1.0)
+        ref = _sinusoid_reference(fluid, r_min, ratio, length)
+        rel_err = abs(result.pressure_drop - ref) / ref
+        if result.method != "analytic" or rel_err > 1e-13:
+            misses.append((r_min, 3.0 * n, result.method, rel_err))
+    assert not misses
+
+
+@pytest.mark.parametrize("n", [0.5, 5.0 / 6.0, 7.0 / 6.0, 1.5, 11.0 / 6.0])
+def test_exact_half_odd_sinusoid_at_high_ratio_is_analytic(n):
+    # 1/2 - 3n is a pole of the ring expansion's first series, so these
+    # take the Pfaff series, at a variable that rounds to 1 from ratio
+    # about 1e32; the measured maximum is 883 terms and 2.2e-14 (n = 0.5).
+    # Before, P_3n(z) overflowed while the mean radius's power underflowed.
+    fluid = PowerLawFluid(1.0, n)
+    for ratio in (1e100, 1e200, 1e300):
+        result = pressure_drop(
+            fluid, TubeSpec(TubeShape.SINUSOIDAL, 1.0, ratio, 1.0), 1.0)
+        ref = _sinusoid_reference(fluid, 1.0, ratio, 1.0)
+        assert result.method == "analytic", (ratio, result.diagnostics)
+        assert abs(result.pressure_drop - ref) <= 1e-13 * ref, ratio
+
+
+@pytest.mark.parametrize("n", [10.0, 40.0, 60.0, 100.0])
+def test_large_index_sinusoid_against_mpmath(n):
+    # As test_large_index_beta_forms_against_mpmath_quadrature, for the
+    # sinusoid up to ratio 1e100.  Measured at most 1.2e-13 (n = 60, the
+    # ring expansion, whose gamma ratio takes lgamma from 3n = 170).
+    with pytest.warns(UserWarning, match="guaranteed-accuracy"):
+        fluid = PowerLawFluid(1.0, n)
+    misses = []
+    for ratio in (1.2, 1.5, 1.9, 3.0, 40.0, 100.0, 1e4, 1e100):
+        result = pressure_drop(
+            fluid, TubeSpec(TubeShape.SINUSOIDAL, 1.0, ratio, 1.0), 1.0)
+        ref = _sinusoid_reference(fluid, 1.0, ratio, 1.0)
+        rel_err = abs(result.pressure_drop - ref) / ref
+        if result.method != "analytic" or rel_err > 5e-13:
+            misses.append((ratio, result.method, rel_err))
+    assert not misses
 
 
 def _route_map_beta(q, t2, w):

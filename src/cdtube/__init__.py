@@ -2,10 +2,10 @@
 converging-diverging capillaries, cross-validated against an adaptive
 quadrature oracle of the underlying pressure integral.
 
-The quadrature oracle and the paper's continued kernels
-(``gauss_2f1_continued``, ``appell_f1``) compute no closed-form K, so
-their modules are imported by the first call, not with the package.  The
-package keeps no ``__getattr__`` (PEP 562) to do so: in CPython one keeps
+The quadrature oracle, ``gauss_2f1``'s route map and the paper's
+continued kernels (``gauss_2f1_continued``, ``appell_f1``) compute no
+closed-form K, so their modules are imported by the first call, not with
+the package.  The package keeps no ``__getattr__`` (PEP 562) to do so: in CPython one keeps
 every attribute load on the module, such as ``cdtube.pressure_drop``,
 from being specialized.
 """

@@ -1,8 +1,10 @@
-"""The bodies of the paper's continued kernels,
+"""The bodies of the kernels that compute no conductance:
+:func:`cdtube.special.gauss_2f1`'s route map for real ``z < 1``,
 :func:`cdtube.special.gauss_2f1_continued` on the cut ``z > 1`` and
-:func:`cdtube.special.appell_f1`.
+:func:`cdtube.special.appell_f1`, with the integer-window and gamma-pole
+policy they share.
 
-They compute no conductance, so the first call of either public function
+No K calls them, so the first call of any of the three public functions
 imports this module, not the package.  The names that a caller may
 replace in :mod:`cdtube.special`, ``gauss_2f1``, ``gauss_2f1_continued``,
 ``_series_checked`` and ``MAX_TERMS``, are read through that module, so a
@@ -18,18 +20,157 @@ from .special import (
     BRANCH_BELOW,
     STAGNATION_RTOL,
     STAGNATION_RUN,
+    _CANCELLATION_LIMIT,
+    EvaluationReport,
     _finite_or_raise,
-    _is_exact_nonpos_int,
-    _is_int,
-    _is_nonpos_int,
-    _rgamma,
-    _terminates,
 )
+
+# Parameters closer than this to an integer are treated as that integer:
+# beyond it the connection coefficients lose fewer than ~7 digits to
+# cancellation, inside it gauss_2f1 takes a route without them (Pfaff or
+# the defining series) and the continued kernels raise
+# DegenerateParameterError.
+INTEGER_WINDOW = 1e-9
+
+# Direct-series cutoff; above it the 1-z connection converges much faster.
+_NEAR_ONE = 0.9
+
+# Route names recorded in EvaluationReport.route.
+ROUTE_SERIES = "series"
+ROUTE_PFAFF = "pfaff"
+ROUTE_INV_ONE_MINUS_Z = "inv_one_minus_z"
+ROUTE_ONE_MINUS_Z = "one_minus_z"
+
+
+def _is_int(x: float) -> bool:
+    return abs(x - round(x)) <= INTEGER_WINDOW
+
+
+def _is_nonpos_int(x: float) -> bool:
+    return x <= 0.5 and _is_int(x)
+
+
+def _rgamma(x: float) -> float:
+    """1/Gamma(x); exactly zero at the poles.
+
+    Within INTEGER_WINDOW of a pole ``math.gamma`` keeps full relative
+    accuracy, so the small term this weights is kept, not dropped.
+    """
+    if _is_exact_nonpos_int(x):
+        return 0.0
+    return 1.0 / math.gamma(x)
+
+
+def _is_exact_nonpos_int(x: float) -> bool:
+    return x <= 0.0 and x == round(x)
+
+
+def _terminates(a: float, b: float, c: float) -> bool:
+    """True when the series is a polynomial despite any pole of ``c``.
+
+    An exactly non-positive-integer ``a`` or ``b`` truncates the series at
+    ``k = -a`` (or ``-b``); the truncation must happen before ``(c)_k``
+    vanishes.  Exactness matters: a parameter merely close to an integer
+    leaves a tiny tail that still diverges for ``|z| > 1``, so the window
+    used for pole detection must not be applied here.
+    """
+    if not (_is_exact_nonpos_int(a) or _is_exact_nonpos_int(b)):
+        return False
+    k_max = -max(round(p) for p in (a, b) if _is_exact_nonpos_int(p))
+    if _is_nonpos_int(c) and -round(c) < k_max:
+        return False
+    return True
 
 
 def _near_pole(x: float) -> bool:
     """Within INTEGER_WINDOW of a gamma pole but not on it."""
     return _is_nonpos_int(x) and not _is_exact_nonpos_int(x)
+
+
+def _negative_argument(a, b, c, z):
+    """Route map for ``z < 0``; returns ``(value, terms, route)``."""
+    spent = 0
+    if z < -1.0 and not _is_int(b - a):
+        # 1/(1-z) connection (DLMF 15.8.3); the variable lies in (0, 1/2).
+        w = 1.0 / (1.0 - z)
+        try:
+            v1, t1 = _inv_one_minus_z_term(a, b, c, w)
+            v2, t2 = _inv_one_minus_z_term(b, a, c, w)
+        except (OverflowError, ConvergenceError):
+            # A gamma factor or an inner series past the float range (as
+            # for c above ~171); the Pfaff map has no gamma factors.
+            v1 = v2 = math.nan
+            t1 = t2 = 0
+        value = v1 + v2
+        # Near-integer b - a gives two large halves of opposite sign unless
+        # the poles cancel inside each half (as for c = a + 1); past this
+        # cancellation the Pfaff series is the accurate route.
+        if (math.isfinite(value)
+                and abs(v1) + abs(v2) <= _CANCELLATION_LIMIT * abs(value)):
+            return value, t1 + t2, ROUTE_INV_ONE_MINUS_Z
+        spent = t1 + t2
+    # Pfaff on the larger upper parameter, (1-z)^-lo F(lo, c-hi; c; w):
+    # w = z/(z-1) lies in (0, 1/2] for z >= -1 and in (1/2, 1) below it.
+    # With c = a + 1, an integer b - a > 0 makes c - b a non-positive
+    # integer and the Pfaff series a polynomial.
+    w = z / (z - 1.0)
+    lo, hi = (a, b) if b > a else (b, a)
+    inner, terms = special._series_checked(lo, c - hi, c, w,
+                                           "gauss_2f1 (Pfaff)")
+    return (1.0 - z) ** (-lo) * inner, spent + terms, ROUTE_PFAFF
+
+
+def _inv_one_minus_z_term(a, b, c, w):
+    """The ``(1-z)^-a`` half of the 1/(1-z) connection, ``w = 1/(1-z)``.
+
+    The other half is the same expression with ``a`` and ``b`` swapped,
+    which keeps the sum symmetric in the upper parameters bit for bit.
+    """
+    coef = math.gamma(c) * math.gamma(b - a) * _rgamma(b) * _rgamma(c - a)
+    inner, terms = special._series_checked(a, c - b, a - b + 1.0, w,
+                                           "gauss_2f1 (1/(1-z))")
+    return coef * w**a * inner, terms
+
+
+def gauss_2f1(a: float, b: float, c: float, z: float, full_output: bool):
+    """The body of :func:`cdtube.special.gauss_2f1`."""
+    if z >= 1.0:
+        raise DomainError(f"gauss_2f1 requires z < 1, got {z}")
+    terminating = _terminates(a, b, c)
+    if _is_nonpos_int(c) and not terminating:
+        raise DegenerateParameterError(
+            f"gauss_2f1 is undefined for non-positive integer c={c}"
+        )
+
+    route = ROUTE_SERIES
+    if z == 0.0:
+        value, terms = 1.0, 0
+    elif terminating or 0.0 < z <= _NEAR_ONE:
+        value, terms = special._series_checked(a, b, c, z, "gauss_2f1")
+    elif z < 0.0:
+        value, terms, route = _negative_argument(a, b, c, z)
+    else:
+        # 0.9 < z < 1
+        s = c - a - b
+        if _is_int(s):
+            # Logarithmic case: no linear connection, push the series.
+            value, terms = special._series_checked(a, b, c, z,
+                                                   "gauss_2f1 (near 1)")
+        else:
+            w = 1.0 - z
+            coef1 = math.gamma(c) * math.gamma(s) * _rgamma(c - a) * _rgamma(c - b)
+            coef2 = math.gamma(c) * math.gamma(-s) * _rgamma(a) * _rgamma(b)
+            v1, t1 = special._series_checked(a, b, 1.0 - s, w,
+                                             "gauss_2f1 (1-z)")
+            v2, t2 = special._series_checked(c - a, c - b, 1.0 + s, w,
+                                             "gauss_2f1 (1-z)")
+            value = coef1 * v1 + coef2 * w**s * v2
+            terms = t1 + t2
+            route = ROUTE_ONE_MINUS_Z
+    value = _finite_or_raise(value, "gauss_2f1")
+    if full_output:
+        return value, EvaluationReport(terms, route)
+    return value
 
 
 def _branch_sign(branch: str) -> float:

@@ -8,17 +8,15 @@ incomplete beta function, a Gauss 2F1 series of positive terms at an
 argument of at most 1/2, summed directly by the series kernel of
 :mod:`cdtube.special`.  For the sinusoid it is a Legendre function: one
 Pfaff series of positive terms up to ratio ``17 + 12 sqrt 2``, and the
-two series of its ring-function expansion above.  No K goes through
-:func:`~cdtube.special.gauss_2f1`'s route map.  Should a
-closed form raise :class:`DegenerateParameterError` or
-:class:`ConvergenceError`, the quadrature oracle takes over and the
-result records the fallback.  The quadrature's functions, for the
-solvers and the CLI alike, are bound here from :mod:`cdtube.quadrature`
-by their first use, so a closed-form solve does not import it.  A
-straight capillary is a :class:`TubeSpec` with equal radii, of any
-shape, and K is the Hagen-Poiseuille form of the power-law fluid; the
-``straight_tube_*`` helpers solve ``TubeSpec(TubeShape.CONIC, radius,
-radius, length)``.
+two series of its ring-function expansion above.  Should a closed form
+raise :class:`DegenerateParameterError` or :class:`ConvergenceError`,
+the quadrature oracle takes over and the result records the fallback.
+The quadrature's functions, for the solvers and the CLI alike, are
+bound here from :mod:`cdtube.quadrature` by their first use, so a
+closed-form solve does not import it.  A straight capillary is a
+:class:`TubeSpec` with equal radii, of any shape, and K is the
+Hagen-Poiseuille form of the power-law fluid; the ``straight_tube_*``
+helpers solve ``TubeSpec(TubeShape.CONIC, radius, radius, length)``.
 Every route ends in one check: a K that is not a positive finite float
 raises :class:`DomainError`.
 """
@@ -57,7 +55,6 @@ __all__ = [
 METHOD_ANALYTIC = "analytic"
 METHOD_FALLBACK = "quadrature_fallback"
 
-# The beta forms' diagnostics: the shape, then gauss_2f1's series note.
 _BETA_NOTE = "%s closed form: 2F1 " + special.SERIES_NOTE
 _SINUSOID_NOTE = "sinusoid closed form: Legendre 2F1 " + special.SERIES_NOTE
 
@@ -92,9 +89,7 @@ def _beta(q: float, t2: float, w: float):
     positive-term form ``sqrt(t2) w^(q/2) 2F1(1, (q+1)/2; 3/2; t2)``;
     above, the complete integral less the tail ``w^(q/2)/q 2F1(q/2, 1/2;
     q/2 + 1; w)``.  Either way the series runs at an argument of at most
-    1/2 with ``c >= 1``, and its terms do not alternate.  That is the one
-    route :func:`~cdtube.special.gauss_2f1` would take, so the series is
-    summed directly, with ``gauss_2f1``'s error messages and no report.
+    1/2 with ``c >= 1``, and its terms do not alternate.
     """
     half = 0.5 * q
     if t2 <= 0.5:
@@ -189,10 +184,8 @@ def _geometric_integral(spec: TubeSpec, n: float):
     """Closed form of ``integral r(x)^-(3n+1) dx`` over the tube; returns
     ``(value, diagnostics)``.
 
-    Every form takes a real argument in the domain of :func:`gauss_2f1`,
-    so no branch of a continuation is chosen.  The contrast
-    ``d = r_max/r_min - 1`` is formed from the radius difference: a
-    small contrast keeps its digits.
+    The contrast ``d = r_max/r_min - 1`` is formed from the radius
+    difference: a small contrast keeps its digits.
     """
     length = spec.length
     r_min, r_max = spec.r_min, spec.r_max

@@ -1,6 +1,8 @@
 """Gauss and Appell hypergeometric kernels with real-axis continuation.
 
-The module covers three evaluation regimes:
+:func:`gauss_series` is the series kernel that the closed-form K of
+every curved shape in :mod:`cdtube.flow` sums.  The module also covers
+three evaluation regimes that compute no conductance:
 
 * ``gauss_2f1`` for real argument ``z < 1``, through a route map (DLMF
   15.8): the direct series on ``(0, 0.9]``, the ``1 - z`` connection
@@ -14,25 +16,22 @@ The module covers three evaluation regimes:
   boundary reduction at ``x = 1`` to a gamma ratio times a single Gauss
   function of ``y``.
 
-The last two compute no conductance.  Their bodies live in
-:mod:`cdtube._continued`, which the first call of either imports, so a
-closed-form solve does not compile them.  This module keeps no
-``__getattr__`` (PEP 562): in CPython one keeps every attribute load on
-the module from being specialized, and :mod:`cdtube.flow` reads
+Their bodies, with the integer-window and gamma-pole policy they share,
+live in :mod:`cdtube._continued`, which the first call of any of the
+three imports, so a closed-form solve does not compile them.  This module
+keeps no ``__getattr__`` (PEP 562): in CPython one keeps every attribute
+load on the module from being specialized, and :mod:`cdtube.flow` reads
 ``special._series_checked`` on every K.
 
 Degenerate parameter combinations (poles of the gamma factors, vanishing
 series denominators) raise :class:`DegenerateParameterError` rather than
-return a value that has lost its digits.  No conductance form in
-:mod:`cdtube.flow` goes through ``gauss_2f1`` and its route map: each
-sums its series directly with :func:`gauss_series`, with ``gauss_2f1``'s
-error messages.
+return a value that has lost its digits.
 """
 
 import math
 
 from ._frozen import value_type
-from .errors import ConvergenceError, DegenerateParameterError, DomainError
+from .errors import ConvergenceError
 
 __all__ = [
     "EvaluationReport",
@@ -41,19 +40,9 @@ __all__ = [
     "gauss_2f1_continued",
 ]
 
-# Parameters closer than this to an integer are treated as that integer:
-# beyond it the connection coefficients lose fewer than ~7 digits to
-# cancellation, inside it gauss_2f1 takes a route without them (Pfaff or
-# the defining series) and the continued kernels raise
-# DegenerateParameterError.
-INTEGER_WINDOW = 1e-9
-
-# Direct-series cutoff; above it the 1-z connection converges much faster.
-_NEAR_ONE = 0.9
-
-# Largest (|first half| + |second half|) / |sum| accepted from the 1/(1-z)
-# connection, and from the sinusoid's ring expansion in cdtube.flow: about
-# one digit lost to cancellation.
+# Largest (|first half| + |second half|) / |sum| accepted from the
+# sinusoid's ring expansion in cdtube.flow and from gauss_2f1's 1/(1-z)
+# connection: about one digit lost to cancellation.
 _CANCELLATION_LIMIT = 16.0
 
 MAX_TERMS = 10000
@@ -67,19 +56,14 @@ BRANCH_BELOW = "below"
 # forms' diagnostics in cdtube.flow, which sum their series without a report.
 SERIES_NOTE = "converged after %s series terms"
 
-# Route names recorded in EvaluationReport.route.
-ROUTE_SERIES = "series"
-ROUTE_PFAFF = "pfaff"
-ROUTE_INV_ONE_MINUS_Z = "inv_one_minus_z"
-ROUTE_ONE_MINUS_Z = "one_minus_z"
-
 
 @value_type
 class EvaluationReport:
     """How :func:`gauss_2f1` got the value it returned.
 
     ``terms_used`` counts the series terms summed.  ``route`` names the
-    transformation summed, one of the ``ROUTE_*`` names.
+    transformation summed: ``series``, ``pfaff``, ``inv_one_minus_z`` or
+    ``one_minus_z``.
     """
 
     terms_used: int
@@ -147,46 +131,6 @@ def gauss_series(a: float, b: float, c: float, z: float):
     return total, MAX_TERMS, False
 
 
-def _is_int(x: float) -> bool:
-    return abs(x - round(x)) <= INTEGER_WINDOW
-
-
-def _is_nonpos_int(x: float) -> bool:
-    return x <= 0.5 and _is_int(x)
-
-
-def _rgamma(x: float) -> float:
-    """1/Gamma(x); exactly zero at the poles.
-
-    Within INTEGER_WINDOW of a pole ``math.gamma`` keeps full relative
-    accuracy, so the small term this weights is kept, not dropped.
-    """
-    if _is_exact_nonpos_int(x):
-        return 0.0
-    return 1.0 / math.gamma(x)
-
-
-def _is_exact_nonpos_int(x: float) -> bool:
-    return x <= 0.0 and x == round(x)
-
-
-def _terminates(a: float, b: float, c: float) -> bool:
-    """True when the series is a polynomial despite any pole of ``c``.
-
-    An exactly non-positive-integer ``a`` or ``b`` truncates the series at
-    ``k = -a`` (or ``-b``); the truncation must happen before ``(c)_k``
-    vanishes.  Exactness matters: a parameter merely close to an integer
-    leaves a tiny tail that still diverges for ``|z| > 1``, so the window
-    used for pole detection must not be applied here.
-    """
-    if not (_is_exact_nonpos_int(a) or _is_exact_nonpos_int(b)):
-        return False
-    k_max = -max(round(p) for p in (a, b) if _is_exact_nonpos_int(p))
-    if _is_nonpos_int(c) and -round(c) < k_max:
-        return False
-    return True
-
-
 def _finite_or_raise(value: float, context: str) -> float:
     if not math.isfinite(value):
         raise ConvergenceError(f"{context} produced a non-finite value")
@@ -202,50 +146,6 @@ def _series_checked(a, b, c, z, context):
             best_estimate=value,
         )
     return _finite_or_raise(value, context), terms
-
-
-def _negative_argument(a, b, c, z):
-    """Route map for ``z < 0``; returns ``(value, terms, route)``."""
-    spent = 0
-    if z < -1.0 and not _is_int(b - a):
-        # 1/(1-z) connection (DLMF 15.8.3); the variable lies in (0, 1/2).
-        w = 1.0 / (1.0 - z)
-        try:
-            v1, t1 = _inv_one_minus_z_term(a, b, c, w)
-            v2, t2 = _inv_one_minus_z_term(b, a, c, w)
-        except (OverflowError, ConvergenceError):
-            # A gamma factor or an inner series past the float range (as
-            # for c above ~171); the Pfaff map has no gamma factors.
-            v1 = v2 = math.nan
-            t1 = t2 = 0
-        value = v1 + v2
-        # Near-integer b - a gives two large halves of opposite sign unless
-        # the poles cancel inside each half (as for c = a + 1); past this
-        # cancellation the Pfaff series is the accurate route.
-        if (math.isfinite(value)
-                and abs(v1) + abs(v2) <= _CANCELLATION_LIMIT * abs(value)):
-            return value, t1 + t2, ROUTE_INV_ONE_MINUS_Z
-        spent = t1 + t2
-    # Pfaff on the larger upper parameter, (1-z)^-lo F(lo, c-hi; c; w):
-    # w = z/(z-1) lies in (0, 1/2] for z >= -1 and in (1/2, 1) below it.
-    # With c = a + 1, an integer b - a > 0 makes c - b a non-positive
-    # integer and the Pfaff series a polynomial.
-    w = z / (z - 1.0)
-    lo, hi = (a, b) if b > a else (b, a)
-    inner, terms = _series_checked(lo, c - hi, c, w, "gauss_2f1 (Pfaff)")
-    return (1.0 - z) ** (-lo) * inner, spent + terms, ROUTE_PFAFF
-
-
-def _inv_one_minus_z_term(a, b, c, w):
-    """The ``(1-z)^-a`` half of the 1/(1-z) connection, ``w = 1/(1-z)``.
-
-    The other half is the same expression with ``a`` and ``b`` swapped,
-    which keeps the sum symmetric in the upper parameters bit for bit.
-    """
-    coef = math.gamma(c) * math.gamma(b - a) * _rgamma(b) * _rgamma(c - a)
-    inner, terms = _series_checked(a, c - b, a - b + 1.0, w,
-                                   "gauss_2f1 (1/(1-z))")
-    return coef * w**a * inner, terms
 
 
 def gauss_2f1(a: float, b: float, c: float, z: float, full_output: bool = False):
@@ -269,14 +169,6 @@ def gauss_2f1(a: float, b: float, c: float, z: float, full_output: bool = False)
       integer, the connection in powers of ``1 - z`` (DLMF 15.8.4);
       otherwise the defining series.
 
-    No conductance form in :mod:`cdtube.flow` calls this function.  The
-    parabolic, hyperbolic and cosh ones could take only the ``series``
-    route, at ``0 < z <= 1/2``.  The sinusoid's Legendre function sums the
-    ``pfaff`` route's series up to ratio ``17 + 12 sqrt 2``, where its
-    variable reaches 1/2, and its ring-function expansion above, in
-    place of the ``inv_one_minus_z`` route.  Each sums its series
-    directly, without the route checks and the report.
-
     With ``full_output`` the :class:`EvaluationReport` names the route.
 
     Raises
@@ -289,41 +181,9 @@ def gauss_2f1(a: float, b: float, c: float, z: float, full_output: bool = False)
     ConvergenceError
         If no route converges within the term cap.
     """
-    if z >= 1.0:
-        raise DomainError(f"gauss_2f1 requires z < 1, got {z}")
-    terminating = _terminates(a, b, c)
-    if _is_nonpos_int(c) and not terminating:
-        raise DegenerateParameterError(
-            f"gauss_2f1 is undefined for non-positive integer c={c}"
-        )
+    from ._continued import gauss_2f1
 
-    route = ROUTE_SERIES
-    if z == 0.0:
-        value, terms = 1.0, 0
-    elif terminating or 0.0 < z <= _NEAR_ONE:
-        value, terms = _series_checked(a, b, c, z, "gauss_2f1")
-    elif z < 0.0:
-        value, terms, route = _negative_argument(a, b, c, z)
-    else:
-        # 0.9 < z < 1
-        s = c - a - b
-        if _is_int(s):
-            # Logarithmic case: no linear connection, push the series.
-            value, terms = _series_checked(a, b, c, z, "gauss_2f1 (near 1)")
-        else:
-            w = 1.0 - z
-            coef1 = math.gamma(c) * math.gamma(s) * _rgamma(c - a) * _rgamma(c - b)
-            coef2 = math.gamma(c) * math.gamma(-s) * _rgamma(a) * _rgamma(b)
-            v1, t1 = _series_checked(a, b, 1.0 - s, w, "gauss_2f1 (1-z)")
-            v2, t2 = _series_checked(c - a, c - b, 1.0 + s, w, "gauss_2f1 (1-z)")
-            value = coef1 * v1 + coef2 * w**s * v2
-            terms = t1 + t2
-            route = ROUTE_ONE_MINUS_Z
-    value = _finite_or_raise(value, "gauss_2f1")
-    if full_output:
-        return value, EvaluationReport(terms, route)
-    return value
-
+    return gauss_2f1(a, b, c, z, full_output)
 
 
 def gauss_2f1_continued(a: float, b: float, c: float, z: float,

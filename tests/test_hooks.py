@@ -88,6 +88,15 @@ def test_the_special_functions_that_compute_no_k():
         0.5, 0.2, 0.3, 1.5, 0.3, 0.4)))
     assert names >= {"special.gauss_2f1_continued", "special.appell_f1",
                      "kernels.gauss_series"}
+    # gauss_2f1's route map lives in cdtube._continued; its calls, direct
+    # or from appell_f1's one-variable reduction (b2 = 0), still go
+    # through cdtube.special.
+    names = _traced(lambda: cdtube.special.gauss_2f1(0.5, 0.8, 1.9, -5.0))
+    assert names == {"special.gauss_2f1", "kernels.gauss_series"}
+    names = _traced(lambda: cdtube.special.appell_f1(
+        0.5, 0.2, 0.0, 1.5, 0.3, 0.4))
+    assert names == {"special.appell_f1", "special.gauss_2f1",
+                     "kernels.gauss_series"}
 
 
 def test_appell_past_the_cut_continues_through_special():

@@ -115,6 +115,14 @@ for shape in cdtube.TubeShape:
     for solve in (cdtube.pressure_drop, cdtube.flow_rate):
         assert solve(fluid, spec, 2.5e-10).method == "analytic"
     record(f"pressure_drop {shape.value}")
+# The sinusoid's other two forms: the ring expansion (ratio 1e6), and the
+# Pfaff series past ratio 17 + 12 sqrt 2 at an exact half-odd 3n = 1.5.
+for label, n, r_max in (("ring", 0.8, 10.0), ("half-odd", 0.5, 1e-2)):
+    spec = cdtube.TubeSpec(cdtube.TubeShape.SINUSOIDAL, 1e-5, r_max, 3e-4)
+    for solve in (cdtube.pressure_drop, cdtube.flow_rate):
+        result = solve(cdtube.PowerLawFluid(1.3, n), spec, 2.5e-10)
+        assert result.method == "analytic"
+    record(f"pressure_drop sinusoidal {label}")
 print(repr(loaded))
 """
 
@@ -196,7 +204,8 @@ def test_closed_form_paths_compile_neither_the_oracle_nor_the_continued_forms(
     assert list(loaded) == [
         "import cdtube", "import cdtube.cli", "--version", "solve", "sweep",
         *(f"pressure_drop {shape}" for shape in
-          ("conic", "parabolic", "hyperbolic", "cosh", "sinusoidal"))]
+          ("conic", "parabolic", "hyperbolic", "cosh", "sinusoidal")),
+        "pressure_drop sinusoidal ring", "pressure_drop sinusoidal half-odd"]
     assert loaded == dict.fromkeys(loaded, [])
 
 
@@ -227,14 +236,17 @@ def test_a_fallback_loads_the_quadrature():
 
 
 def test_the_continued_kernels_load_on_first_use():
-    loaded = _probe(_watching(FIRST_USE, PROBE_HEADER + r"""
+    # gauss_2f1 at z = -5 takes the 1/(1-z) route of its route map.
+    for call in ("gauss_2f1(0.5, 0.8, 1.9, -5.0)",
+                 "appell_f1(-1.2, 0.5, 0.5, -0.2, 1.0, 3.0)"):
+        loaded = _probe(_watching(FIRST_USE, PROBE_HEADER + rf"""
 import cdtube
 record("import cdtube")
-cdtube.appell_f1(-1.2, 0.5, 0.5, -0.2, 1.0, 3.0)
-record("appell_f1")
+cdtube.{call}
+record("call")
 print(repr(loaded))
 """))
-    assert loaded == {"import cdtube": [], "appell_f1": ["cdtube._continued"]}
+        assert loaded == {"import cdtube": [], "call": ["cdtube._continued"]}
 
 
 def test_the_modules_read_on_every_solve_keep_no_module_getattr():

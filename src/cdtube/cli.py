@@ -700,12 +700,10 @@ def sweep(shape, rmin, rmax, length, n, consistency, quantity, start, stop,
     oracle = (flow.pressure_drop_oracle(fluid, spec, rel_tol) if validate
               else None)
     pressure_given = quantity == "pressure"
-    # Read once: flow's module __getattr__ keeps CPython from specializing
-    # a load of it in every row.
-    operating_point = flow._operating_point
 
     def solve_unit(given):
-        return operating_point(fluid, cond, given, pressure_given, oracle)
+        return flow._operating_point(fluid, cond, given, pressure_given,
+                                     oracle)
 
     _emit(fmt, output, config, *_solve_table(
         fluid, spec, periods, values, pressure_given, solve_unit))
@@ -732,7 +730,6 @@ def validate(grid, rel_tol, fmt, output):
     failures = 0
     tubes = itertools.product(SHAPE_NAMES, grid_def["n"], grid_def["ratio"],
                               grid_def["length"])
-    operating_point = flow._operating_point
     for shape, n, ratio, length in tubes:
         fluid = PowerLawFluid(consistency=1.0, index=n)
         spec = TubeSpec(shape=shape, r_min=1.0, r_max=ratio, length=length)
@@ -742,7 +739,7 @@ def validate(grid, rel_tol, fmt, output):
         oracle_tol = ORACLE_TIGHT if method == METHOD_FALLBACK else rel_tol
         oracle = flow.pressure_drop_oracle(fluid, spec, oracle_tol)
         for q in grid_def["flow_rate"]:
-            result = operating_point(fluid, cond, q, False, oracle)
+            result = flow._operating_point(fluid, cond, q, False, oracle)
             row = {
                 "shape": shape, "n": n, "C": 1.0, "r_min": 1.0,
                 "r_max": ratio, "length": length, "Q": q,

@@ -11,8 +11,9 @@ Pfaff series of positive terms up to ratio ``17 + 12 sqrt 2``, and the
 two series of its ring-function expansion above.  Should a closed form
 raise :class:`DegenerateParameterError` or :class:`ConvergenceError`,
 the quadrature oracle takes over and the result records the fallback.
-The quadrature's functions, for the solvers and the CLI alike, are
-bound here from :mod:`cdtube.quadrature` by their first use, so a
+The quadrature's functions are bound here from
+:mod:`cdtube.quadrature` on first use by the module ``__getattr__``,
+through which the solvers and the CLI alike reach them, so a
 closed-form solve does not import it.  A straight capillary is a
 :class:`TubeSpec` with equal radii, of any shape, and K is the
 Hagen-Poiseuille form of the power-law fluid; the ``straight_tube_*``
@@ -259,13 +260,8 @@ def _conductance(fluid: PowerLawFluid, spec: TubeSpec,
         k = math.inf
     except (DegenerateParameterError, ConvergenceError) as exc:
         try:
-            integrate = integrate_inverse_radius_power
-        except NameError:  # the first fallback of the process
-            integrate = __getattr__("integrate_inverse_radius_power")
-        try:
-            base = integrate(
-                spec, 3.0 * n + 1.0, FALLBACK_REL_TOL, max_panels=max_panels
-            )
+            base = __getattr__("integrate_inverse_radius_power")(
+                spec, 3.0 * n + 1.0, FALLBACK_REL_TOL, max_panels=max_panels)
         except ConvergenceError as quad_exc:
             raise EvaluationError(
                 f"analytic route failed ({exc}) and the quadrature fallback "
@@ -290,12 +286,8 @@ def _oracle(fluid: PowerLawFluid, spec: TubeSpec, rel_tol: float,
             max_panels: int):
     """The validating oracle: ``pressure_drop_numeric`` of the fluid and
     tube, as a function of Q."""
-    try:
-        numeric = pressure_drop_numeric
-    except NameError:  # the first oracle of the process
-        numeric = __getattr__("pressure_drop_numeric")
-    return functools.partial(numeric, fluid, spec, rel_tol=rel_tol,
-                             max_panels=max_panels)
+    return functools.partial(__getattr__("pressure_drop_numeric"), fluid,
+                             spec, rel_tol=rel_tol, max_panels=max_panels)
 
 
 def _operating_point(fluid: PowerLawFluid, cond, given: float,
@@ -392,12 +384,16 @@ def straight_tube_flow_rate(fluid: PowerLawFluid, radius: float,
 
 
 def __getattr__(name):
-    """``integrate_inverse_radius_power``, ``pressure_drop_numeric`` and
-    ``pressure_drop_oracle``, bound here from :mod:`cdtube.quadrature` on
-    first use."""
+    """The module's binding of ``integrate_inverse_radius_power``,
+    ``pressure_drop_numeric`` or ``pressure_drop_oracle``, made from
+    :mod:`cdtube.quadrature` if there is none yet.  This module's own
+    fallback and oracle read their name through it too, so a function
+    assigned to one of these names is the one they call."""
     if name not in ("integrate_inverse_radius_power",
                     "pressure_drop_numeric", "pressure_drop_oracle"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import quadrature
-    value = globals()[name] = getattr(quadrature, name)
-    return value
+    bound = globals()
+    if name not in bound:
+        from . import quadrature
+        bound[name] = getattr(quadrature, name)
+    return bound[name]

@@ -31,7 +31,7 @@ return a value that has lost its digits.
 import math
 
 from ._frozen import value_type
-from .errors import ConvergenceError
+from .errors import ConvergenceError, DomainError
 
 __all__ = [
     "EvaluationReport",
@@ -148,6 +148,15 @@ def _series_checked(a, b, c, z, context):
     return _finite_or_raise(value, context), terms
 
 
+def _outside_float_range(kernel, **arguments):
+    """The :class:`DomainError` of a kernel whose gamma factor or power
+    left the float range, as ``OverflowError`` or, for ``1/Gamma`` of an
+    underflowed gamma, ``ZeroDivisionError``."""
+    listed = ", ".join(f"{name}={value!r}" for name, value in arguments.items())
+    return DomainError(f"{kernel}: a gamma factor or a power is outside "
+                       f"the float range ({listed})")
+
+
 def gauss_2f1(a: float, b: float, c: float, z: float, full_output: bool = False):
     """Gauss hypergeometric function for real argument ``z < 1``.
 
@@ -180,10 +189,16 @@ def gauss_2f1(a: float, b: float, c: float, z: float, full_output: bool = False)
         terminate first.
     ConvergenceError
         If no route converges within the term cap.
+    DomainError
+        If a gamma factor or a power is outside the float range, as it
+        can be with a parameter near 150 or past it.
     """
     from ._continued import gauss_2f1
 
-    return gauss_2f1(a, b, c, z, full_output)
+    try:
+        return gauss_2f1(a, b, c, z, full_output)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise _outside_float_range("gauss_2f1", a=a, b=b, c=c, z=z) from exc
 
 
 def gauss_2f1_continued(a: float, b: float, c: float, z: float,
@@ -198,11 +213,16 @@ def gauss_2f1_continued(a: float, b: float, c: float, z: float,
     caller must integrate numerically.  So they are when ``a``, ``b``,
     ``c - a`` or ``c - b`` lies within ``INTEGER_WINDOW`` of a
     non-positive integer without being one, since both connections then
-    lose digits.
+    lose digits.  A gamma factor or a power outside the float range
+    raises :class:`DomainError`.
     """
     from ._continued import gauss_2f1_continued
 
-    return gauss_2f1_continued(a, b, c, z, branch)
+    try:
+        return gauss_2f1_continued(a, b, c, z, branch)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise _outside_float_range("gauss_2f1_continued", a=a, b=b, c=c, z=z,
+                                   branch=branch) from exc
 
 
 def appell_f1(a: float, b1: float, b2: float, c: float, x: float, y: float,
@@ -218,8 +238,13 @@ def appell_f1(a: float, b1: float, b2: float, c: float, x: float, y: float,
       on the selected ``branch``.
 
     The value is returned as a ``complex``; inside the polydisc its
-    imaginary part is zero.
+    imaginary part is zero.  A gamma factor or a power outside the float
+    range raises :class:`DomainError`.
     """
     from ._continued import appell_f1
 
-    return appell_f1(a, b1, b2, c, x, y, branch)
+    try:
+        return appell_f1(a, b1, b2, c, x, y, branch)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise _outside_float_range("appell_f1", a=a, b1=b1, b2=b2, c=c, x=x,
+                                   y=y, branch=branch) from exc

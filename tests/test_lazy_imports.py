@@ -235,6 +235,60 @@ def test_a_fallback_loads_the_quadrature():
     assert fallback["loaded"]["solve"] == ["cdtube.quadrature", "heapq"]
 
 
+def test_an_unknown_flow_attribute_is_absent_and_imports_nothing():
+    found = _probe(r"""
+import sys
+import cdtube.flow
+before = set(sys.modules)
+found = hasattr(cdtube.flow, "no_such_name")
+print(repr({"found": found, "imported": sorted(set(sys.modules) - before)}))
+""")
+    assert found == {"found": False, "imported": []}
+
+
+REPLACED_BINDING_PROBE = r"""
+import sys
+import cdtube
+import cdtube.flow
+from cdtube.fluid import QuadratureResult
+
+calls = []
+
+
+def replacement(*args, **kwargs):
+    calls.append(args)
+    return QuadratureResult(2.5, 0.0, 1)
+
+
+cdtube.flow.%s = replacement
+if %r:
+    def no_closed_form(spec, n):
+        raise cdtube.ConvergenceError("closed form stubbed out")
+    cdtube.flow._geometric_integral = no_closed_form
+fluid = cdtube.PowerLawFluid(1.0, 0.8)
+spec = cdtube.TubeSpec(cdtube.TubeShape.COSH, 1.0, 4.0, 1.0)
+result = cdtube.pressure_drop(fluid, spec, 1.0, validate=%r)
+print(repr({"calls": len(calls), "method": result.method,
+            "oracle": result.oracle_value,
+            "quadrature": "cdtube.quadrature" in sys.modules}))
+"""
+
+
+@pytest.mark.parametrize("name,stubbed,validate,method,oracle", [
+    ("integrate_inverse_radius_power", True, False, "quadrature_fallback",
+     None),
+    ("pressure_drop_numeric", False, True, "analytic", 2.5),
+], ids=["fallback", "oracle"])
+def test_a_function_assigned_to_flow_is_the_one_the_solve_calls(
+        name, stubbed, validate, method, oracle):
+    # Assigned before the process's first fallback or oracle: flow reads
+    # the name through its module __getattr__, which returns what the
+    # module holds and binds the quadrature's function only if nothing is.
+    solved = _probe(REPLACED_BINDING_PROBE % (name, stubbed, validate))
+    assert solved == {"calls": 1, "method": method, "oracle": oracle,
+                      "quadrature": False}
+
+
 def test_the_continued_kernels_load_on_first_use():
     # gauss_2f1 at z = -5 takes the 1/(1-z) route of its route map.
     for call in ("gauss_2f1(0.5, 0.8, 1.9, -5.0)",

@@ -22,6 +22,7 @@ from cdtube import (
     pressure_drop,
 )
 from cdtube import _continued, flow, special
+from cdtube.errors import CdtubeError
 from cdtube.special import (
     MAX_TERMS,
     STAGNATION_RTOL,
@@ -682,6 +683,49 @@ def test_appell_domain_errors():
         appell_f1(1.0, 0.5, 0.5, 1.2, 1.0, 0.5)
 
 
+@pytest.mark.parametrize("args", [
+    (185.17, -1.48, -2.999999998, 0.9626),  # 1/Gamma of an underflow
+    (147.74, 5.21, 1.69, 0.99914),  # w**s past the float range
+])
+def test_a_gamma_factor_or_power_past_the_float_range_is_a_domain_error(
+        args):
+    with pytest.raises(DomainError, match=r"^gauss_2f1: .* outside the "
+                       r"float range \(a=.*, z=.*\)$"):
+        gauss_2f1(*args)
+
+
+def test_the_public_kernels_raise_only_cdtube_errors():
+    # Every parameter uniform in [-200, 200]: gamma factors and powers
+    # leave the float range for many of these calls, and each kernel must
+    # report that as a DomainError, not a bare OverflowError or
+    # ZeroDivisionError.
+    rng = random.Random(5)
+    draw = functools.partial(rng.uniform, -200.0, 200.0)
+    calls = [
+        *((gauss_2f1, (draw(), draw(), draw(),
+                       rng.uniform(-50.0, 1.0) if i % 2
+                       else rng.uniform(0.9, 0.99999)))
+          for i in range(500)),
+        *((gauss_2f1_continued, (draw(), draw(), draw(),
+                                 rng.uniform(1.0001, 50.0)))
+          for _ in range(200)),
+        *((appell_f1, (draw(), draw(), draw(), draw(),
+                       1.0 if i % 2 else rng.uniform(-0.99, 0.99),
+                       rng.uniform(-0.99, 5.0)))
+          for i in range(200)),
+    ]
+    outside = set()
+    for kernel, args in calls:
+        try:
+            kernel(*args)
+        except DomainError as exc:
+            if "outside the float range" in str(exc):
+                outside.add(kernel)
+        except CdtubeError:
+            pass
+    assert outside == {gauss_2f1, gauss_2f1_continued, appell_f1}
+
+
 # ---------------------------------------------------------------------------
 # conductance integrals against mpmath
 # ---------------------------------------------------------------------------
@@ -968,6 +1012,33 @@ def test_sinusoid_sums_bounded_series_outside_the_half_odd_window(
         assert 0.0 < k < math.inf
         assert 1 <= len(calls) <= 3, (n, ratio, calls)
         assert sum(terms for _, terms in calls) <= 40, (n, ratio, calls)
+
+
+# What the half-odd window costs today: the Pfaff series at a variable
+# near 1, as summed by flow._legendre at r_min = 1.  These are the bounds
+# that a toroidal route must tighten.
+HALF_ODD_TERM_COUNTS = {
+    "3n=1.5, ratio 1e3": (1.5, 1e3, 93),
+    "3n=1.5, ratio 1e6": (1.5, 1e6, 565),
+    "3n=1.5, ratio 1e12": (1.5, 1e12, 883),
+    "3n=1.5+1e-8, ratio 1e3": (1.5 + 1e-8, 1e3, 111),
+    "3n=1.5-1e-8, ratio 1e3": (1.5 - 1e-8, 1e3, 111),
+}
+
+
+@pytest.mark.parametrize("three_n,ratio,bound",
+                         list(HALF_ODD_TERM_COUNTS.values()),
+                         ids=list(HALF_ODD_TERM_COUNTS))
+def test_sinusoid_term_counts_inside_the_half_odd_window(three_n, ratio,
+                                                          bound):
+    # Near 1.5 the ring's halves cancel and the Pfaff series serves; at
+    # 1.5 itself 1/2 - 3n is a pole of the ring's first series.  Measured
+    # within 2.2e-14 of mpmath (3n = 1.5, ratio 1e12).
+    n = three_n / 3.0
+    value, terms = flow._legendre(1.0, ratio, 3.0 * n)
+    assert terms <= bound
+    ref = float(_mpmath_unit_sinusoid(n, ratio))
+    assert abs(value - ref) <= 1e-13 * ref
 
 
 @functools.cache

@@ -5,8 +5,10 @@
 ``__hash__``, ``__repr__``, ``__match_args__``, pickling, copying,
 ``FrozenInstanceError`` on assignment, and ``__replace__`` for
 ``copy.replace`` (Python 3.13).  It builds the class itself because
-``dataclasses`` imports ``inspect``, which adds about 10 ms to every
-process that imports the package (Python 3.11, no bytecode cache).
+``dataclasses`` imports ``inspect``: ``python -X importtime -c "import
+dataclasses"`` gives 5.4-6.3 ms cumulative (median 5.6 ms of 9 runs;
+Python 3.11.7, ``PYTHONDONTWRITEBYTECODE=1``, 2 shared vCPUs), which
+every process that imported the package would pay.
 ``dataclasses`` is imported on first use instead: the first read of
 ``__dataclass_fields__`` builds a shadow dataclass with the same fields,
 so ``dataclasses.fields``, ``replace``, ``is_dataclass`` and ``asdict``

@@ -74,34 +74,25 @@ ORACLE_TIGHT = 1e-12
 _VARIES = object()
 
 
-@functools.cache
-def _row_encoder():
-    """The encoder of one result row: it separates the fields in the
-    ``indent=2`` layout.  Set without ``indent``, it keeps ``json`` on its
-    C encoder."""
-    import json
-
-    return json.JSONEncoder(separators=(",\n      ", ": "))
-
-
 def _json_document(config: dict, rows, floats=None) -> str:
     """The output document as ``json.dumps(doc, indent=2)`` writes it, and
-    a final newline, with the rows written by the C encoder.
+    a final newline.
 
     ``rows`` is a non-empty list of non-empty dicts of scalars, as every
-    subcommand emits; with ``floats``, it is ``_emit``'s template row.
+    subcommand emits.  With ``floats``, it is ``_emit``'s template row:
+    the results come last, so the dump ends with the row's text, which is
+    cut from it and repeated once per tuple of floats.
     """
     import json
 
-    head = json.dumps({"schema_version": SCHEMA_VERSION, "config": config,
-                       "results": []}, indent=2)
-    encode = _row_encoder().encode
-    body = ",\n    ".join("{\n      " + encode(row)[1:-1]
-                           + "\n    }" for row in rows)
+    text = json.dumps({"schema_version": SCHEMA_VERSION, "config": config,
+                       "results": rows}, indent=2)
     if floats is not None:
-        body = ",\n    ".join(map(body.replace('"%r"', "%r").__mod__, floats))
-    # head ends with the empty list: '[]\n}'
-    return f"{head[:-4]}[\n    {body}\n  ]\n}}\n"
+        # What follows the results' "[" is the row and the closing "\n  ]\n}".
+        head, start, row = text.rpartition('"results": [\n    ')
+        row, end = row[:-6].replace('"%r"', "%r"), row[-6:]
+        text = head + start + ",\n    ".join(map(row.__mod__, floats)) + end
+    return text + "\n"
 
 
 def _emit(fmt: str, output, config: dict, rows, floats=None) -> None:
@@ -110,8 +101,10 @@ def _emit(fmt: str, output, config: dict, rows, floats=None) -> None:
 
     ``rows`` is never empty, and a row's keys, in order, are its table's
     columns: the CSV header is the first row's keys.  With ``floats``,
-    ``rows`` is one template row, encoded once: each tuple of ``floats``
-    is a row, whose floats fill the template's ``_VARIES`` cells.
+    ``rows`` is one template row, encoded once by the format's own writer
+    (``csv.writer``, or the document's one ``json.dumps``): each tuple of
+    ``floats`` is a row, whose floats fill the template's ``_VARIES``
+    cells in the template's text.
     """
     if floats is not None:  # "%r" for a float, "%%" for a constant's "%"
         rows = [{key: "%r" if cell is _VARIES else cell.replace("%", "%%")
@@ -266,10 +259,11 @@ class _Choice:
 class _File:
     """A path to write: not a directory, nor a file that cannot be read,
     nor a new file in a directory that does not exist (or ``""``), nor a
-    path under a regular file, nor a name that ends in "/" and is no
-    directory, so a command with such an ``--output`` exits 2 before any
-    work.  Whatever else cannot be opened, ``_emit`` reports after the
-    work."""
+    name that ends in "/" and is no directory, nor any path that
+    ``os.stat`` rejects otherwise (one under a regular file, a symlink
+    loop, a name too long), so a command with such an ``--output`` exits
+    2 before any work.  What ``stat`` cannot foresee, such as a read-only
+    file system, ``_emit`` reports after the work."""
 
     metavar = "FILE"
 
@@ -284,14 +278,14 @@ class _File:
             if text.endswith("/"):  # "newdir/": open() cannot create it
                 raise ValueError(f"{text!r}: Is a directory") from None
             return text
-        except NotADirectoryError as exc:
-            # A regular file taken for a directory: "afile/x.json", or
-            # "afile/", which open() reports as a directory.
+        except OSError as exc:
+            # open() reports "afile/", a regular file taken for a
+            # directory, as a directory; any other errno of stat (a path
+            # under a regular file, a symlink loop, a name too long) is
+            # open()'s too.
             if text.endswith("/") and os.path.exists(text.rstrip("/")):
                 raise ValueError(f"{text!r}: Is a directory") from None
             raise ValueError(f"{text!r}: {exc.strerror}") from None
-        except OSError:
-            return text
         if stat.S_ISDIR(mode):
             raise ValueError(f"File {text!r} is a directory.")
         if not os.access(text, os.R_OK):
@@ -606,10 +600,16 @@ _FLUID = (
             help="Consistency factor C (Pa*s^n)."),
 )
 _FORMAT = _Choice("csv", "json")
-_OUTPUT = (
-    _Option("--format", _FORMAT, dest="fmt", default="json"),
-    _Option("--output", _FILE, help="Write to this path instead of stdout."),
-)
+_OUTPUT_FILE = _Option("--output", _FILE,
+                       help="Write to this path instead of stdout.")
+_OUTPUT = (_Option("--format", _FORMAT, dest="fmt", default="json"),
+           _OUTPUT_FILE)
+_PERIODS = _Option("--periods", _AtLeast(1), default=1,
+                   help="Number of corrugation units in series.")
+_VALIDATE = _Option("--validate", help="Co-evaluate the quadrature oracle "
+                                       "and report the relative deviation.")
+_REL_TOL = _Option("--rel-tol", _FLOAT, default=DEFAULT_REL_TOL,
+                   help="Oracle relative tolerance.")
 
 
 @_command(
@@ -618,12 +618,7 @@ _OUTPUT = (
             help="Volumetric flow rate (m^3/s); solves for pressure drop."),
     _Option("--pressure", _FLOAT,
             help="Total pressure drop (Pa); solves for flow rate."),
-    _Option("--periods", _AtLeast(1), default=1,
-            help="Number of corrugation units in series."),
-    _Option("--validate", help="Co-evaluate the quadrature oracle and "
-                               "report the relative deviation."),
-    _Option("--rel-tol", _FLOAT, default=DEFAULT_REL_TOL,
-            help="Oracle relative tolerance."),
+    _PERIODS, _VALIDATE, _REL_TOL,
     _Option("--max-subdivisions", _AtLeast(1), default=MAX_PANELS,
             help="Panel cap for each quadrature run: the fallback and "
                  "the --validate oracle."),
@@ -666,9 +661,7 @@ def solve(shape, rmin, rmax, length, n, consistency, flow_rate, pressure,
     _Option("--stop", _FLOAT, required=True),
     _Option("--count", _AtLeast(2), required=True),
     _Option("--spacing", _Choice("linear", "log"), default="linear"),
-    _Option("--periods", _AtLeast(1), default=1),
-    _Option("--validate"),
-    _Option("--rel-tol", _FLOAT, default=DEFAULT_REL_TOL),
+    _PERIODS, _VALIDATE, _REL_TOL,
     _Option("--jobs", _AtLeast(1), default=1,
             help="Accepted for compatibility and ignored: every row reuses "
                  "one K, so there is no work to share out."),
@@ -711,10 +704,9 @@ def sweep(shape, rmin, rmax, length, n, consistency, quantity, start, stop,
 
 @_command(
     _Option("--grid", _Choice(*GRIDS), default="default"),
-    _Option("--rel-tol", _FLOAT, default=DEFAULT_REL_TOL,
-            help="Oracle relative tolerance."),
+    _REL_TOL,
     _Option("--format", _FORMAT, dest="fmt", default="csv"),
-    _Option("--output", _FILE),
+    _OUTPUT_FILE,
 )
 def validate(grid, rel_tol, fmt, output):
     """Cross-validate every closed form against the quadrature oracle.

@@ -198,8 +198,25 @@ def _geometric_integral(spec: TubeSpec, n: float):
         # integral for the Legendre function (DLMF 14.12, with P_nu =
         # P_{-nu-1}) gives L (r_min r_max)^(-m/2) P_{3n}(z), m = 3n + 1,
         # z = A / sqrt(r_min r_max).
-        h, terms = _legendre(r_min, r_max, three_n)
-        return length * h, _SINUSOID_NOTE % terms
+        try:
+            h, terms = _legendre(r_min, r_max, three_n)
+            value = length * h
+        except OverflowError:
+            value = math.inf
+        if not value < math.inf:
+            # K/L past the float range, where K may not be: h scales as
+            # r^-(3n+1), so L h is h of the tube scaled by L^(-1/(3n+1)).
+            # A scaled tube that fails leaves K outside the float range,
+            # and sends no tube to the fallback.
+            scale = length ** (-1.0 / (three_n + 1.0))
+            if not scale * r_max < math.inf:
+                raise OverflowError("the scaled tube's r_max")
+            try:
+                value, terms = _legendre(scale * r_min, scale * r_max,
+                                         three_n)
+            except ConvergenceError:
+                raise OverflowError("the scaled tube's K") from None
+        return value, _SINUSOID_NOTE % terms
 
     ratio = r_max / r_min
     m = three_n + 1.0

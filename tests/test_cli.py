@@ -839,12 +839,13 @@ def test_validate_json_document(runner):
     SWEEP_BASE,
     SWEEP_BASE + ["--spacing", "log", "--quantity", "pressure",
                   "--validate"],
+    SWEEP_BASE + ["--validate", "--periods", "3"],
     ["validate", "--grid", "quick", "--format", "json"],
     ["profile", "--shape", "cosh", "--rmin", "1", "--rmax", "3",
      "--length", "2", "--samples", "7"],
     ["rheology", "--n", "0.7", "--consistency", "1.5"],
-], ids=["solve", "solve-validate", "sweep", "sweep-log-validate", "validate",
-        "profile", "rheology"])
+], ids=["solve", "solve-validate", "sweep", "sweep-log-validate",
+        "sweep-validate-periods", "validate", "profile", "rheology"])
 def test_json_output_is_the_indent_2_document(runner, args):
     result = run(runner, args)
     assert result.exit_code == 0
@@ -1253,7 +1254,8 @@ def test_a_directory_is_no_output_file(runner, tmp_path):
 
 
 # An unwritable --output of each kind: its name under tmp_path and the
-# reason open() gives.  A name that ends in "/" is a directory to open().
+# reason open() gives.  A name that ends in "/" is a directory to open();
+# "loop" is a symbolic link to itself.
 UNWRITABLE_OUTPUTS = {
     "missing-dir": ("missing/out.json", "No such file or directory"),
     "empty": ("", "No such file or directory"),
@@ -1261,6 +1263,8 @@ UNWRITABLE_OUTPUTS = {
     "new-dir": ("newdir/", "Is a directory"),
     "file-as-dir": ("afile/", "Is a directory"),
     "dir-under-a-file": ("afile/x/", "Not a directory"),
+    "symlink-loop": ("loop", "Too many levels of symbolic links"),
+    "name-too-long": ("x" * 300, "File name too long"),
 }
 
 
@@ -1279,8 +1283,13 @@ def test_an_output_that_cannot_be_written_exits_2(runner, monkeypatch,
                             work.append(_name))
     name, reason = UNWRITABLE_OUTPUTS[case]
     path = name and os.path.join(tmp_path, name)
+    kept = {}
     if name.startswith("afile"):
+        kept = {"afile": "kept"}
         (tmp_path / "afile").write_text("kept")
+    elif name == "loop":
+        kept = {"loop": "loop"}
+        (tmp_path / "loop").symlink_to("loop")
     result = runner.invoke(main, [command, *RUNNABLE[command],
                                   "--output", path])
     assert work == []
@@ -1290,8 +1299,8 @@ def test_an_output_that_cannot_be_written_exits_2(runner, monkeypatch,
         f"Usage: cdtube {command} [OPTIONS]\nTry 'cdtube {command} --help' "
         f"for help.\n\nError: Invalid value for '--output': {path!r}: "
         f"{reason}\n")
-    assert {p.name: p.read_text() for p in tmp_path.iterdir()} == (
-        {"afile": "kept"} if name.startswith("afile") else {})
+    assert {p.name: os.readlink(p) if p.is_symlink() else p.read_text()
+            for p in tmp_path.iterdir()} == kept
 
 
 def test_a_file_named_as_a_directory_is_reported_by_open(runner, tmp_path):
@@ -1378,6 +1387,28 @@ def test_command_help_names_every_option_in_its_table(runner, command):
     for flag in [*flags, "--help"]:
         assert f"\n  {flag} " in result.stdout or \
             f"\n  {flag}\n" in result.stdout
+
+
+def _help_rows(runner, command):
+    """Each option's ``--help`` row of the command, by flag, with its
+    whitespace, which the width of the page's name column sets, folded."""
+    page = run(runner, [command, "--help"]).stdout
+    rows = collections.defaultdict(list)
+    for line in page.split("\nOptions:\n", 1)[1].splitlines():
+        if line.startswith("  -"):
+            flag = line.split()[0]
+        rows[flag] += line.split()
+    return rows
+
+
+@pytest.mark.parametrize("flag", ["--periods", "--validate", "--rel-tol",
+                                  "--output"])
+def test_a_shared_option_has_one_help_row(runner, flag):
+    commands = [name for name, command in main.commands.items()
+                if flag in (option.flag for option in command.options)]
+    rows = {name: " ".join(_help_rows(runner, name)[flag])
+            for name in commands}
+    assert len(commands) >= 2 and len(set(rows.values())) == 1, rows
 
 
 def test_the_program_name_under_python_m():

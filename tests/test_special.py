@@ -1123,6 +1123,58 @@ def test_large_index_sinusoid_against_mpmath(n):
     assert not misses
 
 
+# A 1 nm throat with L = 1 nm, where K/L leaves the float range while K
+# does not.  At exact half-odd 3n the Pfaff form serves, whose s^(2 nu)
+# overflows far below K/L (K is 4.5e186 at 3n = 37.5, ratio 1e300).  Each
+# 3n is exact, so the reference's index is the solver's: a rounded 3n
+# alone moves K by up to 8e-14 at this throat.
+NANOMETRE_K_OVER_L_OVERFLOWS = {
+    "3n=33.75, ratio 1+1e-15": (11.25, 1.0 + 1e-15),
+    "3n=33.75, ratio 10": (11.25, 10.0),
+    "3n=34.5, ratio 1e6": (11.5, 1e6),
+    "3n=36.75, ratio 1e50": (12.25, 1e50),
+    "3n=37.5, ratio 1e300": (12.5, 1e300),
+    "3n=42, ratio 1e150": (14.0, 1e150),
+}
+
+
+@pytest.mark.parametrize("n,ratio",
+                         list(NANOMETRE_K_OVER_L_OVERFLOWS.values()),
+                         ids=list(NANOMETRE_K_OVER_L_OVERFLOWS))
+def test_a_sinusoid_whose_k_over_l_overflows_is_analytic(n, ratio):
+    r_min = length = 1e-9
+    try:
+        k_over_l = flow._legendre(r_min, r_min * ratio, 3.0 * n)[0]
+    except OverflowError:
+        k_over_l = math.inf
+    assert not length * k_over_l < math.inf
+    with pytest.warns(UserWarning, match="guaranteed-accuracy"):
+        fluid = PowerLawFluid(1.0, n)
+    result = pressure_drop(fluid, TubeSpec(TubeShape.SINUSOIDAL, r_min,
+                                           r_min * ratio, length), 1.0)
+    ref = _sinusoid_reference(fluid, r_min, ratio, length)
+    assert ref < math.inf
+    assert result.method == "analytic", result.diagnostics
+    assert abs(result.pressure_drop - ref) <= 1e-13 * ref
+
+
+@pytest.mark.parametrize("r_min,r_max,length", [
+    (1e-9, 1e-3, 1e-9),  # K itself is about 4e373
+    (1e-12, 1.7e308, 1e-3),  # the scaled tube's r_max is past the range
+], ids=["K-overflows", "scaled-r_max-overflows"])
+def test_a_sinusoid_past_the_float_range_stays_a_domain_error(
+        monkeypatch, r_min, r_max, length):
+    def fallback(*args, **kwargs):
+        raise AssertionError("the quadrature fallback ran")
+    monkeypatch.setattr(flow, "integrate_inverse_radius_power", fallback,
+                        raising=False)
+    with pytest.warns(UserWarning, match="guaranteed-accuracy"):
+        fluid = PowerLawFluid(1.0, 40.0 / 3.0)
+    with pytest.raises(DomainError, match="K is outside the float range"):
+        conductance_coefficient(fluid, TubeSpec(TubeShape.SINUSOIDAL, r_min,
+                                                r_max, length))
+
+
 def _route_map_beta(q, t2, w):
     """``flow._beta`` as it was through the public 2F1: each series goes
     through ``gauss_2f1(..., full_output=True)`` and comes back with an

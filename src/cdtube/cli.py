@@ -70,10 +70,6 @@ TOL = 1e-8
 ORACLE_TIGHT = 1e-12
 
 
-# Marks a cell of an ``_emit`` template row that holds a float per row.
-_VARIES = object()
-
-
 def _json_document(config: dict, rows, floats=None) -> str:
     """The output document as ``json.dumps(doc, indent=2)`` writes it, and
     a final newline.
@@ -81,7 +77,8 @@ def _json_document(config: dict, rows, floats=None) -> str:
     ``rows`` is a non-empty list of non-empty dicts of scalars, as every
     subcommand emits.  With ``floats``, it is ``_emit``'s template row:
     the results come last, so the dump ends with the row's text, which is
-    cut from it and repeated once per tuple of floats.
+    cut from it, its ``"%r"`` strings unquoted, and filled once per tuple
+    of floats.
     """
     import json
 
@@ -97,19 +94,16 @@ def _json_document(config: dict, rows, floats=None) -> str:
 
 def _emit(fmt: str, output, config: dict, rows, floats=None) -> None:
     """Write the rows to stdout, or to the file ``output``; a file that
-    cannot be opened is a usage error, and nothing is written.
+    cannot be opened raises :class:`DomainError`, and nothing is written.
 
     ``rows`` is never empty, and a row's keys, in order, are its table's
     columns: the CSV header is the first row's keys.  With ``floats``,
     ``rows`` is one template row, encoded once by the format's own writer
-    (``csv.writer``, or the document's one ``json.dumps``): each tuple of
-    ``floats`` is a row, whose floats fill the template's ``_VARIES``
-    cells in the template's text.
+    (``csv.writer``, or the document's one ``json.dumps``), and its text
+    is a ``%`` format: a cell that varies holds the string ``"%r"``, and a
+    text cell has each ``%`` doubled.  Each tuple of ``floats`` is a row,
+    whose floats fill the ``"%r"`` cells in order.
     """
-    if floats is not None:  # "%r" for a float, "%%" for a constant's "%"
-        rows = [{key: "%r" if cell is _VARIES else cell.replace("%", "%%")
-                 if isinstance(cell, str) else cell
-                 for key, cell in rows[0].items()}]
     if fmt == "csv":
         import csv
 
@@ -130,7 +124,7 @@ def _emit(fmt: str, output, config: dict, rows, floats=None) -> None:
     try:
         fh = open(output, "w", encoding="utf-8", newline="")
     except OSError as exc:
-        raise _UsageError(f"Invalid value for '--output': {output!r}: "
+        raise DomainError(f"Invalid value for '--output': {output!r}: "
                           f"{exc.strerror}") from None
     with fh:
         fh.write(text)
@@ -161,9 +155,11 @@ def _spaced(start: float, stop: float, count: int, log: bool = False):
 
 
 def _solve_table(fluid, spec, periods, values, pressure_given, solve_unit):
-    """``_emit``'s ``rows, floats`` for the ``solve``/``sweep`` table, with
-    Q, P, and any oracle and rel_err varying.  ``solve_unit`` solves one
-    corrugation unit at each flow rate, or at each pressure / ``periods``.
+    """``_emit``'s ``rows, floats`` for the ``solve``/``sweep`` table: a
+    template row in ``_emit``'s form, ``"%r"`` in the Q and P cells and in
+    any oracle and rel_err, and the note's ``%`` doubled (shape and method
+    hold none).  ``solve_unit`` solves one corrugation unit at each flow
+    rate, or at each pressure / ``periods``.
     """
     floats = []
     for given in values:
@@ -183,12 +179,12 @@ def _solve_table(fluid, spec, periods, values, pressure_given, solve_unit):
             raise DomainError(f"pressure drop over {periods} periods "
                               "overflows the float range")
         floats.append(row)
-    checked = _VARIES if len(row) == 4 else None
+    checked = "%r" if len(row) == 4 else None
     return [{
         "shape": spec.shape.value, "n": fluid.index, "C": fluid.consistency,
         "r_min": spec.r_min, "r_max": spec.r_max, "length": spec.length,
-        "periods": periods, "Q": _VARIES, "P": _VARIES,
-        "method": result.method, "branch": None, "note": result.diagnostics,
+        "periods": periods, "Q": "%r", "P": "%r", "method": result.method,
+        "branch": None, "note": result.diagnostics.replace("%", "%%"),
         "oracle": checked, "rel_err": checked,
     }], floats
 
@@ -199,11 +195,6 @@ def _solve_table(fluid, spec, periods, values, pressure_given, solve_unit):
 
 _ABOUT = ("Pressure-drop/flow-rate solver for power-law fluids in "
           "converging-diverging capillaries.")
-
-
-class _UsageError(Exception):
-    """A command line that does not parse, or an ``--output`` that cannot
-    be written: exit 2 under the usage line."""
 
 
 class _Float:
@@ -263,7 +254,8 @@ class _File:
     ``os.stat`` rejects otherwise (one under a regular file, a symlink
     loop, a name too long), so a command with such an ``--output`` exits
     2 before any work.  What ``stat`` cannot foresee, such as a read-only
-    file system, ``_emit`` reports after the work."""
+    file system or a file that a user other than root may read but not
+    write, ``_emit`` reports after the work, with the same exit 2."""
 
     metavar = "FILE"
 
@@ -378,16 +370,16 @@ def _scan(table, args, *, stop_at_command=False):
         option = table.get(flag)
         if option is None:
             if arg[:2] == "--":
-                raise _UsageError(_no_such("option", flag, table))
-            raise _UsageError(_no_such("option", arg[:2]))
+                raise DomainError(_no_such("option", flag, table))
+            raise DomainError(_no_such("option", arg[:2]))
         if option.kind is None:
             if has_value:
-                raise _UsageError(f"Option {flag!r} does not take a value.")
+                raise DomainError(f"Option {flag!r} does not take a value.")
             value = True
         elif not has_value:
             value = next(tokens, None)
             if value is None:
-                raise _UsageError(f"Option {flag!r} requires an argument.")
+                raise DomainError(f"Option {flag!r} requires an argument.")
         given[option] = value
     return given, rest
 
@@ -409,9 +401,6 @@ def _help_page(usage, about, sections):
         lines += ["", f"{title}:"]
         column = min(max(len(name) for name, _ in rows), 30) + 2
         for name, text in rows:
-            if not text:
-                lines.append(f"  {name}")
-                continue
             # Descriptions start at 2 + column and end by column 76.
             wrapped = fill(text, 76 - column).split("\n")
             if len(name) <= column - 2:
@@ -454,20 +443,20 @@ class _Command:
                     try:
                         value = option.kind.parse(value)
                     except ValueError as exc:
-                        raise _UsageError(f"Invalid value for "
+                        raise DomainError(f"Invalid value for "
                                           f"{option.flag!r}: {exc}") from None
             elif option.required:
                 message = f"Missing option {option.flag!r}."
                 if isinstance(option.kind, _Choice):
                     message += " Choose from:\n\t" + ",\n\t".join(
                         option.kind.names)
-                raise _UsageError(message)
+                raise DomainError(message)
             else:
                 value = option.default
             params[option.dest] = value
         if extra:
             plural = "s" if len(extra) > 1 else ""
-            raise _UsageError(f"Got unexpected extra argument{plural} "
+            raise DomainError(f"Got unexpected extra argument{plural} "
                               f"({' '.join(extra)})")
         return params
 
@@ -516,9 +505,10 @@ def main(args=None, prog_name=None):
 
     Exit 0 on success.  A numerical failure (:class:`ConvergenceError`
     or :class:`EvaluationError`) prints ``numerical failure: <message>``
-    and exits 3.  A command line that does not parse, and any other
-    :class:`CdtubeError`, print the usage line, a ``--help`` hint and
-    ``Error: <message>``, and exit 2.  numpy's overflow warnings are not
+    and exits 3.  Any other :class:`CdtubeError` prints the usage line, a
+    ``--help`` hint and ``Error: <message>``, and exits 2; a command line
+    that does not parse, or an ``--output`` that cannot be opened, raises
+    :class:`DomainError` to get there.  numpy's overflow warnings are not
     printed while a command runs: an integrand that overflows makes the
     quadrature raise a DomainError that says so.  Other warnings print as
     ``Warning: <message>``, without a source path or line.
@@ -536,13 +526,13 @@ def main(args=None, prog_name=None):
     try:
         rest = _group_options(args, prog_name)
         if not rest:
-            raise _UsageError("Missing command.")
+            raise DomainError("Missing command.")
         name = rest[0]
         command = main.commands.get(name)
         if command is None:
             if name[:1] and not name[:1].isalnum():
                 _group_options(rest, prog_name)
-            raise _UsageError(_no_such("command", name, main.commands))
+            raise DomainError(_no_such("command", name, main.commands))
         path, usage = f"{prog_name} {name}", "[OPTIONS]"
         params = command.parse(rest[1:], path)
         # catch_warnings does not restore formatwarning.
@@ -558,7 +548,7 @@ def main(args=None, prog_name=None):
     except (ConvergenceError, EvaluationError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         sys.exit(3)
-    except (CdtubeError, _UsageError) as exc:
+    except CdtubeError as exc:
         sys.stderr.write(f"Usage: {path} {usage}\nTry '{path} --help' for "
                          f"help.\n\nError: {exc}\n")
         sys.exit(2)

@@ -239,12 +239,17 @@ def appell_f1(a: float, b1: float, b2: float, c: float, x: float, y: float,
 
     The value is returned as a ``complex``; inside the polydisc its
     imaginary part is zero.  A gamma factor or a power outside the float
-    range raises :class:`DomainError`.
+    range raises :class:`DomainError`, which names ``appell_f1`` also when
+    the 2F1 of a reduction is the one that left the range.
     """
     from ._continued import appell_f1
 
     try:
         return appell_f1(a, b1, b2, c, x, y, branch)
-    except (OverflowError, ZeroDivisionError) as exc:
+    except (OverflowError, ZeroDivisionError, DomainError) as exc:
+        # A reduction's gauss_2f1 or gauss_2f1_continued names itself.
+        cause = exc.__cause__ if isinstance(exc, DomainError) else exc
+        if not isinstance(cause, (OverflowError, ZeroDivisionError)):
+            raise
         raise _outside_float_range("appell_f1", a=a, b1=b1, b2=b2, c=c, x=x,
-                                   y=y, branch=branch) from exc
+                                   y=y, branch=branch) from cause

@@ -3,6 +3,7 @@ import contextlib
 import csv
 import errno
 import io
+import itertools
 import json
 import math
 import os
@@ -672,23 +673,55 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 @given(columns=_COLUMNS, data=st.data())
 def test_a_template_row_is_written_as_its_rows_would_be(columns, data):
+    # A template cell that varies holds "%r"; a text constant has its "%"
+    # doubled.
     varies = data.draw(st.lists(st.booleans(), min_size=len(columns),
                                 max_size=len(columns)))
-    template = {column: cli_module._VARIES if vary else data.draw(_CONSTANT)
-                for column, vary in zip(columns, varies)}
+    constants = {column: data.draw(_CONSTANT)
+                 for column, vary in zip(columns, varies) if not vary}
+    template = dict.fromkeys(columns, "%r")
+    for column, cell in constants.items():
+        template[column] = (cell.replace("%", "%%") if isinstance(cell, str)
+                            else cell)
     floats = data.draw(st.lists(st.tuples(*[_FINITE] * sum(varies)),
                                 min_size=1, max_size=4))
     rows = []
     for values in floats:
         values = iter(values)
-        rows.append({column: next(values) if cell is cli_module._VARIES
-                     else cell for column, cell in template.items()})
+        rows.append({column: constants[column] if column in constants
+                     else next(values) for column in columns})
     config = {"subcommand": "%r"}
     for fmt in ("csv", "json"):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             cli_module._emit(fmt, None, config, [template], floats)
         assert out.getvalue() == _per_row_document(fmt, config, rows)
+
+
+@pytest.mark.parametrize("validate", [False, True])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_note_with_percent_signs_is_written_verbatim(runner, monkeypatch,
+                                                       fmt, validate):
+    # The fallback note quotes the closed form's error, which here holds
+    # "%" and "%r": every sweep row must carry it as solve's row does.
+    def closed_form(spec, n):
+        raise ConvergenceError("50% off; %r")
+    monkeypatch.setattr(flow_module, "_geometric_integral", closed_form)
+    tube = ["--shape", "conic", "--n", "0.8", "--consistency", "1",
+            "--rmin", "1", "--rmax", "2", "--length", "1", "--format", fmt,
+            *(["--validate"] if validate else [])]
+    solved = run(runner, ["solve", *tube, "--flow-rate", "1"])
+    swept = run(runner, ["sweep", *tube, "--start", "0", "--stop", "1",
+                         "--count", "7"])
+    assert solved.exit_code == swept.exit_code == 0
+    notes = []
+    for result in (solved, swept):
+        rows = (parse_csv(result.stdout) if fmt == "csv"
+                else json.loads(result.stdout)["results"])
+        notes.append([row["note"] for row in rows])
+    (note,) = notes[0]
+    assert note.endswith("): 50% off; %r")
+    assert notes[1] == [note] * 7
 
 
 def test_sweep_bad_range_exits_2(runner):
@@ -1314,6 +1347,50 @@ def test_a_file_named_as_a_directory_is_reported_by_open(runner, tmp_path):
     assert (tmp_path / "afile").read_text() == "kept"
 
 
+def test_an_output_that_fails_to_open_exits_2_after_the_work(
+        runner, monkeypatch, tmp_path):
+    # What stat cannot foresee, such as a read-only file system, open()
+    # reports once the work is done; no file is written.
+    work = []
+    conductance = flow_module._conductance
+    monkeypatch.setattr(flow_module, "_conductance",
+                        lambda *args, **kwargs: work.append(args)
+                        or conductance(*args, **kwargs))
+
+    def read_only(*args, **kwargs):
+        raise OSError(errno.EROFS, "Read-only file system")
+    monkeypatch.setattr(cli_module, "open", read_only, raising=False)
+    path = str(tmp_path / "out.json")
+    result = runner.invoke(main, SOLVE_CONIC + ["--output", path])
+    assert len(work) == 1
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.endswith(
+        f"\nError: Invalid value for '--output': {path!r}: Read-only file "
+        "system\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_unreadable_output_file_exits_2_before_the_work(
+        runner, monkeypatch, tmp_path):
+    target = tmp_path / "out.json"
+    target.write_text("kept")
+    work = []
+    monkeypatch.setattr(flow_module, "_conductance",
+                        lambda *args, **kwargs: work.append(args))
+    access = os.access
+    monkeypatch.setattr(os, "access", lambda path, mode, **kwargs:
+                        path != str(target) and access(path, mode, **kwargs))
+    result = runner.invoke(main, SOLVE_CONIC + ["--output", str(target)])
+    assert work == []
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.endswith(
+        f"\nError: Invalid value for '--output': File {str(target)!r} is "
+        "not readable.\n")
+    assert target.read_text() == "kept"
+
+
 def _documented_columns():
     """The README's CSV column list of each command."""
     readme = Path(__file__).resolve().parents[1] / "README.md"
@@ -1409,6 +1486,32 @@ def test_a_shared_option_has_one_help_row(runner, flag):
     rows = {name: " ".join(_help_rows(runner, name)[flag])
             for name in commands}
     assert len(commands) >= 2 and len(set(rows.values())) == 1, rows
+
+
+@pytest.mark.parametrize("command", [None, *sorted(main.commands)])
+def test_every_help_row_has_text(runner, command):
+    # A row is its name, then its text on the same line or on the lines
+    # below, indented past the name column.
+    if command is None:
+        page = run(runner, ["--help"]).stdout
+        names = [cli_module._VERSION.row()[0], cli_module._HELP.row()[0],
+                 *main.commands]
+    else:
+        page = run(runner, [command, "--help"]).stdout
+        names = [option.row()[0] for option in
+                 (*main.commands[command].options, cli_module._HELP)]
+    lines = page.splitlines()
+    texts = {}
+    for i, line in enumerate(lines):
+        name = next((name for name in names
+                     if f"{line} ".startswith(f"  {name} ")), None)
+        if name is not None:
+            text = [line[2 + len(name):].strip()]
+            text += [more.strip() for more in itertools.takewhile(
+                lambda more: more.startswith("   "), lines[i + 1:])]
+            texts[name] = " ".join(text).strip()
+    assert set(texts) == set(names)
+    assert all(texts.values()), texts
 
 
 def test_the_program_name_under_python_m():

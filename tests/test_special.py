@@ -383,6 +383,7 @@ def test_series_loop_matches_the_reference_loop_bit_for_bit():
         (1.0, 1.0, 2.0, 0.9999999),   # converges slowly past 1e4 terms
         (math.nan, 1.0, 1.0, 0.5),    # a NaN partial sum ends the sum
         (1.0, 1.0, 1.0, 0.0),         # every term is zero
+        (-1.0, 2.0, 2.0, 1.0),        # a sum of exactly 0: the 1e-300 floor
     ]
     seen = set()
     for case in cases:
@@ -392,6 +393,12 @@ def test_series_loop_matches_the_reference_loop_bit_for_bit():
         seen.add((ref[2], ref[0] < 0.0))
     # converged, capped, and a negative sum all occur
     assert {(True, False), (True, True), (False, False)} <= seen
+
+
+def test_a_series_that_meets_c_plus_k_zero_before_it_ends_raises():
+    # c = -2 is met at k = 2, while the terms of a = b = 1 go on.
+    with pytest.raises(ZeroDivisionError):
+        gauss_series(1.0, 1.0, -2.0, 0.5)
 
 
 def test_a_nan_partial_sum_ends_the_series(monkeypatch):
@@ -724,6 +731,26 @@ def test_the_public_kernels_raise_only_cdtube_errors():
         except CdtubeError:
             pass
     assert outside == {gauss_2f1, gauss_2f1_continued, appell_f1}
+
+
+@pytest.mark.parametrize("args", [
+    # x = 1: the reduction's gauss_2f1_continued at y > 1 overflows ...
+    (-33.803313911940734, -72.33898059971318, 193.71060522642262,
+     -3.298112960027055, 1.0, 2.9077951054669717),
+    # ... and its gauss_2f1 at y < 1 divides by an underflowed gamma.
+    (-189.11515542223225, -67.40999754268714, 79.19052656221749,
+     -131.19245837679983, 1.0, 0.9658690566890191),
+])
+def test_appell_f1_names_itself_when_a_reduction_leaves_the_float_range(
+        args):
+    names = ("a", "b1", "b2", "c", "x", "y")
+    listed = ", ".join(f"{name}={value!r}" for name, value in zip(names, args))
+    with pytest.raises(DomainError) as info:
+        appell_f1(*args)
+    assert str(info.value) == (
+        "appell_f1: a gamma factor or a power is outside the float range "
+        f"({listed}, branch='above')")
+    assert isinstance(info.value.__cause__, (OverflowError, ZeroDivisionError))
 
 
 # ---------------------------------------------------------------------------

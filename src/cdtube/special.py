@@ -1,7 +1,7 @@
 """Gauss and Appell hypergeometric kernels with real-axis continuation.
 
-:func:`gauss_series` is the series kernel that the closed-form K of
-every curved shape in :mod:`cdtube.flow` sums.  The module also covers
+:func:`gauss_series` is the series kernel that the sinusoid's
+closed-form K in :mod:`cdtube.flow` sums.  The module also covers
 three evaluation regimes that compute no conductance:
 
 * ``gauss_2f1`` for real argument ``z < 1``, through a route map (DLMF
@@ -21,7 +21,7 @@ live in :mod:`cdtube._continued`, which the first call of any of the
 three imports, so a closed-form solve does not compile them.  This module
 keeps no ``__getattr__`` (PEP 562): in CPython one keeps every attribute
 load on the module from being specialized, and :mod:`cdtube.flow` reads
-``special._series_checked`` on every K.
+``special._series_checked`` on every sinusoid K.
 
 Degenerate parameter combinations (poles of the gamma factors, vanishing
 series denominators) raise :class:`DegenerateParameterError` rather than
@@ -52,8 +52,9 @@ STAGNATION_RUN = 3
 BRANCH_ABOVE = "above"
 BRANCH_BELOW = "below"
 
-# The note of a summed series: EvaluationReport.summary() and the closed
-# forms' diagnostics in cdtube.flow, which sum their series without a report.
+# The note of a summed series: EvaluationReport.summary() and the
+# sinusoid's diagnostics in cdtube.flow, which sums its series without a
+# report.
 SERIES_NOTE = "converged after %s series terms"
 
 

@@ -57,9 +57,9 @@ def no_closed_form(monkeypatch):
 def test_a_parabolic_pressure_drop():
     spec = TubeSpec(TubeShape.PARABOLIC, 1.0, 3.0, 1.0)
     names = _traced(lambda: cdtube.pressure_drop(FLUID, spec, 1.0))
-    # The beta forms sum their series without gauss_2f1's route map.
-    assert names == {"flow.pressure_drop", "flow.conductance",
-                     "kernels.gauss_series"}
+    # The beta forms take the incomplete beta's continued fraction, which
+    # sums no series.
+    assert names == {"flow.pressure_drop", "flow.conductance"}
 
 
 def test_a_validated_flow_rate():

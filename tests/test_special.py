@@ -980,19 +980,47 @@ TERM_BOUND_INDICES = tuple(
 ) + (0.2, 0.27, 0.41, 0.77, 1.09, 1.42, 1.96)
 
 
+def _recording_fraction(monkeypatch):
+    """Patch the continued fraction the beta forms take; return the list
+    that collects the steps of each call."""
+    steps = []
+    inner = flow._beta_fraction
+
+    def record(a, b, x):
+        value, taken = inner(a, b, x)
+        steps.append(taken)
+        return value, taken
+
+    monkeypatch.setattr(flow, "_beta_fraction", record)
+    return steps
+
+
 @pytest.mark.parametrize("shape", BETA_SHAPES)
 def test_beta_forms_take_one_short_series(shape, monkeypatch):
-    # Each K is one series at an argument of at most 1/2 in at most 80
-    # terms; the measured maximum is 75 (parabolic).
-    calls = _recording_gauss_series(monkeypatch)
+    # Each K is one continued fraction, and no beta form sums a series.
+    # It takes at most 20 steps over the envelope, the most measured there;
+    # on this grid the measured maximum is 15 (parabolic).  Past the index
+    # range, up to n = 100 (q up to 601), it never reaches its cap; the
+    # measured maximum is 41 (cosh, n = 60, ratio 1.01).
+    steps = _recording_fraction(monkeypatch)
+    monkeypatch.setattr(special, "gauss_series", None)
     for n, ratio in itertools.product(TERM_BOUND_INDICES, ENVELOPE_RATIOS):
-        calls.clear()
+        steps.clear()
         k = conductance_coefficient(PowerLawFluid(1.0, n),
                                     TubeSpec(shape, 1.0, ratio, 1.0))
         assert 0.0 < k < math.inf
-        [(z, terms)] = calls
-        assert (0.0 < z <= 0.5, terms <= 80) == (True, True), (
-            n, ratio, z, terms)
+        [taken] = steps
+        assert taken <= 20, (n, ratio, taken)
+    with pytest.warns(UserWarning, match="guaranteed-accuracy"):
+        fluids = [PowerLawFluid(1.0, n) for n in (5.0, 10.0, 20.0, 40.0,
+                                                    60.0, 80.0, 100.0)]
+    for fluid, ratio in itertools.product(
+            fluids, (1.0 + 1e-4, 1.01, 1.05, 1.2, 1.5, 1.9, 3.0, 100.0, 1e6)):
+        steps.clear()
+        k = conductance_coefficient(fluid, TubeSpec(shape, 1.0, ratio, 1.0))
+        assert 0.0 < k < math.inf
+        [taken] = steps
+        assert taken < flow.MAX_FRACTION_STEPS, (fluid.index, ratio, taken)
 
 
 # Within this distance of a half-odd 3n the two halves of the sinusoid's
@@ -1069,31 +1097,35 @@ def test_sinusoid_term_counts_inside_the_half_odd_window(three_n, ratio,
 
 
 @functools.cache
-def _mpmath_unit_sinusoid(n, ratio):
+def _mpmath_unit_sinusoid(n, ratio, three_n=None):
     """The sinusoid's ``integral r(x)^-(3n+1) dx`` at ``r_min = L = 1``, in
     50 digits: ``s^(2 nu) / sqrt(ratio) 2F1(-nu, -nu; 1; w)``, the Pfaff
     form (DLMF 15.8.1) of ``ratio^(-(nu+1)/2) P_nu(z)``, with ``nu = 3n``,
-    ``s = (1 + ratio^-1/2)/2`` and ``w = tanh^2(xi/2)``.
+    ``s = (1 + ratio^-1/2)/2`` and ``w = tanh^2(xi/2)``.  ``three_n``, if
+    given, is ``nu`` as the solver forms it, ``3.0 * n`` rounded.
 
     It reaches ratio 1e300, past what the quadrature of
     :func:`_mpmath_geometric_integral` resolves.  mpmath's ``legenp`` is no
     reference there: at ratio 1e264 it was 1.4e-13 off this form and off
     the ring expansion, which agree to 1e-61."""
     with mpmath.workdps(50):
-        nu, big = 3 * mpmath.mpf(n), mpmath.mpf(ratio)
+        nu = 3 * mpmath.mpf(n) if three_n is None else mpmath.mpf(three_n)
+        big = mpmath.mpf(ratio)
         root = mpmath.sqrt(big)
         w = ((root - 1) / (root + 1)) ** 2
         return ((1 + 1 / root) / 2) ** (2 * nu) / root * mpmath.hyp2f1(
             -nu, -nu, 1, w)
 
 
-def _sinusoid_reference(fluid, r_min, ratio, length):
+def _sinusoid_reference(fluid, r_min, ratio, length, three_n=None):
     """K of the sinusoid from :func:`_mpmath_unit_sinusoid`: ``L
-    r_min^-(3n+1)`` times the unit tube's integral, times the prefactor."""
+    r_min^-(3n+1)`` times the unit tube's integral, times the prefactor.
+    ``three_n``, if given, is ``3n`` as the solver forms it."""
     n = fluid.index
     with mpmath.workdps(50):
-        geometric = (length * mpmath.mpf(r_min) ** -(3 * mpmath.mpf(n) + 1)
-                     * _mpmath_unit_sinusoid(n, ratio))
+        nu = 3 * mpmath.mpf(n) if three_n is None else mpmath.mpf(three_n)
+        geometric = (length * mpmath.mpf(r_min) ** -(nu + 1)
+                     * _mpmath_unit_sinusoid(n, ratio, three_n))
     return master_prefactor(fluid, 1.0) * float(geometric)
 
 
@@ -1185,6 +1217,50 @@ def test_a_sinusoid_whose_k_over_l_overflows_is_analytic(n, ratio):
     assert abs(result.pressure_drop - ref) <= 1e-13 * ref
 
 
+def test_a_ring_expansion_near_the_top_of_the_float_range_is_analytic():
+    # n = 13.3 at a 1 nm throat with L = 1 nm and ratio 1e100: K is
+    # 1.69e308, within 7% of the largest float, on the scaled tube's ring
+    # expansion.  Its first half overflowed before the division by
+    # sqrt(pi), and so did 16 |value| in its cancellation test.  3.0 * n is
+    # not 3n exactly here, so the reference takes the solver's index: the
+    # exact one moves K by 7.4e-14 at this throat.
+    n, ratio = 13.3, 1e100
+    r_min = length = 1e-9
+    with pytest.warns(UserWarning, match="guaranteed-accuracy"):
+        fluid = PowerLawFluid(1.0, n)
+    result = pressure_drop(fluid, TubeSpec(TubeShape.SINUSOIDAL, r_min,
+                                           r_min * ratio, length), 1.0)
+    ref = _sinusoid_reference(fluid, r_min, ratio, length, 3.0 * n)
+    assert 1.6e308 < ref < math.inf
+    assert result.method == "analytic", result.diagnostics
+    assert abs(result.pressure_drop - ref) <= 1e-13 * ref
+
+
+def test_a_scaled_sinusoid_that_fails_to_converge_is_a_domain_error(
+        monkeypatch):
+    # K/L overflows, and the scaled tube's closed form raises
+    # ConvergenceError: that leaves K outside the float range, and sends
+    # no tube to the quadrature fallback.
+    tubes = []
+
+    def legendre(r_min, r_max, nu):
+        tubes.append((r_min, r_max))
+        if len(tubes) == 1:
+            raise OverflowError("K/L past the float range")
+        raise ConvergenceError("the scaled tube's series")
+
+    def fallback(*args, **kwargs):
+        raise AssertionError("the quadrature fallback ran")
+    monkeypatch.setattr(flow, "_legendre", legendre)
+    monkeypatch.setattr(flow, "integrate_inverse_radius_power", fallback,
+                        raising=False)
+    spec = TubeSpec(TubeShape.SINUSOIDAL, 1e-9, 1e-6, 1e-9)
+    with pytest.raises(DomainError, match="K is outside the float range"):
+        conductance_coefficient(PowerLawFluid(1.0, 0.5), spec)
+    scale = 1e-9 ** (-1.0 / 2.5)
+    assert tubes == [(1e-9, 1e-6), (scale * 1e-9, scale * 1e-6)]
+
+
 @pytest.mark.parametrize("r_min,r_max,length", [
     (1e-9, 1e-3, 1e-9),  # K itself is about 4e373
     (1e-12, 1.7e308, 1e-3),  # the scaled tube's r_max is past the range
@@ -1219,53 +1295,105 @@ def _route_map_beta(q, t2, w):
 
 
 def _through_the_route_map(monkeypatch, compute):
-    """``compute()`` with the beta forms' series from :func:`_route_map_beta`;
-    returns its result and each report's ``summary()``."""
-    summaries = []
-
+    """``compute()`` with the beta forms' series from
+    :func:`_route_map_beta`."""
     def beta(q, t2, w):
         h, rep = _route_map_beta(q, t2, w)
-        summaries.append(rep.summary())
         return h, rep.terms_used
 
     with monkeypatch.context() as patch:
         patch.setattr(flow, "_beta", beta)
-        return compute(), summaries
+        return compute()
 
 
 @pytest.mark.parametrize("shape", BETA_SHAPES)
 def test_beta_forms_match_the_route_map(shape, monkeypatch):
-    # Summing the series directly changes no bit of K and no byte of the
-    # note.  Past ratio ~1.3e154 the hyperbolic and cosh w = ratio^-2
-    # underflows to 0, where gauss_2f1 sums no term.
+    # The continued fraction gives the route map's K to 5e-15 (measured at
+    # most 1.9e-15), and the note names the steps it took.  Past ratio
+    # ~1.3e154 the hyperbolic and cosh w = ratio^-2 underflows to 0, where
+    # the fraction takes no step.
+    steps = _recording_fraction(monkeypatch)
     for n, ratio in itertools.product(
             TERM_BOUND_INDICES, ENVELOPE_RATIOS + (1e154, 1e200, 1e300)):
         spec = TubeSpec(shape, 1.0, ratio, 1.0)
+        steps.clear()
         value, note = flow._geometric_integral(spec, n)
-        (expected, _), [summary] = _through_the_route_map(
+        taken = sum(steps)
+        expected, _ = _through_the_route_map(
             monkeypatch, lambda: flow._geometric_integral(spec, n))
-        assert (value.hex(), note) == (
-            expected.hex(), f"{shape.value} closed form: 2F1 {summary}"), (
-            n, ratio)
+        assert abs(value - expected) <= 5e-15 * expected, (n, ratio)
+        assert note == (f"{shape.value} closed form: beta continued "
+                        f"fraction converged after {taken} steps"), (n, ratio)
         if shape is not TubeShape.PARABOLIC and ratio >= 1e200:
-            assert note.endswith(" converged after 0 series terms"), note
+            assert steps == [], steps
+            assert note.endswith(" converged after 0 steps"), note
 
 
 @pytest.mark.parametrize("shape", BETA_SHAPES)
 def test_beta_fallback_quotes_the_route_map_message(shape, monkeypatch):
-    # A series capped at 5 terms raises gauss_2f1's ConvergenceError, and
-    # the fallback's note quotes it byte for byte.
-    monkeypatch.setattr(special, "MAX_TERMS", 5)
+    # A fraction capped at 1 step raises its ConvergenceError, and the
+    # fallback's note quotes it byte for byte.
+    monkeypatch.setattr(flow, "MAX_FRACTION_STEPS", 1)
+    raised = []
+    inner = flow._beta_fraction
+
+    def record(a, b, x):
+        try:
+            return inner(a, b, x)
+        except ConvergenceError as exc:
+            raised.append(str(exc))
+            raise
+
+    monkeypatch.setattr(flow, "_beta_fraction", record)
     fluid, spec = PowerLawFluid(1.0, 0.7), TubeSpec(shape, 1.0, 3.0, 1.0)
     result = pressure_drop(fluid, spec, 1.0)
-    expected, summaries = _through_the_route_map(
-        monkeypatch, lambda: pressure_drop(fluid, spec, 1.0))
-    assert summaries == []
-    assert result.method == expected.method == "quadrature_fallback"
-    assert result.diagnostics == expected.diagnostics
-    assert ": gauss_2f1: series for (a=" in result.diagnostics
-    assert "did not converge within 5 terms" in result.diagnostics
-    assert result.pressure_drop.hex() == expected.pressure_drop.hex()
+    [message] = raised
+    assert result.method == "quadrature_fallback"
+    assert result.diagnostics.startswith("fallback to quadrature (")
+    assert result.diagnostics.endswith(f"): {message}")
+    assert message.startswith("beta continued fraction for (a=")
+    assert message.endswith("did not converge within 1 steps")
+    monkeypatch.undo()
+    analytic = pressure_drop(fluid, spec, 1.0)
+    assert analytic.method == "analytic"
+    assert result.pressure_drop == pytest.approx(analytic.pressure_drop,
+                                                 rel=1e-8, abs=0.0)
+
+
+class _ZeroDivisorAfterOneProduct(float):
+    """A float whose products, after its first, raise ZeroDivisionError:
+    in the continued fraction the first is outside the loop, the next
+    inside it."""
+
+    def __new__(cls, value):
+        self = super().__new__(cls, value)
+        self.products = 0
+        return self
+
+    def __rmul__(self, other):
+        self.products += 1
+        if self.products > 1:
+            raise ZeroDivisionError("float division by zero")
+        return other * float(self)
+
+
+@pytest.mark.parametrize("shape", BETA_SHAPES)
+def test_a_zero_denominator_in_the_beta_fraction_falls_back(shape,
+                                                           monkeypatch):
+    # The fraction guards no denominator inside its loop; a zero one
+    # raises ZeroDivisionError, which it turns into ConvergenceError once,
+    # outside the loop.  The quadrature then takes the tube, and the note
+    # says why.
+    inner = flow._beta_fraction
+    monkeypatch.setattr(flow, "_beta_fraction", lambda a, b, x: inner(
+        a, b, _ZeroDivisorAfterOneProduct(x)))
+    fluid, spec = PowerLawFluid(1.0, 0.7), TubeSpec(shape, 1.0, 3.0, 1.0)
+    result = pressure_drop(fluid, spec, 1.0)
+    assert result.method == "quadrature_fallback"
+    assert result.diagnostics.endswith(": a zero denominator at step 1")
+    monkeypatch.undo()
+    assert result.pressure_drop == pytest.approx(
+        pressure_drop(fluid, spec, 1.0).pressure_drop, rel=1e-8, abs=0.0)
 
 
 @pytest.mark.parametrize("n", ENVELOPE_INDICES)

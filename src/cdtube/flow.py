@@ -24,6 +24,7 @@ raises :class:`DomainError`.
 
 import functools
 import math
+import sys
 
 from . import special
 from ._frozen import value_type
@@ -68,6 +69,7 @@ MAX_FRACTION_STEPS = 100
 _FRACTION_RTOL = 2.220446049250313e-16
 
 _ROOT_PI = math.sqrt(math.pi)
+_NORMAL_MIN = sys.float_info.min
 
 # Above this ratio, (3 + 2 sqrt 2)^2, the sinusoid takes the ring-function
 # expansion; up to it the Pfaff variable tanh^2(xi/2) is at most 1/2.
@@ -240,7 +242,11 @@ def _geometric_integral(spec: TubeSpec, n: float):
     ``(value, diagnostics)``.
 
     The contrast ``d = r_max/r_min - 1`` is formed from the radius
-    difference: a small contrast keeps its digits.
+    difference: a small contrast keeps its digits.  Where a power of
+    ``r_min`` leaves the normal float range while K need not (the conic's
+    ``r_min^-3n`` overflows; the beta forms' ``r_min^(3n+1)``, or its
+    product with the scale, is subnormal), ``r_min^-(3n+1)`` is applied in
+    two halves instead, as the sinusoid's ring expansion does.
     """
     length = spec.length
     r_min, r_max = spec.r_min, spec.r_max
@@ -277,8 +283,14 @@ def _geometric_integral(spec: TubeSpec, n: float):
     d = (r_max - r_min) / r_min
     if shape is TubeShape.CONIC:
         # 1 - ratio^-3n without cancellation at small contrast
-        value = (length * -math.expm1(-three_n * math.log1p(d))
-                 * r_min**-three_n / (three_n * (r_max - r_min)))
+        head = length * -math.expm1(-three_n * math.log1p(d))
+        try:
+            value = head * r_min**-three_n / (three_n * (r_max - r_min))
+        except OverflowError:
+            # r_min^-3n past the float range, where K may not be: in two
+            # halves, each applied after the division.
+            half = r_min ** (-0.5 * three_n)
+            value = head / (three_n * (r_max - r_min)) * half * half
         return value, "conic closed form"
 
     # The beta forms: K = L * _beta(q, t2, w) / (scale * r_min^m).
@@ -301,7 +313,15 @@ def _geometric_integral(spec: TubeSpec, n: float):
             # Cosh: r = r_min cosh(eta y); u = tanh(eta y)
             q, scale = m, math.log1p(d + sinh)  # eta = acosh(ratio)
     h, steps = _beta(q, t2, w)
-    value = length * h / (scale * r_min**m)
+    power = r_min**m
+    denominator = scale * power
+    if power < _NORMAL_MIN or denominator < _NORMAL_MIN:
+        # Either subnormal, its digits lost, or 0, where K may still be a
+        # float: r_min^-m in two halves, each applied after the division.
+        half = r_min ** (-0.5 * m)
+        value = length * h / scale * half * half
+    else:
+        value = length * h / denominator
     # ``_value_`` holds what ``.value``, a Python-level property, returns.
     return value, _BETA_NOTE % (shape._value_, steps)
 

@@ -1,4 +1,6 @@
 import functools
+import heapq
+import itertools
 import math
 
 import mpmath
@@ -252,3 +254,238 @@ def test_default_validate_grid_panel_count(runner, monkeypatch):
     assert result.exit_code == 0
     assert len(panels) == 240
     assert sum(panels) <= 300
+
+
+# ---------------------------------------------------------------------------
+# the adaptive driver against a reference copy
+# ---------------------------------------------------------------------------
+
+def reference_integrate_adaptive(f, lo, hi, rel_tol, max_panels):
+    """The driver as it stood with every panel on the heap, every panel's
+    nodes clipped, ``@`` products and the closing ``fsum``s of one panel;
+    :func:`quadrature._integrate_adaptive` must reproduce it bit for bit."""
+    nodes_hi, weights_hi, weights_lo = quadrature._rules()
+    heap = []
+    seq = itertools.count()
+
+    def add_panel(a, b):
+        mid = 0.5 * (a + b)
+        halfwidth = 0.5 * (b - a)
+        nodes = mid + halfwidth * nodes_hi
+        nodes.clip(a, b, out=nodes)
+        values = f(nodes)
+        est_hi = halfwidth * float(weights_hi @ values)
+        if not math.isfinite(est_hi):
+            raise DomainError("the integrand leaves the float range: "
+                              f"panel [{a!r}, {b!r}] estimates {est_hi!r}")
+        est_lo = halfwidth * float(weights_lo @ values[::2])
+        err = max(abs(est_hi - est_lo), 2e-16 * abs(est_hi))
+        heapq.heappush(heap, (-err, next(seq), a, b, est_hi, err))
+        return est_hi, err
+
+    total_v, total_e = add_panel(lo, hi)
+    while True:
+        capped = len(heap) >= max_panels
+        if capped or total_e <= rel_tol * abs(total_v):
+            value = math.fsum(panel[4] for panel in heap)
+            err = math.fsum(panel[5] for panel in heap)
+            converged = err <= rel_tol * abs(value)
+            if converged or capped:
+                return value, err, len(heap), converged
+            total_v, total_e = value, err
+        _, _, a, b, v, e = heapq.heappop(heap)
+        total_v -= v
+        total_e -= e
+        mid = 0.5 * (a + b)
+        for aa, bb in ((a, mid), (mid, b)):
+            v, e = add_panel(aa, bb)
+            total_v += v
+            total_e += e
+
+
+def _both_drivers(g, lo, hi, rel_tol, max_panels):
+    """Each driver's result, or its error's type and message, with the
+    node arrays it passed to ``g``; every node must lie in [lo, hi]."""
+    runs = []
+    for driver in (quadrature._integrate_adaptive,
+                   reference_integrate_adaptive):
+        seen = []
+
+        def f(x):
+            assert lo <= x.min() and x.max() <= hi, (x.min(), x.max())
+            seen.append(x.tobytes())
+            return g(x)
+        try:
+            value, err, panels, ok = driver(f, lo, hi, rel_tol, max_panels)
+            outcome = (value.hex(), err.hex(), panels, ok)
+        except DomainError as exc:
+            outcome = (type(exc), str(exc))
+        runs.append((outcome, seen))
+    return runs
+
+
+def _bit_noise(x):
+    """Values from the low bits of each node, which neither rule
+    integrates; at rel_tol 0 every panel is split until the cap, down to
+    panels of zero width."""
+    return (x.view(np.int64) % 7).astype(np.float64)
+
+
+def _overflows_below_width(width):
+    def g(x):
+        if x.max() - x.min() < width:
+            return np.full_like(x, np.inf)
+        return 1.0 / (1e-3 + x)
+    return g
+
+
+MAX_PANELS = quadrature.MAX_PANELS
+DRIVER_CASES = {
+    "one panel": (lambda x: np.exp(-x * x), 0.0, 1.0, 1e-10, MAX_PANELS),
+    "multi-panel": (lambda x: 1.0 / (1e-3 + x), 0.0, 1.0, 1e-12, MAX_PANELS),
+    "capped at 1": (lambda x: 1.0 / (1e-3 + x), 0.0, 1.0, 1e-12, 1),
+    "capped at 2": (lambda x: 1.0 / (1e-3 + x), 0.0, 1.0, 1e-12, 2),
+    "a throat overflows": (lambda x: np.where(x < 1e-300, np.inf, 1.0), 0.0,
+                           1.0, 1e-10, MAX_PANELS),
+    "overflows in a later panel": (_overflows_below_width(0.3), 0.0, 1.0,
+                                   1e-12, MAX_PANELS),
+    "odd ends": (lambda x: np.sqrt(np.abs(x)), -0.30000000000000004,
+                 0.7000000000000001, 1e-11, MAX_PANELS),
+    # mid +- halfwidth inexact: ends one and three floats apart, a width of
+    # a few subnormals, ends near the largest half tube, and ends whose
+    # halfwidth overflows
+    "adjacent floats": (_bit_noise, 0.7, math.nextafter(0.7, 1.0), 0.0, 50),
+    "three floats apart": (_bit_noise, -1.1, -1.1 + 3 * 2.0**-52, 0.0, 50),
+    "subnormal width": (_bit_noise, 7 * 5e-324, 12 * 5e-324, 0.0, 50),
+    "near the largest L/2": (_bit_noise, 8.5e307, 8.98846567431158e307,
+                             0.0, 50),
+    "across the float range": (lambda x: np.exp(-(x / 1e307) ** 2),
+                               -1.7976931348623157e308,
+                               1.7976931348623157e308, 1e-10, 50),
+}
+
+
+@pytest.mark.parametrize("g,lo,hi,rel_tol,max_panels",
+                         list(DRIVER_CASES.values()), ids=list(DRIVER_CASES))
+def test_driver_matches_the_reference_driver_bit_for_bit(g, lo, hi, rel_tol,
+                                                         max_panels):
+    (got, got_nodes), (ref, ref_nodes) = _both_drivers(g, lo, hi, rel_tol,
+                                                       max_panels)
+    assert got == ref
+    assert got_nodes == ref_nodes
+
+
+def test_driver_cases_cover_every_outcome():
+    outcomes = [_both_drivers(*case)[1][0] for case in DRIVER_CASES.values()]
+    panels = {o[2] for o in outcomes if len(o) == 4}
+    assert 1 in panels and max(panels) > 2
+    assert {o[3] for o in outcomes if len(o) == 4} == {True, False}
+    assert any(o[0] is DomainError for o in outcomes)
+
+
+def test_a_panel_whose_ends_round_back_needs_no_clip():
+    # When mid - halfwidth and mid + halfwidth round to the ends, every
+    # node mid + halfwidth * c, |c| <= 1, lies between them.  The first
+    # panel [0, L/2] of every tube is one; the driver cases above have
+    # panels of both kinds.
+    nodes_hi = quadrature._rules()[0]
+    exact = []
+    for lo, hi in [(0.0, 0.5 * length) for length in (1.0, 3e-4, 1e-300,
+                                                      1.7e308, 5e-324)] + [
+            (0.7, math.nextafter(0.7, 1.0)), (-1.1, -1.1 + 3 * 2.0**-52),
+            (7 * 5e-324, 12 * 5e-324), (1.6e308, 1.7976931348623157e308),
+            (-0.30000000000000004, 0.7000000000000001)]:
+        mid, halfwidth = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        if mid - halfwidth == lo and mid + halfwidth == hi:
+            nodes = mid + halfwidth * nodes_hi
+            assert lo <= nodes.min() and nodes.max() <= hi
+            exact.append(lo == 0.0)
+        else:
+            exact.append(None)
+    assert exact[:5] == [True] * 5
+    assert None in exact[5:]
+
+
+def test_the_running_totals_reset_when_the_exact_sums_refuse():
+    # The first split leaves [0, 1/2] with an error near 1e19 and a value
+    # near 0, and [1/2, 1] with an error of 0.5.  Their running sum drops
+    # the 0.5, so once [0, 1/2] is split into two exact panels the running
+    # error claims convergence.  The fsums refuse it, the totals are reset
+    # to them, and [1/2, 1] is split next.
+    weights_hi = quadrature._rules()[1]
+    even = np.arange(65) % 2 == 0
+    balance = math.fsum(weights_hi[even]) / math.fsum(weights_hi[~even])
+
+    def cancelling(size):
+        # 65-point estimate near 0, 33-point estimate 2 * size * halfwidth
+        return np.where(even, size, -size * balance)
+
+    panels = []
+
+    def g(x):
+        a, b = float(x.min()), float(x.max())
+        panels.append((a, b))
+        if (a, b) == (0.0, 1.0):
+            return cancelling(1.0)
+        if (a, b) == (0.0, 0.5):
+            return cancelling(1e20)
+        if (a, b) == (0.5, 1.0):
+            return 1.0 + cancelling(1.0)
+        return np.ones_like(x)
+
+    (got, _), (ref, _) = _both_drivers(g, 0.0, 1.0, 1e-10, MAX_PANELS)
+    assert got == ref
+    assert got[2:] == (4, True)
+    assert panels[:7] == [(0.0, 1.0), (0.0, 0.5), (0.5, 1.0), (0.0, 0.25),
+                          (0.25, 0.5), (0.5, 0.75), (0.75, 1.0)]
+
+
+# ---------------------------------------------------------------------------
+# the two oracle entry points, and the panel cap's range
+# ---------------------------------------------------------------------------
+
+def _bits(result):
+    return (result.value.hex(), result.error_estimate.hex(),
+            result.subdivisions)
+
+
+@pytest.mark.parametrize("shape", list(TubeShape))
+def test_pressure_drop_numeric_is_the_oracle_bit_for_bit(shape):
+    fluid = PowerLawFluid(1.7, 0.6)
+    spec = TubeSpec(shape, 1e-5, 4.2e-5, 3e-4)
+    oracle = quadrature.pressure_drop_oracle(fluid, spec, 1e-12)
+    for q in (1e-13, 2.5e-10, 7.0):
+        assert (_bits(pressure_drop_numeric(fluid, spec, q, 1e-12))
+                == _bits(oracle(q)))
+    # Both directions of a validated solve carry that oracle's P.
+    forward = flow_module.pressure_drop(fluid, spec, 2.5e-10, validate=True,
+                                        oracle_rel_tol=1e-12)
+    inverse = flow_module.flow_rate(fluid, spec, forward.pressure_drop,
+                                    validate=True, oracle_rel_tol=1e-12)
+    assert forward.oracle_value.hex() == oracle(2.5e-10).value.hex()
+    assert inverse.oracle_value.hex() == oracle(inverse.flow_rate).value.hex()
+
+
+def test_both_oracle_entry_points_keep_zero_and_refuse_bad_flow_rates():
+    fluid = PowerLawFluid(1.0, 0.8)
+    spec = TubeSpec(TubeShape.PARABOLIC, 1.0, 2.0, 1.0)
+    oracle = quadrature.pressure_drop_oracle(fluid, spec)
+    for at in (oracle, functools.partial(pressure_drop_numeric, fluid, spec)):
+        zero = at(0.0)
+        assert (zero.value, zero.error_estimate, zero.subdivisions) == (
+            0.0, 0.0, 0)
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="flow_rate"):
+                at(bad)
+
+
+@pytest.mark.parametrize("max_panels", [0, -5, 0.5, math.nan])
+def test_a_panel_cap_below_one_is_a_domain_error(max_panels):
+    spec = TubeSpec(TubeShape.CONIC, 0.5, 1.0, 1.0)
+    message = r"^max_panels must be at least 1, got "
+    with pytest.raises(DomainError, match=message):
+        integrate_inverse_radius_power(spec, 4.0, 1e-14,
+                                       max_panels=max_panels)
+    with pytest.raises(DomainError, match=message):
+        pressure_drop_numeric(PowerLawFluid(1.0, 1.0), spec, 1.0,
+                              max_panels=max_panels)

@@ -1278,6 +1278,57 @@ def test_a_sinusoid_past_the_float_range_stays_a_domain_error(
                                                 r_max, length))
 
 
+def _unit_profile(shape, ratio):
+    """``r(y) / r_min`` at ``y = 2x/L`` in [0, 1], in mpmath."""
+    d = ratio - 1
+    if shape is TubeShape.CONIC:
+        return lambda y: 1 + d * y
+    if shape is TubeShape.PARABOLIC:
+        return lambda y: 1 + d * y * y
+    if shape is TubeShape.HYPERBOLIC:
+        return lambda y: mpmath.sqrt(1 + (ratio**2 - 1) * y * y)
+    eta = mpmath.acosh(ratio)
+    return lambda y: mpmath.cosh(eta * y)
+
+
+# At a 1 nm throat with L = 1 pm, r_min^(3n+1) is subnormal, or 0, while
+# K is a float.  The beta forms divided by it and lost digits, K off by
+# up to 3.5e-6; the conic's r_min^-3n overflowed, a false DomainError.  At
+# ratio 1 + 1e-15, r_min^(3n+1) is normal but its product with the
+# parabolic scale sqrt(d) is not.  3n + 1 is exact at every n here.
+NANOMETRE_POWER_OUTSIDE_THE_NORMAL_RANGE = {
+    "parabolic n=11.3": (TubeShape.PARABOLIC, 11.3, 1.5),
+    "hyperbolic n=11.45": (TubeShape.HYPERBOLIC, 11.45, 1.5),
+    "parabolic n=11.45": (TubeShape.PARABOLIC, 11.45, 1.5),
+    "cosh n=11.45": (TubeShape.COSH, 11.45, 1.5),
+    "conic n=11.45": (TubeShape.CONIC, 11.45, 1.5),
+    "parabolic n=11.05, ratio 1+1e-15": (TubeShape.PARABOLIC, 11.05,
+                                         1.0 + 1e-15),
+}
+
+
+@pytest.mark.parametrize("shape,n,ratio",
+                         list(NANOMETRE_POWER_OUTSIDE_THE_NORMAL_RANGE.values()),
+                         ids=list(NANOMETRE_POWER_OUTSIDE_THE_NORMAL_RANGE))
+def test_a_nanometre_throat_whose_radius_power_leaves_the_normal_range(
+        shape, n, ratio):
+    r_min, length = 1e-9, 1e-12
+    spec = TubeSpec(shape, r_min, r_min * ratio, length)
+    with pytest.warns(UserWarning, match="guaranteed-accuracy"):
+        fluid = PowerLawFluid(1.0, n)
+    result = pressure_drop(fluid, spec, 1.0)
+    with mpmath.workdps(40):
+        m = mpmath.mpf(3.0 * n + 1.0)
+        rho = _unit_profile(shape, mpmath.mpf(spec.r_max) / spec.r_min)
+        ref = float(2 * (3 * mpmath.mpf(n) + 1) ** n
+                    / (mpmath.pi * n) ** n
+                    * length * mpmath.mpf(r_min) ** -m
+                    * mpmath.quad(lambda y: rho(y) ** -m, [0, 0.25, 0.5, 1]))
+    assert 1e295 < ref < math.inf
+    assert result.method == "analytic", result.diagnostics
+    assert abs(result.pressure_drop - ref) <= 1e-13 * ref
+
+
 def _route_map_beta(q, t2, w):
     """``flow._beta`` as it was through the public 2F1: each series goes
     through ``gauss_2f1(..., full_output=True)`` and comes back with an

@@ -14,14 +14,21 @@ np = None
 
 
 def profile_radius(shape, a: float, b: float, k: float, x):
-    """Radius at axial positions ``x`` (array) of the profile whose
-    :class:`~cdtube.geometry.TubeShape` value is ``shape``."""
+    """Radius at axial positions ``x`` (array, none negative) of the
+    profile whose :class:`~cdtube.geometry.TubeShape` value is ``shape``.
+
+    Every profile is even, so the callers pass ``|x|``: the oracle its
+    nodes in ``[0, L/2]``, and :func:`cdtube.geometry.radius_profile` the
+    absolute value of its positions.  Where ``r_min ** -exponent`` leaves
+    the normal float range, the oracle passes the arguments of the tube
+    with its radii divided by ``r_min``.
+    """
     global np
     if np is None:
         import numpy as np
 
     if shape == "conic":
-        return a + b * np.abs(x)
+        return a + b * x
     elif shape == "parabolic":
         return a + b * x * x
     elif shape == "hyperbolic":

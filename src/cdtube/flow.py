@@ -42,7 +42,13 @@ from .fluid import (
     PowerLawFluid,
     master_prefactor,
 )
-from .geometry import TubeShape, TubeSpec
+from .geometry import (
+    _CONIC,
+    _HYPERBOLIC,
+    _PARABOLIC,
+    _SINUSOIDAL,
+    TubeSpec,
+)
 
 __all__ = [
     "FlowResult",
@@ -243,17 +249,19 @@ def _geometric_integral(spec: TubeSpec, n: float):
 
     The contrast ``d = r_max/r_min - 1`` is formed from the radius
     difference: a small contrast keeps its digits.  Where a power of
-    ``r_min`` leaves the normal float range while K need not (the conic's
-    ``r_min^-3n`` overflows; the beta forms' ``r_min^(3n+1)``, or its
-    product with the scale, is subnormal), ``r_min^-(3n+1)`` is applied in
-    two halves instead, as the sinusoid's ring expansion does.
+    ``r_min`` leaves the normal float range while K need not, at a
+    nanometre throat or a wide tube (the conic's ``r_min^-3n``, or its
+    product with the head, overflows or is subnormal; the beta forms'
+    ``r_min^(3n+1)``, or its product with the scale, is), ``r_min^-(3n+1)``
+    is applied in two halves instead, as the sinusoid's ring expansion
+    does.
     """
     length = spec.length
     r_min, r_max = spec.r_min, spec.r_max
     three_n = 3.0 * n
     shape = spec.shape
 
-    if shape is TubeShape.SINUSOIDAL:
+    if shape is _SINUSOIDAL:
         # r = A - B cos(2 pi x / L) with A^2 - B^2 = r_min r_max.  Laplace's
         # integral for the Legendre function (DLMF 14.12, with P_nu =
         # P_{-nu-1}) gives L (r_min r_max)^(-m/2) P_{3n}(z), m = 3n + 1,
@@ -281,20 +289,26 @@ def _geometric_integral(spec: TubeSpec, n: float):
     ratio = r_max / r_min
     m = three_n + 1.0
     d = (r_max - r_min) / r_min
-    if shape is TubeShape.CONIC:
+    if shape is _CONIC:
         # 1 - ratio^-3n without cancellation at small contrast
         head = length * -math.expm1(-three_n * math.log1p(d))
         try:
-            value = head * r_min**-three_n / (three_n * (r_max - r_min))
+            power = r_min**-three_n
         except OverflowError:
-            # r_min^-3n past the float range, where K may not be: in two
+            power = math.inf
+        numerator = head * power
+        if _NORMAL_MIN <= power and _NORMAL_MIN <= numerator < math.inf:
+            value = numerator / (three_n * (r_max - r_min))
+        else:
+            # r_min^-3n, or its product with the head, past the float
+            # range or below its normal range, where K may not be: in two
             # halves, each applied after the division.
             half = r_min ** (-0.5 * three_n)
             value = head / (three_n * (r_max - r_min)) * half * half
         return value, "conic closed form"
 
     # The beta forms: K = L * _beta(q, t2, w) / (scale * r_min^m).
-    if shape is TubeShape.PARABOLIC:
+    if shape is _PARABOLIC:
         # r = r_min (1 + d y^2), y = 2x/L; u = sin(atan(sqrt(d) y))
         q, t2, w, scale = 6.0 * n + 1.0, d / ratio, 1.0 / ratio, math.sqrt(d)
     else:
@@ -306,22 +320,26 @@ def _geometric_integral(spec: TubeSpec, n: float):
             sinh = math.sqrt(d) * math.sqrt(d + 2.0)
             t2 = (d / ratio) * ((d + 2.0) / ratio)
         w = ratio**-2
-        if shape is TubeShape.HYPERBOLIC:
+        if shape is _HYPERBOLIC:
             # r^2 = r_min^2 (1 + sinh^2 y^2); u = sin(atan(sinh y))
             q, scale = three_n, sinh
         else:
             # Cosh: r = r_min cosh(eta y); u = tanh(eta y)
             q, scale = m, math.log1p(d + sinh)  # eta = acosh(ratio)
     h, steps = _beta(q, t2, w)
-    power = r_min**m
+    try:
+        power = r_min**m
+    except OverflowError:
+        power = math.inf
     denominator = scale * power
-    if power < _NORMAL_MIN or denominator < _NORMAL_MIN:
-        # Either subnormal, its digits lost, or 0, where K may still be a
-        # float: r_min^-m in two halves, each applied after the division.
+    if _NORMAL_MIN <= power and _NORMAL_MIN <= denominator < math.inf:
+        value = length * h / denominator
+    else:
+        # Either past the float range, subnormal, its digits lost, or 0,
+        # where K may still be a float: r_min^-m in two halves, each
+        # applied after the division.
         half = r_min ** (-0.5 * m)
         value = length * h / scale * half * half
-    else:
-        value = length * h / denominator
     # ``_value_`` holds what ``.value``, a Python-level property, returns.
     return value, _BETA_NOTE % (shape._value_, steps)
 
@@ -393,7 +411,9 @@ def _operating_point(fluid: PowerLawFluid, cond, given: float,
     computes K once for all its rows, share this step.
 
     Raises :class:`DomainError` if P or Q overflows, before the oracle
-    runs, or if the oracle's P does.
+    runs, if the oracle's P does, or if the oracle's P is 0 or subnormal
+    beside a P that is not 0: a relative error against it would say
+    nothing.
     """
     k, method, diagnostics = cond
     oracle_value = rel_error = None
@@ -406,6 +426,10 @@ def _operating_point(fluid: PowerLawFluid, cond, given: float,
         if in_range and oracle is not None:
             oracle_value = oracle(q).value
             in_range = math.isfinite(oracle_value)
+            if oracle_value < _NORMAL_MIN and p != 0.0:
+                raise DomainError(
+                    f"the oracle's pressure drop {oracle_value!r} is below "
+                    f"the normal float range, beside P={p!r}")
             rel_error = (abs(p - oracle_value) / abs(oracle_value)
                          if oracle_value != 0.0 else 0.0)
     except OverflowError:
@@ -455,14 +479,14 @@ def straight_tube_conductance(fluid: PowerLawFluid, radius: float,
     """K of a constant-radius capillary: :func:`conductance_coefficient`
     of the straight ``TubeSpec(TubeShape.CONIC, radius, radius, length)``."""
     return conductance_coefficient(
-        fluid, TubeSpec(TubeShape.CONIC, radius, radius, length))
+        fluid, TubeSpec(_CONIC, radius, radius, length))
 
 
 def straight_tube_pressure_drop(fluid: PowerLawFluid, radius: float,
                                 length: float, flow_rate: float) -> float:
     """Pressure drop in Pa across a constant-radius capillary: the
     :func:`pressure_drop` of the straight :class:`TubeSpec`."""
-    return pressure_drop(fluid, TubeSpec(TubeShape.CONIC, radius, radius,
+    return pressure_drop(fluid, TubeSpec(_CONIC, radius, radius,
                                          length), flow_rate).pressure_drop
 
 
@@ -470,7 +494,7 @@ def straight_tube_flow_rate(fluid: PowerLawFluid, radius: float,
                             length: float, pressure_drop: float) -> float:
     """Flow rate in m^3/s through a constant-radius capillary: the
     :func:`flow_rate` of the straight :class:`TubeSpec`."""
-    return flow_rate(fluid, TubeSpec(TubeShape.CONIC, radius, radius,
+    return flow_rate(fluid, TubeSpec(_CONIC, radius, radius,
                                      length), pressure_drop).flow_rate
 
 

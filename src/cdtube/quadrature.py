@@ -8,15 +8,21 @@ package-wide radius evaluation (the same code path as
 The scheme is adaptive bisection with a nested Clenshaw-Curtis pair
 (65-point high rule, embedded 33-point low rule) per panel; the panel
 error is the difference of the two estimates and the worst panel is
-always split next.  Clenshaw-Curtis converges geometrically on these
-analytic integrands, so most integrals settle in the first panel, which
-is then returned as it is, with no heap.  A panel's nodes are clipped to
-its ends only where ``mid - halfwidth`` or ``mid + halfwidth`` does not
-round to them; elsewhere rounding, being monotone, keeps every node
-inside, and the first panel ``[0, L/2]`` is such a panel.  The split order
-is fixed and the returned sums are exactly rounded, so identical inputs
-give bit-identical results within one build.  numpy is imported, and the
-rule built, by the first integration.
+always split next.  Both estimates come from one product of the values
+with the two rules' weights stacked in a 2x65 matrix.  Clenshaw-Curtis
+converges geometrically on these analytic integrands, so most integrals
+settle in the first panel, which is then returned as it is, with no
+heap.  The first panel ``[0, L/2]`` forms its nodes in one product,
+``halfwidth * (1 + c)``; any other panel's nodes are ``mid + halfwidth *
+c``.  Either is clipped to the panel's ends only where its extreme nodes
+can miss them; elsewhere rounding, being monotone, keeps every node
+inside.  Where ``r_min ** -exponent``, the integrand at the throat,
+overflows or falls below the normal float range, the tube is integrated
+with its radii divided by ``r_min``, and the power applied to the result
+in two halves.  The split order is fixed and the returned sums are
+exactly rounded, so identical inputs give bit-identical results within
+one build.  numpy is imported, and the rule built, by the first
+integration.
 
 A closed-form solve does not import this module.  :mod:`cdtube.flow`
 binds its names on the first oracle or fallback, for the solvers and the
@@ -41,7 +47,7 @@ from .fluid import (
     _require_rel_tol,
     master_prefactor,
 )
-from .geometry import TubeSpec
+from .geometry import _SMALLEST_NORMAL, TubeSpec
 
 __all__ = [
     "QuadratureResult",
@@ -82,8 +88,26 @@ def _rules():
     return nodes_hi, weights_hi, weights_lo
 
 
+@functools.cache
+def _panel_rule():
+    """The panel driver's form of :func:`_rules`: the nodes ``c``, ``1 +
+    c``, and both rules' weights stacked in a 2x65 matrix.
+
+    Row 0 holds the 65-point weights; row 1 the 33-point weights at the
+    even nodes and 0 at the odd ones, so one product of the matrix with
+    the values at the 65 nodes gives both estimates.
+    """
+    import numpy as np
+
+    nodes, weights_hi, weights_lo = _rules()
+    weights = np.zeros((2, nodes.size))
+    weights[0] = weights_hi
+    weights[1, ::2] = weights_lo
+    return nodes, 1.0 + nodes, weights
+
+
 def _integrate_adaptive(f, lo: float, hi: float, rel_tol: float,
-                        max_panels: int):
+                        max_panels: int, half: float = 1.0):
     """Adaptive bisection driver; ``f`` maps node arrays to value arrays.
 
     Returns ``(value, err, panels, converged)``.  The first panel is
@@ -96,28 +120,44 @@ def _integrate_adaptive(f, lo: float, hi: float, rel_tol: float,
     A panel's nodes are ``mid + halfwidth * c`` with ``|c| <= 1``.  When
     ``mid - halfwidth`` and ``mid + halfwidth`` round to the panel's ends,
     every node lies between them, since rounding is monotone; only a
-    panel whose ends they miss has its nodes clipped to ``[a, b]``.
+    panel whose ends they miss has its nodes clipped to ``[a, b]``.  A
+    panel whose left end is 0, as the first panel ``[0, L/2]`` of every
+    integral, has ``mid == halfwidth``: its nodes are ``halfwidth * (1 +
+    c)``, one product, and lie in ``[0, 2 * halfwidth]``, so they are
+    clipped only where ``2 * halfwidth`` is not ``b``.  Both rules'
+    estimates come from one product with the stacked weights of
+    :func:`_panel_rule`.
+
+    The caller multiplies the result by ``half`` twice; a panel whose
+    estimate so multiplied is not finite raises :class:`DomainError`.
     """
-    nodes_hi, weights_hi, weights_lo = _rules()
+    nodes_hi, shifted, weights = _panel_rule()
 
     def estimate(a, b):
-        mid = 0.5 * (a + b)
         halfwidth = 0.5 * (b - a)
-        nodes = mid + halfwidth * nodes_hi
-        if mid - halfwidth != a or mid + halfwidth != b:
-            # The method np.clip dispatches to, without its Python wrapper.
-            nodes.clip(a, b, out=nodes)
-        values = f(nodes)
-        # ndarray.dot calls the BLAS dot product that @ does, for less.
-        est_hi = halfwidth * float(weights_hi.dot(values))
-        if not math.isfinite(est_hi):
+        if a == 0.0:
+            nodes = halfwidth * shifted
+            if halfwidth + halfwidth != b:
+                # The method np.clip dispatches to, without its Python
+                # wrapper.
+                nodes.clip(a, b, out=nodes)
+        else:
+            mid = 0.5 * (a + b)
+            nodes = mid + halfwidth * nodes_hi
+            if mid - halfwidth != a or mid + halfwidth != b:
+                nodes.clip(a, b, out=nodes)
+        # ndarray.dot calls the BLAS product that @ does, for less.
+        est_hi, est_lo = weights.dot(f(nodes)).tolist()
+        est_hi *= halfwidth
+        if not math.isfinite(est_hi * half * half):
             # The integrand overflowed at a node.  For r^-exponent that
             # includes the throat x = 0, a node of every panel holding it,
             # so no split converges: stop now, not at max_panels.
             raise DomainError("the integrand leaves the float range: "
-                              f"panel [{a!r}, {b!r}] estimates {est_hi!r}")
-        est_lo = halfwidth * float(weights_lo.dot(values[::2]))
-        return est_hi, max(abs(est_hi - est_lo), 2e-16 * abs(est_hi))
+                              f"panel [{a!r}, {b!r}] estimates "
+                              f"{est_hi * half * half!r}")
+        return est_hi, max(abs(est_hi - halfwidth * est_lo),
+                           2e-16 * abs(est_hi))
 
     total_v, total_e = estimate(lo, hi)
     converged = total_e <= rel_tol * abs(total_v)
@@ -162,7 +202,12 @@ def integrate_inverse_radius_power(spec: TubeSpec, exponent: float,
     DomainError
         If ``max_panels`` is below 1, if the profile leaves the float
         range, or at the first panel whose estimate is not finite, because
-        ``r ** -exponent`` overflows.
+        ``r ** -exponent`` overflows.  Where ``r_min ** -exponent`` is
+        past the float range or below its normal range, the tube with its
+        radii divided by ``r_min`` is integrated instead, and a panel whose
+        estimate times ``r_min ** -exponent`` overflows raises the same;
+        so does a tube whose ``r_min ** (-exponent / 2)`` or ``r_max /
+        r_min`` overflows.
     """
     if not exponent > 0.0:
         raise DomainError(f"exponent must be positive, got {exponent}")
@@ -170,15 +215,28 @@ def integrate_inverse_radius_power(spec: TubeSpec, exponent: float,
     if not max_panels >= 1:
         raise DomainError(f"max_panels must be at least 1, got {max_panels!r}")
 
-    shape, a, b, k = geometry._kernel_args(spec)
+    # The integrand is largest at the throat, where it is r_min^-exponent.
+    try:
+        peak = spec.r_min ** -exponent
+    except OverflowError:
+        peak = math.inf
+    half = 1.0
+    if _SMALLEST_NORMAL <= peak < math.inf:
+        shape, a, b, k = geometry._kernel_args(spec)
+    else:
+        # Past the float range, or below its normal range, where the
+        # integral need not be: integrate the tube with its radii divided
+        # by r_min, and apply r_min^-exponent to the result in two halves.
+        half, (shape, a, b, k) = _unit_throat(spec, exponent)
 
     def integrand(x):
         return _kernels.inverse_radius_power(shape, a, b, k, exponent, x)
 
     value, err, npanels, ok = _integrate_adaptive(
-        integrand, 0.0, 0.5 * spec.length, rel_tol, max_panels
+        integrand, 0.0, 0.5 * spec.length, rel_tol, max_panels, half
     )
-    result = QuadratureResult(2.0 * value, 2.0 * err, npanels)
+    result = QuadratureResult(2.0 * value * half * half,
+                              2.0 * err * half * half, npanels)
     if not ok:
         raise ConvergenceError(
             f"quadrature did not reach rel_tol={rel_tol} within "
@@ -186,6 +244,30 @@ def integrate_inverse_radius_power(spec: TubeSpec, exponent: float,
             best_estimate=result,
         )
     return result
+
+
+def _unit_throat(spec: TubeSpec, exponent: float):
+    """``r_min ** (-exponent / 2)``, and the kernel arguments of the tube
+    with its radii divided by ``r_min``; :class:`DomainError` where either
+    leaves the float range, naming the tube as given."""
+    try:
+        half = spec.r_min ** (-0.5 * exponent)
+    except OverflowError:
+        half = math.inf
+    ratio = spec.r_max / spec.r_min
+    if not (half < math.inf and ratio < math.inf):
+        raise DomainError(
+            "the integrand leaves the float range: r_min ** -exponent "
+            f"cannot be scaled out (r_min={spec.r_min!r}, "
+            f"r_max={spec.r_max!r}, exponent={exponent!r})")
+    try:
+        return half, geometry._kernel_args(
+            TubeSpec(spec.shape, 1.0, ratio, spec.length))
+    except DomainError:
+        raise DomainError(
+            f"the {spec.shape.value} profile, its radii divided by r_min, "
+            f"is outside the float range (r_min={spec.r_min!r}, "
+            f"r_max={spec.r_max!r}, length={spec.length!r})") from None
 
 
 def _scaled(fluid: PowerLawFluid, flow_rate: float,

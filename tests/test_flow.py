@@ -10,6 +10,7 @@ from cdtube import (
     DomainError,
     EvaluationError,
     PowerLawFluid,
+    QuadratureResult,
     TubeShape,
     TubeSpec,
     conductance_coefficient,
@@ -459,6 +460,30 @@ def test_validated_flow_rate_overflow_names_the_solve():
     assert str(plain.value).startswith(
         "flow rate at 1e+300 overflows the float range (K=")
     assert str(validated.value) == str(plain.value)
+
+
+@pytest.mark.parametrize("oracle_p", [0.0, 5e-324, 1e-310])
+def test_an_oracle_p_below_the_normal_range_is_a_domain_error(monkeypatch,
+                                                              oracle_p):
+    # Beside a P that is not 0, a relative error against an oracle P that
+    # underflowed would read 0, or 1, and say nothing: both directions
+    # raise, as an oracle P that overflows does.
+    def oracle(fluid, spec, q, **kwargs):
+        return QuadratureResult(oracle_p if q else 0.0, 0.0, 1)
+    monkeypatch.setattr(flow_module, "pressure_drop_numeric", oracle,
+                        raising=False)
+    fluid = fluid_of(0.8)
+    spec = TubeSpec(TubeShape.PARABOLIC, 1.0, 2.0, 1.0)
+    message = (rf"^the oracle's pressure drop {oracle_p!r} is below the "
+               r"normal float range, beside P=")
+    with pytest.raises(DomainError, match=message):
+        pressure_drop(fluid, spec, 1.0, validate=True)
+    with pytest.raises(DomainError, match=message):
+        flow_rate(fluid, spec, 1.0, validate=True)
+    # At Q = 0, P is 0 too, and the oracle's 0 is exact.
+    zero = pressure_drop(fluid, spec, 0.0, validate=True)
+    assert (zero.pressure_drop, zero.oracle_value, zero.rel_error) == (
+        0.0, 0.0, 0.0)
 
 
 def test_evaluation_error_when_both_routes_fail(monkeypatch):

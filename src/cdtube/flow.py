@@ -18,8 +18,15 @@ closed-form solve does not import it.  A straight capillary is a
 :class:`TubeSpec` with equal radii, of any shape, and K is the
 Hagen-Poiseuille form of the power-law fluid; the ``straight_tube_*``
 helpers solve ``TubeSpec(TubeShape.CONIC, radius, radius, length)``.
-Every route ends in one check: a K that is not a positive finite float
-raises :class:`DomainError`.
+Where a closed form's power of ``r_min`` leaves the normal float range,
+at a nanometre throat or a wide tube, while K need not, the closed form
+returns None, and K is the same closed form's on the unit-throat tube,
+its radii divided by ``r_min`` and its length 1, times ``L
+r_min^-(3n+1)`` applied in two halves.  One test,
+:func:`cdtube.geometry._throat_power`, decides it for the conic, the beta
+forms, the straight tube and the quadrature oracle.  Every route ends in
+one check: a K that is not a positive normal float raises
+:class:`DomainError`, since one below the normal range has lost digits.
 """
 
 import functools
@@ -48,6 +55,7 @@ from .geometry import (
     _PARABOLIC,
     _SINUSOIDAL,
     TubeSpec,
+    _throat_power,
 )
 
 __all__ = [
@@ -245,16 +253,17 @@ def _legendre(r_min: float, r_max: float, nu: float):
 
 def _geometric_integral(spec: TubeSpec, n: float):
     """Closed form of ``integral r(x)^-(3n+1) dx`` over the tube; returns
-    ``(value, diagnostics)``.
+    ``(value, diagnostics)``, or ``(None, None)`` where a power of
+    ``r_min`` leaves the normal float range.
 
     The contrast ``d = r_max/r_min - 1`` is formed from the radius
-    difference: a small contrast keeps its digits.  Where a power of
-    ``r_min`` leaves the normal float range while K need not, at a
-    nanometre throat or a wide tube (the conic's ``r_min^-3n``, or its
-    product with the head, overflows or is subnormal; the beta forms'
-    ``r_min^(3n+1)``, or its product with the scale, is), ``r_min^-(3n+1)``
-    is applied in two halves instead, as the sinusoid's ring expansion
-    does.
+    difference: a small contrast keeps its digits.  The conic's ``head *
+    r_min^-3n`` and the beta forms' ``scale * r_min^(3n+1)`` are taken by
+    :func:`cdtube.geometry._throat_power`; the sinusoid's ``K/L`` and ``L``
+    times it must be normal floats, and its closed form must not overflow.
+    Where one is not, at a nanometre throat or a wide tube,
+    :func:`_conductance` takes the closed form again on the unit-throat
+    tube.
     """
     length = spec.length
     r_min, r_max = spec.r_min, spec.r_max
@@ -268,46 +277,25 @@ def _geometric_integral(spec: TubeSpec, n: float):
         # z = A / sqrt(r_min r_max).
         try:
             h, terms = _legendre(r_min, r_max, three_n)
-            value = length * h
         except OverflowError:
-            value = math.inf
-        if not value < math.inf:
-            # K/L past the float range, where K may not be: h scales as
-            # r^-(3n+1), so L h is h of the tube scaled by L^(-1/(3n+1)).
-            # A scaled tube that fails leaves K outside the float range,
-            # and sends no tube to the fallback.
-            scale = length ** (-1.0 / (three_n + 1.0))
-            if not scale * r_max < math.inf:
-                raise OverflowError("the scaled tube's r_max")
-            try:
-                value, terms = _legendre(scale * r_min, scale * r_max,
-                                         three_n)
-            except ConvergenceError:
-                raise OverflowError("the scaled tube's K") from None
+            return None, None
+        value = length * h
+        if not (_NORMAL_MIN <= h and _NORMAL_MIN <= value < math.inf):
+            return None, None
         return value, _SINUSOID_NOTE % terms
 
-    ratio = r_max / r_min
-    m = three_n + 1.0
     d = (r_max - r_min) / r_min
     if shape is _CONIC:
         # 1 - ratio^-3n without cancellation at small contrast
         head = length * -math.expm1(-three_n * math.log1p(d))
-        try:
-            power = r_min**-three_n
-        except OverflowError:
-            power = math.inf
-        numerator = head * power
-        if _NORMAL_MIN <= power and _NORMAL_MIN <= numerator < math.inf:
-            value = numerator / (three_n * (r_max - r_min))
-        else:
-            # r_min^-3n, or its product with the head, past the float
-            # range or below its normal range, where K may not be: in two
-            # halves, each applied after the division.
-            half = r_min ** (-0.5 * three_n)
-            value = head / (three_n * (r_max - r_min)) * half * half
-        return value, "conic closed form"
+        numerator = _throat_power(r_min, -three_n, head)
+        if numerator is None:
+            return None, None
+        return numerator / (three_n * (r_max - r_min)), "conic closed form"
 
     # The beta forms: K = L * _beta(q, t2, w) / (scale * r_min^m).
+    ratio = r_max / r_min
+    m = three_n + 1.0
     if shape is _PARABOLIC:
         # r = r_min (1 + d y^2), y = 2x/L; u = sin(atan(sqrt(d) y))
         q, t2, w, scale = 6.0 * n + 1.0, d / ratio, 1.0 / ratio, math.sqrt(d)
@@ -327,21 +315,11 @@ def _geometric_integral(spec: TubeSpec, n: float):
             # Cosh: r = r_min cosh(eta y); u = tanh(eta y)
             q, scale = m, math.log1p(d + sinh)  # eta = acosh(ratio)
     h, steps = _beta(q, t2, w)
-    try:
-        power = r_min**m
-    except OverflowError:
-        power = math.inf
-    denominator = scale * power
-    if _NORMAL_MIN <= power and _NORMAL_MIN <= denominator < math.inf:
-        value = length * h / denominator
-    else:
-        # Either past the float range, subnormal, its digits lost, or 0,
-        # where K may still be a float: r_min^-m in two halves, each
-        # applied after the division.
-        half = r_min ** (-0.5 * m)
-        value = length * h / scale * half * half
+    denominator = _throat_power(r_min, m, scale)
+    if denominator is None:
+        return None, None
     # ``_value_`` holds what ``.value``, a Python-level property, returns.
-    return value, _BETA_NOTE % (shape._value_, steps)
+    return length * h / denominator, _BETA_NOTE % (shape._value_, steps)
 
 
 def _conductance(fluid: PowerLawFluid, spec: TubeSpec,
@@ -349,20 +327,48 @@ def _conductance(fluid: PowerLawFluid, spec: TubeSpec,
     """``(K, method, diagnostics)`` for the fluid and tube; ``method`` is
     ``METHOD_ANALYTIC`` or ``METHOD_FALLBACK``.
 
+    The one rescue: where the closed form's power of ``r_min`` leaves the
+    normal float range (it returns None), K is the closed form's K on the
+    unit-throat tube ``TubeSpec(shape, 1, r_max/r_min, 1)`` times ``(L *
+    half) * half``, ``half = r_min^(-(3n+1)/2)``, since K scales as ``L
+    r_min^-(3n+1)``.  That order keeps every factor normal at a nanometre
+    throat and at a wide tube alike.  A closed form that fails on the
+    unit-throat tube, or a ratio or ``half`` past the float range, leaves K
+    outside the float range, and sends no tube to the quadrature fallback.
+
     Raises :class:`DomainError` from the prefactor, before any route, for
-    a flow index past about 120, and if K is not a positive finite float.
+    a flow index past about 120, and if K is not a positive normal float.
     """
     n = fluid.index
     prefactor = master_prefactor(fluid, 1.0)
     try:
         if spec.is_straight:
             # As written: prefactor * L / r_min^(3n+1) rounds differently.
-            k = (2.0 * fluid.consistency * (3.0 * n + 1.0) ** n * spec.length
-                 / (math.pi**n * n**n * spec.r_min ** (3.0 * n + 1.0)))
+            m = 3.0 * n + 1.0
+            denominator = _throat_power(spec.r_min, m, math.pi**n * n**n)
+            k = (None if denominator is None else
+                 2.0 * fluid.consistency * m**n * spec.length / denominator)
             diag = "degenerate: straight tube"
         else:
             geom, diag = _geometric_integral(spec, n)
-            k = prefactor * geom
+            k = None if geom is None else prefactor * geom
+        if k is None:
+            ratio = spec.r_max / spec.r_min
+            if not ratio < math.inf:
+                raise OverflowError("r_max / r_min")
+            half = spec.r_min ** (-0.5 * (3.0 * n + 1.0))
+            unit = TubeSpec(spec.shape, 1.0, ratio, 1.0)
+            # The straight unit tube's K, as written, is the prefactor.
+            k, diag = prefactor, "degenerate: straight tube"
+            if not unit.is_straight:
+                try:
+                    geom, diag = _geometric_integral(unit, n)
+                except ConvergenceError:
+                    geom = None
+                if geom is None:
+                    raise OverflowError("the unit-throat tube's K")
+                k = prefactor * geom
+            k = k * (spec.length * half) * half
         method = METHOD_ANALYTIC
     except (OverflowError, ZeroDivisionError):
         # A power past the float range, or one of r_min underflowing to 0.
@@ -380,7 +386,7 @@ def _conductance(fluid: PowerLawFluid, spec: TubeSpec,
         method = METHOD_FALLBACK
         diag = (f"fallback to quadrature ({base.subdivisions} panels, "
                 f"rel_tol={FALLBACK_REL_TOL}): {exc}")
-    if not 0.0 < k < math.inf:
+    if not _NORMAL_MIN <= k < math.inf:
         raise DomainError("conductance K is outside the float range "
                           f"(r_min={spec.r_min!r}, n={n!r})")
     return k, method, diag

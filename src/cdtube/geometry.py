@@ -166,6 +166,27 @@ def _square(v: float) -> float:
     return square if square >= _SMALLEST_NORMAL else 0.0
 
 
+def _throat_power(r_min: float, exponent: float, factor: float):
+    """``factor * r_min ** exponent``, or None where the power or the
+    product leaves the normal float range.
+
+    The one test of whether a closed form, or the oracle's integrand at
+    the throat, can take its power of ``r_min`` directly.  Where it says
+    None the caller takes the tube with its radii divided by ``r_min``
+    (:func:`cdtube.flow._conductance`, ``quadrature._unit_throat``) and
+    applies ``r_min ** exponent`` in two halves; the result need not leave
+    the range where the power does, at a nanometre throat or a wide tube.
+    """
+    try:
+        power = r_min**exponent
+    except OverflowError:
+        return None
+    product = factor * power
+    if _SMALLEST_NORMAL <= power and _SMALLEST_NORMAL <= product < math.inf:
+        return product
+    return None
+
+
 def _kernel_args(spec: TubeSpec):
     """``(shape, a, b, k)`` for :mod:`cdtube._kernels`: the shape's value,
     and for a straight tube of any shape the conic with zero slope, ``r =

@@ -17,11 +17,12 @@ heap.  The first panel ``[0, L/2]`` forms its nodes in one product,
 c``.  Either is clipped to the panel's ends only where its extreme nodes
 can miss them; elsewhere rounding, being monotone, keeps every node
 inside.  Where ``r_min ** -exponent``, the integrand at the throat,
-overflows or falls below the normal float range, the tube is integrated
-with its radii divided by ``r_min``, and the power applied to the result
-in two halves.  The split order is fixed and the returned sums are
-exactly rounded, so identical inputs give bit-identical results within
-one build.  numpy is imported, and the rule built, by the first
+overflows or falls below the normal float range, by the test of
+``geometry._throat_power`` that the closed forms take too, the tube is
+integrated with its radii divided by ``r_min``, and the power applied to
+the result in two halves.  The split order is fixed and the returned
+sums are exactly rounded, so identical inputs give bit-identical results
+within one build.  numpy is imported, and the rule built, by the first
 integration.
 
 A closed-form solve does not import this module.  :mod:`cdtube.flow`
@@ -47,7 +48,7 @@ from .fluid import (
     _require_rel_tol,
     master_prefactor,
 )
-from .geometry import _SMALLEST_NORMAL, TubeSpec
+from .geometry import TubeSpec
 
 __all__ = [
     "QuadratureResult",
@@ -216,12 +217,8 @@ def integrate_inverse_radius_power(spec: TubeSpec, exponent: float,
         raise DomainError(f"max_panels must be at least 1, got {max_panels!r}")
 
     # The integrand is largest at the throat, where it is r_min^-exponent.
-    try:
-        peak = spec.r_min ** -exponent
-    except OverflowError:
-        peak = math.inf
     half = 1.0
-    if _SMALLEST_NORMAL <= peak < math.inf:
+    if geometry._throat_power(spec.r_min, -exponent, 1.0) is not None:
         shape, a, b, k = geometry._kernel_args(spec)
     else:
         # Past the float range, or below its normal range, where the

@@ -20,7 +20,7 @@ from cdtube import (
     pressure_drop_numeric,
 )
 from cdtube import flow as flow_module
-from cdtube import quadrature
+from cdtube import geometry, quadrature
 from cdtube.cli import main
 from cdtube.flow import _geometric_integral
 
@@ -634,7 +634,7 @@ def test_the_scaled_tube_gives_the_integral_of_the_tube(monkeypatch):
              for r_max in (3e-5, 3.0000000001e-5, 7e-5, 0.3)]
     direct = [integrate_inverse_radius_power(spec, 3.1, 1e-12)
               for spec in specs]
-    monkeypatch.setattr(quadrature, "_SMALLEST_NORMAL", math.inf)
+    monkeypatch.setattr(geometry, "_throat_power", lambda *args: None)
     for spec, res in zip(specs, direct):
         scaled = integrate_inverse_radius_power(spec, 3.1, 1e-12)
         assert abs(scaled.value - res.value) <= 1e-12 * res.value, spec

@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+import sys
 
 import mpmath
 import pytest
@@ -1223,11 +1224,10 @@ def test_a_sinusoid_whose_k_over_l_overflows_is_analytic(n, ratio):
 
 def test_a_ring_expansion_near_the_top_of_the_float_range_is_analytic():
     # n = 13.3 at a 1 nm throat with L = 1 nm and ratio 1e100: K is
-    # 1.69e308, within 7% of the largest float, on the scaled tube's ring
-    # expansion.  Its first half overflowed before the division by
-    # sqrt(pi), and so did 16 |value| in its cancellation test.  3.0 * n is
-    # not 3n exactly here, so the reference takes the solver's index: the
-    # exact one moves K by 7.4e-14 at this throat.
+    # 1.69e308, within 7% of the largest float, from the unit-throat tube's
+    # ring expansion times (L half) half, half = r_min^(-(3n+1)/2).
+    # 3.0 * n is not 3n exactly here, so the reference takes the solver's
+    # index: the exact one moves K by 7.4e-14 at this throat.
     n, ratio = 13.3, 1e100
     r_min = length = 1e-9
     with pytest.warns(UserWarning, match="guaranteed-accuracy"):
@@ -1242,9 +1242,10 @@ def test_a_ring_expansion_near_the_top_of_the_float_range_is_analytic():
 
 def test_a_scaled_sinusoid_that_fails_to_converge_is_a_domain_error(
         monkeypatch):
-    # K/L overflows, and the scaled tube's closed form raises
-    # ConvergenceError: that leaves K outside the float range, and sends
-    # no tube to the quadrature fallback.
+    # K/L overflows, and the closed form on the unit-throat tube, its radii
+    # divided by r_min and its length 1, raises ConvergenceError: that
+    # leaves K outside the float range, and sends no tube to the quadrature
+    # fallback.
     tubes = []
 
     def legendre(r_min, r_max, nu):
@@ -1261,13 +1262,12 @@ def test_a_scaled_sinusoid_that_fails_to_converge_is_a_domain_error(
     spec = TubeSpec(TubeShape.SINUSOIDAL, 1e-9, 1e-6, 1e-9)
     with pytest.raises(DomainError, match="K is outside the float range"):
         conductance_coefficient(PowerLawFluid(1.0, 0.5), spec)
-    scale = 1e-9 ** (-1.0 / 2.5)
-    assert tubes == [(1e-9, 1e-6), (scale * 1e-9, scale * 1e-6)]
+    assert tubes == [(1e-9, 1e-6), (1.0, 1e-6 / 1e-9)]
 
 
 @pytest.mark.parametrize("r_min,r_max,length", [
     (1e-9, 1e-3, 1e-9),  # K itself is about 4e373
-    (1e-12, 1.7e308, 1e-3),  # the scaled tube's r_max is past the range
+    (1e-12, 1.7e308, 1e-3),  # r_max / r_min is past the range
 ], ids=["K-overflows", "scaled-r_max-overflows"])
 def test_a_sinusoid_past_the_float_range_stays_a_domain_error(
         monkeypatch, r_min, r_max, length):
@@ -1367,6 +1367,129 @@ def test_a_wide_tube_whose_radius_power_leaves_the_normal_range(shape, n,
     assert 1e-80 < ref < 1e-10
     assert result.method == "analytic", result.diagnostics
     assert abs(result.pressure_drop - ref) <= 1e-13 * ref
+
+
+# Forced onto every tube of a grid, the rescue that takes the closed form
+# on the unit-throat tube, its radii divided by r_min and its length 1,
+# gives the direct K.  Each tube is solved once directly; then every power
+# of r_min != 1 is refused, and every sinusoid's K/L overflows, so that each
+# K is the unit tube's times (L half) half, half = r_min^(-(3n+1)/2).
+RESCUE_RATIOS = (1.0, 1.0 + 1e-10, 1.01, 1.5, 3.0, 40.0, 1e3, 1e6)
+RESCUE_INDICES = (0.2, 0.5, 1.0, 1.3, 2.0)
+
+
+@pytest.mark.parametrize("r_min,length", [(3e-5, 4e-4), (2.5, 7.0)])
+def test_the_unit_throat_rescue_gives_the_direct_k(monkeypatch, r_min,
+                                                   length):
+    cases = [(shape, n, TubeSpec(shape, r_min, r_min * ratio, length))
+             for shape in TubeShape for ratio in RESCUE_RATIOS
+             for n in RESCUE_INDICES]
+    direct = [conductance_coefficient(PowerLawFluid(1.0, n), spec)
+              for _, n, spec in cases]
+    throat_power, legendre = flow._throat_power, flow._legendre
+    throats = []
+
+    def refuse_throat_power(radius, exponent, factor):
+        throats.append(radius)
+        if radius != 1.0:
+            return None
+        return throat_power(radius, exponent, factor)
+
+    def overflowing_legendre(radius, r_max, nu):
+        throats.append(radius)
+        if radius != 1.0:
+            raise OverflowError("K/L past the float range")
+        return legendre(radius, r_max, nu)
+
+    monkeypatch.setattr(flow, "_throat_power", refuse_throat_power)
+    monkeypatch.setattr(flow, "_legendre", overflowing_legendre)
+    misses = []
+    for (shape, n, spec), k in zip(cases, direct):
+        throats.clear()
+        result = pressure_drop(PowerLawFluid(1.0, n), spec, 1.0)
+        rel_err = abs(result.pressure_drop - k) / k
+        # The straight unit tube's K is the prefactor, with no power taken.
+        expected = [r_min] if spec.is_straight else [r_min, 1.0]
+        if (result.method != "analytic" or rel_err > 1e-14
+                or throats != expected):
+            misses.append((shape.value, n, spec.r_max, rel_err))
+    assert not misses
+
+
+# Where r_min^(3n+1) leaves the normal range, at a 1 nm throat or a wide
+# tube, the straight tube had no rescue: its K lost digits in a subnormal
+# power (1.2e-6 off at n = 11.45) or raised a false DomainError.  The
+# sinusoid rescaled its tube by L^(-1/(3n+1)), whose Pfaff form still
+# overflowed at exact half-odd 3n, and kept a K/L below the normal range
+# (7.5e-12 off at n = 10, r_min = 1e10) or raised a false DomainError.  Every
+# 3n + 1 here is the solver's, which the references take.
+EDGE_STRAIGHT_AND_SINUSOID = {
+    "straight n=11.3 at 1 nm": (TubeShape.CONIC, 11.3, 1e-9, 1.0, 1e-12),
+    "straight n=11.45 at 1 nm": (TubeShape.CONIC, 11.45, 1e-9, 1.0, 1e-12),
+    "straight n=10 at 1e10 m": (TubeShape.COSH, 10.0, 1e10, 1.0, 1e300),
+    "sinusoid 3n=40.5, ratio 1e150 at 1 nm": (TubeShape.SINUSOIDAL, 13.5,
+                                             1e-9, 1e150, 1e-9),
+    "sinusoid 3n=40.5, ratio 1e300 at 1 nm": (TubeShape.SINUSOIDAL, 13.5,
+                                             1e-9, 1e300, 1e-9),
+    "sinusoid 3n=43.5, ratio 1e300 at 1 nm": (TubeShape.SINUSOIDAL, 14.5,
+                                             1e-9, 1e300, 1e-9),
+    "sinusoid 3n=28.5, ratio 1e300 at 1 pm": (TubeShape.SINUSOIDAL, 9.5,
+                                             1e-12, 1e300, 1e-12),
+    "sinusoid n=10 at 1e10 m": (TubeShape.SINUSOIDAL, 10.0, 1e10, 1.5, 1e300),
+    "sinusoid n=12 at 1e10 m": (TubeShape.SINUSOIDAL, 12.0, 1e10, 1.5, 1e300),
+    "sinusoid n=9.8 at 1e11 m": (TubeShape.SINUSOIDAL, 9.8, 1e11, 1.5, 1e300),
+}
+
+
+@pytest.mark.parametrize("shape,n,r_min,ratio,length",
+                         list(EDGE_STRAIGHT_AND_SINUSOID.values()),
+                         ids=list(EDGE_STRAIGHT_AND_SINUSOID))
+def test_a_straight_tube_or_sinusoid_at_the_float_range_edges(
+        shape, n, r_min, ratio, length):
+    with pytest.warns(UserWarning, match="guaranteed-accuracy"):
+        fluid = PowerLawFluid(1.0, n)
+    result = pressure_drop(fluid, TubeSpec(shape, r_min, r_min * ratio,
+                                           length), 1.0)
+    if shape is TubeShape.SINUSOIDAL:
+        ref = _sinusoid_reference(fluid, r_min, ratio, length, 3.0 * n)
+    else:
+        with mpmath.workdps(40):
+            m = mpmath.mpf(3.0 * n + 1.0)
+            ref = float(2 * m**n / (mpmath.pi * n) ** n * length
+                        * mpmath.mpf(r_min) ** -m)
+    assert sys.float_info.min < ref < math.inf
+    assert result.method == "analytic", result.diagnostics
+    assert abs(result.pressure_drop - ref) <= 1e-13 * ref
+
+
+# A K below the normal float range has lost digits: at n = 18.3 and r_min =
+# 1e11 the conic reported P = 5.488152e-317, 7 digits, as analytic.
+SUBNORMAL_K = {
+    "conic n=18.3 at 1e11 m": (TubeShape.CONIC, 18.3, 1e11),
+} | {
+    f"{shape.value} n=20 at 1e10 m": (shape, 20.0, 1e10)
+    for shape in (TubeShape.CONIC, TubeShape.PARABOLIC,
+                  TubeShape.HYPERBOLIC, TubeShape.COSH)
+}
+
+
+@pytest.mark.parametrize("shape,n,r_min", list(SUBNORMAL_K.values()),
+                         ids=list(SUBNORMAL_K))
+def test_a_k_below_the_normal_float_range_is_a_domain_error(shape, n, r_min):
+    length = 1e300
+    spec = TubeSpec(shape, r_min, 1.5 * r_min, length)
+    with pytest.warns(UserWarning, match="guaranteed-accuracy"):
+        fluid = PowerLawFluid(1.0, n)
+    with mpmath.workdps(40):
+        m = 3 * mpmath.mpf(n) + 1
+        rho = _unit_profile(shape, mpmath.mpf(1.5))
+        ref = (2 * m ** n / (mpmath.pi * n) ** n
+               * length * mpmath.mpf(r_min) ** -m
+               * mpmath.quad(lambda y: rho(y) ** -m, [0, 0.25, 0.5, 1]))
+    assert 0 < ref < sys.float_info.min
+    with pytest.raises(DomainError, match=r"^conductance K is outside the "
+                       r"float range \(r_min="):
+        pressure_drop(fluid, spec, 1.0)
 
 
 def _route_map_beta(q, t2, w):
